@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse.linalg
 
 from .kernel import ShapeSequence, gram_matrix, initial_error, kernel_eval
-from .quadrature import tensor_rule
+from .quadrature import _nystrom_matrix, gauss_hermite, tensor_rule
 from .spectrum import (
     MultiIndex,
     TensorEigenList,
@@ -221,9 +221,23 @@ def spline_worst_case_error(
     """Worst-case L2(rho_d) error of the spline over the unit ball.
 
     Discretizes the power kernel G(x, t) = K(x, t) - k(x)^T K^+ k(t) on
-    the tensor Gauss-Hermite grid and returns the square root of the
-    largest eigenvalue of the weighted matrix (Nystrom estimate).  With
-    ``method="trace"`` the cheap trace upper bound
+    the tensor Gauss-Hermite grid of N = m^d nodes with weights W and
+    returns the square root of the largest eigenvalue of the weighted
+    matrix diag(sqrt(W)) G diag(sqrt(W)) (Nystrom estimate).  Because the
+    kernel and the weight are products over coordinates, that matrix is
+
+        A_1 (x) ... (x) A_d - C diag(inv) C^T,
+
+    where A_l = diag(sqrt(w)) K_l diag(sqrt(w)) is the univariate Nystrom
+    matrix of gamma_l on the m-point rule, C = diag(sqrt(W)) K(grid,
+    design) U and U diag(inv) U^T is the clipped Gram pseudo-inverse.
+    For N > 64 the largest eigenvalue comes from Lanczos on this operator
+    without forming any N x N matrix: a product applies A_l along each
+    grid axis and the rank-n correction, costing O(m^d (sum_l m + n))
+    time and O(m^d n) memory.  For N <= 64 the matrix is formed from the
+    same factors and solved densely.
+
+    With ``method="trace"`` the cheap trace upper bound
     sqrt(integral of G(t, t)) is returned instead.
     """
     if method not in ("spectral", "trace"):
@@ -233,20 +247,37 @@ def spline_worst_case_error(
     if method == "trace":
         diag = power_function(shape, d, pts, grid) ** 2
         return float(np.sqrt(max(0.0, np.dot(w, diag))))
-    G = _cross_kernel(shape, d, grid, grid)
+    rule = gauss_hermite(m)
+    factors = [_nystrom_matrix(g, rule.nodes, rule.weights) for g in shape.gammas(d)]
+    N = w.size
     if pts.shape[0]:
         U, inv, _ = _gram_pinv_factors(shape, d, pts)
-        P = _cross_kernel(shape, d, grid, pts) @ U
-        G = G - (P * inv[None, :]) @ P.T
-    s = np.sqrt(w)
-    B = s[:, None] * G * s[None, :]
-    B = 0.5 * (B + B.T)
-    if B.shape[0] <= 64:
-        lam = float(np.linalg.eigvalsh(B)[-1])
+        # K(grid, design) U is rounded as in the power function before the
+        # weights are applied: inv reaches 1/(CLIP_FACTOR lambda_max) and
+        # would amplify a different rounding of it to about 1e-11
+        C = np.sqrt(w)[:, None] * (_cross_kernel(shape, d, grid, pts) @ U)
     else:
+        C, inv = np.empty((N, 0)), np.empty(0)
+    if N <= 64:
+        B = factors[0]
+        for A in factors[1:]:
+            B = np.kron(B, A)
+        B = B - (C * inv[None, :]) @ C.T
+        lam = float(np.linalg.eigvalsh(0.5 * (B + B.T))[-1])
+    else:
+
+        def matvec(v):
+            x = np.reshape(v, (m,) * d)
+            # contracting axis 0 and appending the result cycles the axes,
+            # so after d products they are back in grid order
+            for A in factors:
+                x = np.tensordot(x, A, axes=(0, 0))
+            return x.ravel() - C @ (inv * (C.T @ np.ravel(v)))
+
+        op = scipy.sparse.linalg.LinearOperator((N, N), matvec=matvec, dtype=float)
         # fixed start vector keeps the Lanczos iteration deterministic
-        v0 = np.full(B.shape[0], B.shape[0] ** -0.5)
+        v0 = np.full(N, N**-0.5)
         lam = float(
-            scipy.sparse.linalg.eigsh(B, k=1, which="LA", tol=1e-12, v0=v0)[0][0]
+            scipy.sparse.linalg.eigsh(op, k=1, which="LA", tol=1e-12, v0=v0)[0][0]
         )
     return float(np.sqrt(max(0.0, lam)))

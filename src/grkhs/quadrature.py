@@ -6,6 +6,7 @@ weights sum to one and no sqrt(pi) factor leaks downstream.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import lgamma, log
 
@@ -35,6 +36,7 @@ class QuadratureRule:
         return self.nodes.size
 
 
+@functools.lru_cache(maxsize=None)
 def gauss_hermite(m: int) -> QuadratureRule:
     """m-point Gauss-Hermite rule for the weight pi^(-1/2) exp(-t^2).
 
@@ -42,11 +44,17 @@ def gauss_hermite(m: int) -> QuadratureRule:
     the Hermite three-term recurrence (no hard-coded tables); the classical
     exp(-t^2) weights are divided by sqrt(pi) here so that they sum to 1.
     The rule is exact on polynomials of degree <= 2m-1.
+
+    Rules are built once per m and shared: a repeat call returns the same
+    arrays, which are read-only.
     """
     if not 1 <= m <= MAX_RULE_SIZE:
         raise ValueError(f"rule size must be in [1, {MAX_RULE_SIZE}], got {m}")
     nodes, weights = roots_hermite(m)
-    return QuadratureRule(nodes=nodes, weights=weights / np.sqrt(np.pi))
+    weights = weights / np.sqrt(np.pi)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return QuadratureRule(nodes=nodes, weights=weights)
 
 
 def _scaled_rule(m: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
@@ -103,10 +111,12 @@ def _nystrom_eigs_factored(
     g2 = 2.0 * gamma * gamma
     ks = np.arange(terms)
     log_coef = 0.5 * (ks * log(g2) - np.array([lgamma(k + 1.0) for k in ks]))
+    # a weight that underflowed to 0 (large m) gives a zero row of B
     with np.errstate(divide="ignore"):
         log_abs_t = np.where(t == 0.0, -np.inf, np.log(np.abs(t)))
+        log_w = np.log(w)
     log_B = (
-        0.5 * np.log(w)[:, None]
+        0.5 * log_w[:, None]
         - (gamma * t[:, None]) ** 2
         + log_coef[None, :]
         + ks[None, :] * log_abs_t[:, None]
@@ -114,7 +124,7 @@ def _nystrom_eigs_factored(
     # t = 0 contributes only through the constant term
     zero = t == 0.0
     if np.any(zero):
-        log_B[zero, 0] = 0.5 * np.log(w[zero]) + log_coef[0]
+        log_B[zero, 0] = 0.5 * log_w[zero] + log_coef[0]
         log_B[zero, 1:] = -np.inf
     signs = np.where(t[:, None] < 0, np.where(ks[None, :] % 2 == 1, -1.0, 1.0), 1.0)
     B = signs * np.exp(log_B)
@@ -151,8 +161,8 @@ def nystrom_eigs(gamma: float, m: int, k: int, scale: float = 1.0) -> np.ndarray
     kernel Taylor factor would need too many terms, a dense symmetric
     eigensolve is used instead.  The route depends on gamma alone.
     """
-    if gamma <= 0:
-        raise ValueError(f"shape parameter must be positive, got {gamma}")
+    if not (np.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"shape parameter must be positive and finite, got {gamma}")
     if not 1 <= k <= m:
         raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
     if not (np.isfinite(scale) and scale > 0):

@@ -1,9 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grkhs import (
     ShapeSequence,
     eigen_projection,
+    gauss_hermite,
     initial_error,
     minimal_error_all,
     power_function,
@@ -11,7 +16,7 @@ from grkhs import (
     spline_worst_case_error,
     univariate_spectrum,
 )
-from grkhs.algorithms import tensor_eigenfunctions
+from grkhs.algorithms import _gram_pinv_factors, tensor_eigenfunctions
 from grkhs.spectrum import MultiIndex
 
 
@@ -140,6 +145,98 @@ class TestSplineWorstCaseError:
             spline_worst_case_error(
                 ShapeSequence.isotropic(1.0), 1, [[0.0]], 50, method="bogus"
             )
+
+
+def _dense_wce(gammas, design, m):
+    """The spline WCE on the m^d grid from the dense N x N power kernel."""
+    rule = gauss_hermite(m)
+    d = len(gammas)
+    axes = np.meshgrid(*([rule.nodes] * d), indexing="ij")
+    grid = np.column_stack([a.ravel() for a in axes])
+    w = np.prod(np.meshgrid(*([rule.weights] * d), indexing="ij"), axis=0).ravel()
+    g = np.asarray(gammas)
+
+    def kern(a, b):
+        return np.exp(-np.sum((g * (a[:, None, :] - b[None, :, :])) ** 2, axis=2))
+
+    G = kern(grid, grid)
+    if len(design):
+        ev, V = np.linalg.eigh(kern(design, design))
+        keep = ev > 1e-12 * ev[-1]
+        kx = kern(grid, design) @ V[:, keep]
+        G = G - (kx / ev[keep]) @ kx.T
+    s = np.sqrt(w)
+    lam = np.linalg.eigvalsh(s[:, None] * G * s[None, :])[-1]
+    return float(np.sqrt(max(0.0, lam)))
+
+
+# (gammas, m): N = m^d on both sides of the 64-node dense cutoff
+_WCE_GRIDS = [
+    ([1.0], 40),
+    ([1.0], 120),
+    ([1.0, 1.0], 8),
+    ([1.0, 1.0], 12),
+    ([1.0, 0.5], 12),
+    ([1.0, 1.0, 1.0], 4),
+    ([1.0, 0.5, 2.0], 4),
+    ([1.0, 0.5, 2.0], 6),
+]
+
+
+def _wce_designs(d):
+    rng = np.random.default_rng(11)
+    spread = rng.uniform(-1.5, 1.5, (4, d))
+    coincident = np.array([spread[0], spread[0], spread[1]])
+    return {"empty": np.empty((0, d)), "spread": spread, "coincident": coincident}
+
+
+class TestSplineWorstCaseErrorOperator:
+    @pytest.mark.parametrize("gammas,m", _WCE_GRIDS)
+    @pytest.mark.parametrize("kind", ["empty", "spread", "coincident"])
+    def test_matches_dense_reference(self, gammas, m, kind):
+        d = len(gammas)
+        design = _wce_designs(d)[kind]
+        shape = ShapeSequence.explicit(gammas)
+        if kind == "coincident":
+            # the repeated site makes the Gram singular, so clipping fires
+            assert np.count_nonzero(_gram_pinv_factors(shape, d, design)[1] == 0.0) == 1
+        wce = spline_worst_case_error(shape, d, design, m)
+        ref = _dense_wce(gammas, design, m)
+        assert abs(wce - ref) <= 1e-12 * ref
+
+    def test_no_dense_grid_kernel(self):
+        # d = 3, m = 16: the dense (m^d)^2 grid kernel alone would be 134 MB
+        shape = ShapeSequence.isotropic(1.0)
+        design = np.random.default_rng(2).standard_normal((10, 3))
+        tracemalloc.start()
+        try:
+            spline_worst_case_error(shape, 3, design, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(1, 2).flatmap(
+            lambda d: st.tuples(
+                st.just(d),
+                st.lists(
+                    st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d),
+                    max_size=8,
+                ),
+            )
+        )
+    )
+    def test_between_optimal_error_and_trace_bound(self, case):
+        d, rows = case
+        design = np.array(rows, dtype=float).reshape(-1, d)
+        shape = ShapeSequence.isotropic(1.0)
+        m = 200 if d == 1 else 32
+        wce = spline_worst_case_error(shape, d, design, m)
+        trace = spline_worst_case_error(shape, d, design, m, method="trace")
+        lower = minimal_error_all(shape, d, design.shape[0])
+        assert lower - 1e-9 <= wce <= trace + 1e-9
 
 
 def test_tensor_eigenfunctions_product_structure():

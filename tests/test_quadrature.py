@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,15 @@ class TestGaussHermite:
         with pytest.raises(ValueError):
             gauss_hermite(513)
 
+    def test_rule_is_shared_and_read_only(self):
+        rule = gauss_hermite(17)
+        again = gauss_hermite(17)
+        assert again.nodes is rule.nodes and again.weights is rule.weights
+        for arr in (rule.nodes, rule.weights):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
 
 class TestNystromEigs:
     def test_matches_closed_form(self):
@@ -48,9 +59,12 @@ class TestNystromEigs:
         lam = nystrom_eigs(1.0, 100, 20)
         assert np.all(np.diff(lam) <= 0)
 
+    @pytest.mark.parametrize("gamma", [-1.0, 0.0, np.nan, np.inf])
+    def test_gamma_validation(self, gamma):
+        with pytest.raises(ValueError, match="shape parameter"):
+            nystrom_eigs(gamma, 50, 5)
+
     def test_validation(self):
-        with pytest.raises(ValueError):
-            nystrom_eigs(-1.0, 50, 5)
         with pytest.raises(ValueError):
             nystrom_eigs(1.0, 50, 51)
 
@@ -58,6 +72,15 @@ class TestNystromEigs:
     def test_scale_validation(self, scale):
         with pytest.raises(ValueError):
             nystrom_eigs(1.0, 50, 5, scale=scale)
+
+    def test_largest_rule_without_warnings(self):
+        # 36 of the m = 512 weights underflow to exactly 0
+        assert np.count_nonzero(gauss_hermite(512).weights == 0.0) > 0
+        lam = univariate_spectrum(1.0).eigenvalue(np.arange(1, 11))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            approx = nystrom_eigs(1.0, 512, 10)
+        assert np.max(np.abs(approx - lam) / lam) < 1e-10
 
     def test_scaled_rule_resolves_large_gamma(self):
         lam = univariate_spectrum(10.0).eigenvalue(np.arange(1, 11))
@@ -101,6 +124,16 @@ def test_tensor_rule_weights():
     pts, w = tensor_rule(2, 7)
     assert pts.shape == (49, 2)
     assert np.sum(w) == pytest.approx(1.0)
+
+
+def test_tensor_rule_weights_survive_repeat_calls():
+    # for d = 1 the weights are the shared read-only rule arrays
+    _, w = tensor_rule(1, 9)
+    with pytest.raises(ValueError):
+        w *= 2.0
+    _, again = tensor_rule(1, 9)
+    assert np.array_equal(again, gauss_hermite(9).weights)
+    assert np.sum(again) == pytest.approx(1.0)
 
 
 def test_tensor_rule_grid_guard():
