@@ -107,14 +107,58 @@ def _coordinate_costs(shape: ShapeSequence, d: int):
     return offset, costs
 
 
+def _half_sums(groups, limit: float, guard: int, dtype):
+    """Partial sums below ``limit`` of one half of the cost groups.
+
+    Returns ``(sums, weights, complete)``: every lattice point of the
+    half with sum k_l * costs_l < limit, the number of full lattice
+    vectors it stands for (a group of multiplicity g at excess s stands
+    for binomial(s + g - 1, g - 1) of them) and whether the enumeration
+    finished.  The half holds at most ``guard`` entries; when the next
+    shift of a group would pass that, the points enumerated so far are
+    returned with ``complete`` False.  Each of them is a counted lattice
+    point with the remaining coordinates at zero.
+    """
+    sums = np.zeros(1)
+    weights = np.ones(1, dtype=dtype)
+    for c, g in groups:
+        parts, wparts, size = [], [], 0
+        base, wbase = sums, weights
+        s = 0
+        # shifts s*c grow with s, so the points that stay below the limit
+        # at shift s+1 are a subset of those at shift s
+        while base.size:
+            shifted = base + s * c
+            keep = shifted < limit
+            base, wbase, shifted = base[keep], wbase[keep], shifted[keep]
+            if size + shifted.size > guard:
+                return np.concatenate(parts), np.concatenate(wparts), False
+            size += shifted.size
+            parts.append(shifted)
+            wparts.append(wbase * math.comb(s + g - 1, g - 1))
+            s += 1
+        sums, weights = np.concatenate(parts), np.concatenate(wparts)
+    return sums, weights, True
+
+
 def _count_below_budget(costs: np.ndarray, budget: float, guard: int) -> int:
     """Number of k >= 0 vectors with sum k_l * costs_l < budget.
 
     Coordinates with equal cost are grouped, and a whole group of size g
     at total excess s contributes binomial(s + g - 1, g - 1) vectors, so
-    isotropic shapes are counted in closed form.  The guard bounds the
-    work of the remaining recursion over distinct costs, not the returned
-    count.
+    isotropic shapes are counted in closed form.  Groups whose cost
+    reaches the budget only take s = 0 and drop out.  The rest are split
+    into two halves (alternating by descending cost), each half's partial
+    sums are enumerated with their weights, and the pairs below the
+    budget are counted by sorting one half and searching it with the
+    other (meet in the middle; Horowitz and Sahni, JACM 1974).  Sums
+    within 1e-12 of the budget count as reaching it.  The result is an
+    exact int at any size.
+
+    The guard bounds the number of entries each half may hold, i.e. the
+    memory of the count, not the returned count.  When it trips,
+    ``ResourceLimitError.partial`` carries the count over the entries
+    enumerated so far, a certified lower bound.
     """
     groups = []  # (cost, multiplicity), descending cost
     for c in sorted(costs, reverse=True):
@@ -122,26 +166,29 @@ def _count_below_budget(costs: np.ndarray, budget: float, guard: int) -> int:
             groups[-1][1] += 1
         else:
             groups.append([c, 1])
-    work = 0
-
-    def rec(i: int, budget: float) -> int:
-        nonlocal work
-        if i == len(groups):
-            return 1
-        work += 1
-        if work > guard:
-            raise ResourceLimitError(
-                f"complexity count exceeded work guard of {guard}"
-            )
-        c, g = groups[i]
-        total = 0
-        s = 0
-        while s * c < budget - 1e-12:
-            total += math.comb(s + g - 1, g - 1) * rec(i + 1, budget - s * c)
-            s += 1
-        return total
-
-    return rec(0, budget)
+    limit = budget - 1e-12
+    groups = [(c, g) for c, g in groups if c < limit]
+    # top bounds the weight of one lattice point, so the half totals and
+    # the pair count stay below top * guard**2; past int64, Python ints
+    top = math.prod(math.comb(int(limit / c) + g - 1, g - 1) for c, g in groups)
+    dtype = np.int64 if top * guard * guard < 2**63 else object
+    left, wleft, complete = _half_sums(groups[0::2], limit, guard, dtype)
+    right, wright = np.zeros(1), np.ones(1, dtype=dtype)
+    if complete:
+        right, wright, complete = _half_sums(groups[1::2], limit, guard, dtype)
+    if right.size > left.size:  # sort the smaller half
+        left, wleft, right, wright = right, wright, left, wleft
+    order = np.argsort(right)
+    cum = np.concatenate((np.zeros(1, dtype=dtype), np.cumsum(wright[order])))
+    below = np.searchsorted(right[order], limit - left, side="left")
+    count = int(np.sum(wleft * cum[below]))
+    if not complete:
+        raise ResourceLimitError(
+            f"complexity count exceeded half-set guard of {guard} entries; "
+            f"n >= {count}",
+            partial=count,
+        )
+    return count
 
 
 def info_complexity(shape: ShapeSequence, d: int, eps: float, criterion: str) -> int:
@@ -151,7 +198,10 @@ def info_complexity(shape: ShapeSequence, d: int, eps: float, criterion: str) ->
     criterion and the initial error for the normalized one.  Computed as
     the exact count of tensor eigenvalues above the squared threshold,
     which equals the index at which the streamed enumeration would cross
-    it.
+    it.  The count is a meet-in-the-middle over two halves of the
+    coordinates; the guard ``max_enumeration()`` bounds the entries each
+    half may hold (its memory), not n.  When it trips,
+    ``ResourceLimitError.partial`` is a certified lower bound on n.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
@@ -249,8 +299,9 @@ def tractability_probe(
       lower-half and full d grid                   -> quasi-poly-consistent
     - otherwise                                    -> inconclusive
 
-    Cells whose count would exceed the work guard are recorded as lower
-    bounds and degrade the classification to inconclusive.
+    Cells whose count trips the half-set guard are recorded as the
+    certified lower bound the count reports and degrade the
+    classification to inconclusive.
     """
     if cls != "all":
         raise ValueError("only the arbitrary-functional class is exactly computable")
@@ -265,7 +316,7 @@ def tractability_probe(
             try:
                 n = info_complexity(shape, d, eps, criterion)
             except ResourceLimitError as exc:
-                n = exc.partial if exc.partial is not None else max_enumeration()
+                n = exc.partial
                 guard_hit = True
             table.append((d, eps, n))
 

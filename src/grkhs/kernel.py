@@ -11,6 +11,8 @@ so the same object can serve experiments that sweep the dimension.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -41,15 +43,15 @@ class ShapeSequence:
 
     @classmethod
     def isotropic(cls, gamma: float) -> "ShapeSequence":
-        if gamma <= 0:
+        if not 0 < gamma < np.inf:
             raise ValueError(f"shape parameter must be positive, got {gamma}")
         return cls("isotropic", {"gamma": float(gamma)})
 
     @classmethod
     def power_law(cls, c: float, alpha: float) -> "ShapeSequence":
-        if c <= 0:
+        if not 0 < c < np.inf:
             raise ValueError(f"power-law scale must be positive, got {c}")
-        if alpha < 0:
+        if not 0 <= alpha < np.inf:
             raise ValueError(f"power-law exponent must be >= 0, got {alpha}")
         return cls("power-law", {"c": float(c), "alpha": float(alpha)})
 
@@ -64,7 +66,7 @@ class ShapeSequence:
         vals = np.asarray(values, dtype=float)
         if vals.ndim != 1 or vals.size == 0:
             raise ValueError("explicit shape needs a nonempty 1-d list")
-        if np.any(vals <= 0):
+        if not np.all((vals > 0) & (vals < np.inf)):
             raise ValueError("all shape parameters must be positive")
         return cls("explicit", {"values": vals})
 
@@ -180,10 +182,13 @@ def eigenvalue_ratio(gamma: float) -> float:
     omega = 2 gamma^2 / (1 + 2 gamma^2 + sqrt(1 + 4 gamma^2)), strictly
     increasing in gamma with values in (0, 1).
     """
-    if gamma <= 0:
+    if not 0 < gamma < np.inf:
         raise ValueError(f"shape parameter must be positive, got {gamma}")
-    g2 = gamma * gamma
-    return 2.0 * g2 / (1.0 + 2.0 * g2 + np.sqrt(1.0 + 4.0 * g2))
+    g2 = float(gamma) * float(gamma)  # Python floats overflow to inf silently
+    omega = 2.0 * g2 / (1.0 + 2.0 * g2 + math.sqrt(1.0 + 4.0 * g2))
+    if not omega < 1.0:  # rounds to 1 past gamma ~ 1e16, NaN once gamma^2 overflows
+        raise ValueError(f"shape parameter {gamma} too large for double precision")
+    return np.float64(omega)
 
 
 def initial_error(shape: ShapeSequence, d: int) -> float:

@@ -80,6 +80,15 @@ class TestSubcommands:
         assert "d,eps,n,criterion" in lines
         assert "1,0.1,5,absolute" in lines
 
+    def test_complexity_many_coordinates(self, capsys):
+        # a lattice count of 1.9e6 over 64 distinct costs
+        code, out = run_cli(
+            capsys, "complexity", "--shape", "powerlaw:1:0.5", "--d", "64",
+            "--eps", "0.001", "--criterion", "norm",
+        )
+        assert code == 0
+        assert out.strip().split("\n")[-1] == "64,0.001,1905078,normalized"
+
     def test_rates_csv_schema(self, capsys):
         code, out = run_cli(
             capsys, "rates", "--shape", "powerlaw:1:2", "--d", "1", "--N", "300",
@@ -146,6 +155,12 @@ class TestExitCodes:
     def test_resource_limit(self, capsys, monkeypatch):
         monkeypatch.setenv("GRKHS_MAX_EIGS", "5")
         assert main(["eigs", "--shape", "iso:1.0", "--d", "2", "--n", "50"]) == 2
+        argv = ["complexity", "--shape", "powerlaw:1:0.5", "--d", "16", "--eps", "0.001"]
+        capsys.readouterr()
+        assert main(argv) == 2
+        # the certified lower bound from the half-sets enumerated so far
+        err = capsys.readouterr().err
+        assert int(err.split("n >= ")[1]) >= 1
 
     def test_missing_config_file(self, capsys):
         assert main(["spectrum", "--gamma", "1.0", "--config", "/nonexistent.json"]) == 1

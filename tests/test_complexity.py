@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grkhs import (
     ErrorSequence,
@@ -14,6 +17,38 @@ from grkhs import (
     quasipoly_exponent,
     tractability_probe,
 )
+from grkhs.complexity import _coordinate_costs, _count_below_budget
+from grkhs.errors import ResourceLimitError
+
+
+def _reference_count(costs, budget):
+    """Lattice count by recursion over the cost groups, one call per
+    counted point: the reference for the meet-in-the-middle count."""
+    groups = []  # (cost, multiplicity), descending cost
+    for c in sorted(costs, reverse=True):
+        if groups and abs(groups[-1][0] - c) < 1e-14 * c:
+            groups[-1][1] += 1
+        else:
+            groups.append([c, 1])
+
+    def rec(i, budget):
+        if i == len(groups):
+            return 1
+        c, g = groups[i]
+        total = 0
+        s = 0
+        while s * c < budget - 1e-12:
+            total += math.comb(s + g - 1, g - 1) * rec(i + 1, budget - s * c)
+            s += 1
+        return total
+
+    return rec(0, budget)
+
+
+def _budget(shape, d, eps, criterion):
+    offset, costs = _coordinate_costs(shape, d)
+    budget = -2.0 * math.log(eps) + (offset if criterion == "absolute" else 0.0)
+    return costs, budget
 
 
 class TestDecayRate:
@@ -83,6 +118,87 @@ class TestInfoComplexity:
         with pytest.raises(ValueError):
             info_complexity(shape, 1, 0.1, "relative")
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        base=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=3),
+        picks=st.lists(st.integers(0, 2), min_size=1, max_size=4),
+        eps=st.floats(1e-3, 0.5),
+        criterion=st.sampled_from(["absolute", "normalized"]),
+    )
+    def test_matches_reference_and_error_sequence(self, base, picks, eps, criterion):
+        # repeated picks force equal costs, so the grouping is exercised
+        gammas = [base[i % len(base)] for i in picks]
+        shape, d = ShapeSequence.explicit(gammas), len(gammas)
+        n = info_complexity(shape, d, eps, criterion)
+        assert type(n) is int
+        costs, budget = _budget(shape, d, eps, criterion)
+        assert n == (_reference_count(costs, budget) if budget > 0 else 0)
+        seq = error_sequence_all(shape, d, n).values
+        threshold = eps * (1.0 if criterion == "absolute" else seq[0])
+        assert seq[n] <= threshold
+        if n > 0:
+            assert seq[n - 1] > threshold
+
+    @pytest.mark.parametrize("k", [1, 4, 9])
+    def test_exact_isotropic_tie(self, k):
+        # budget k * cost puts shell k on the threshold; the 1e-12 budget
+        # tolerance leaves it out until the budget clears it by 1e-12
+        d = 3
+        cost = _coordinate_costs(ShapeSequence.isotropic(1.0), d)[1][0]
+        shape = ShapeSequence.isotropic(1.0)
+        for excess, shells in ((0.0, k), (5e-13, k), (2e-12, k + 1)):
+            eps = math.exp(-(k * cost + excess) / 2.0)
+            n = info_complexity(shape, d, eps, "normalized")
+            assert n == math.comb(shells + d - 1, d)
+            assert n == _reference_count(*_budget(shape, d, eps, "normalized"))
+
+    def test_count_beyond_int64(self):
+        shape = ShapeSequence.isotropic(1.0)
+        n = info_complexity(shape, 1000, 0.01, "normalized")
+        assert type(n) is int and n > 2**63
+        assert n == 2882163562453289940826
+        assert n == _reference_count(*_budget(shape, 1000, 0.01, "normalized"))
+
+    def test_many_groups_matches_reference(self):
+        shape = ShapeSequence.power_law(1.0, 0.5)
+        for d, eps in ((8, 0.01), (16, 0.01), (8, 0.001)):
+            costs, budget = _budget(shape, d, eps, "normalized")
+            assert info_complexity(shape, d, eps, "normalized") == _reference_count(
+                costs, budget
+            )
+
+    def test_guard_bounds_half_memory(self):
+        # n = 1,905,078 from two half-sets of about 1e5 entries each
+        shape = ShapeSequence.power_law(1.0, 0.5)
+        tracemalloc.start()
+        try:
+            n = info_complexity(shape, 64, 0.001, "normalized")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n == 1905078
+        assert peak < 16 * 2**20
+
+    def test_guard_partial_is_lower_bound(self, monkeypatch):
+        shape = ShapeSequence.power_law(1.0, 0.5)
+        costs, budget = _budget(shape, 16, 0.001, "normalized")
+        exact = _count_below_budget(costs, budget, 10**7)
+        for guard in (1, 100, 3000):
+            with pytest.raises(ResourceLimitError) as info:
+                _count_below_budget(costs, budget, guard)
+            assert type(info.value.partial) is int
+            assert 1 <= info.value.partial <= exact
+        monkeypatch.setenv("GRKHS_MAX_EIGS", "20000")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError) as info:
+                info_complexity(shape, 64, 1e-4, "normalized")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 1 <= info.value.partial <= 80826051
+        assert peak < 4 * 2**20
+
 
 def test_quasipoly_exponent():
     assert quasipoly_exponent(1.0) == pytest.approx(2.0780867, abs=1e-6)
@@ -144,6 +260,19 @@ class TestTractabilityProbe:
             ShapeSequence.isotropic(1.0), [0.5, 0.25], [1, 2], "absolute"
         )
         assert len(report.table) == 4
+
+    def test_guard_records_lower_bound(self, monkeypatch):
+        shape = ShapeSequence.power_law(1.0, 0.5)
+        args = (shape, [1e-2, 1e-3], [8, 16], "normalized")
+        exact = tractability_probe(*args)
+        monkeypatch.setenv("GRKHS_MAX_EIGS", "3000")
+        report = tractability_probe(*args)
+        assert report.guard_hit and report.classification == "inconclusive"
+        assert not exact.guard_hit
+        lower = [n for *_, n in report.table]
+        true = [n for *_, n in exact.table]
+        assert all(1 <= a <= b for a, b in zip(lower, true))
+        assert lower != true
 
     def test_std_class_rejected(self):
         with pytest.raises(ValueError):

@@ -44,6 +44,27 @@ class TestShapeSequence:
         with pytest.raises(ValueError):
             ShapeSequence.power_law(1.0, -1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite(self, bad):
+        with pytest.raises(ValueError, match="shape parameter must be positive"):
+            ShapeSequence.isotropic(bad)
+        with pytest.raises(ValueError, match="power-law scale must be positive"):
+            ShapeSequence.power_law(bad, 1.0)
+        with pytest.raises(ValueError, match="power-law exponent must be >= 0"):
+            ShapeSequence.power_law(1.0, bad)
+        with pytest.raises(ValueError, match="geometric base must lie in"):
+            ShapeSequence.geometric(bad)
+        with pytest.raises(ValueError, match="all shape parameters must be positive"):
+            ShapeSequence.explicit([1.0, bad])
+        with pytest.raises(ValueError, match="shape parameter must be positive"):
+            eigenvalue_ratio(bad)
+
+    @pytest.mark.parametrize("huge", [1e17, 1e200])
+    def test_rejects_ratio_rounding_to_one(self, huge):
+        # a unit ratio is a zero lattice cost; NaN would make every count 1
+        with pytest.raises(ValueError, match="too large for double precision"):
+            eigenvalue_ratio(huge)
+
 
 def test_kernel_values():
     iso = ShapeSequence.isotropic(1.0)
