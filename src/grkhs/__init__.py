@@ -1,9 +1,9 @@
 """Worst-case approximation in Gaussian reproducing-kernel Hilbert spaces.
 
 Kernel and Gram machinery, the closed-form spectrum of the Gaussian
-integral operator, best-first tensor eigenvalue enumeration, optimal and
-spline algorithms with worst-case error evaluators, and information
-complexity / tractability diagnostics.  The ``grkhs`` console script
+integral operator, tensor eigenvalue enumeration by a pruned merge,
+optimal and spline algorithms with worst-case error evaluators, and
+information complexity / tractability diagnostics.  The ``grkhs`` console script
 exposes the experiment drivers.
 """
 

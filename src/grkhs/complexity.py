@@ -80,7 +80,7 @@ def error_sequence_all(shape: ShapeSequence, d: int, N: int) -> ErrorSequence:
     """Exact minimal errors e(n), n = 0..N, for arbitrary-functional data.
 
     e(n) is the square root of the (n+1)-st largest tensor eigenvalue,
-    obtained by streaming the best-first enumeration once.
+    read from one merge of N + 1 eigenvalues.
     """
     if N < 0:
         raise ValueError(f"need N >= 0, got {N}")
@@ -99,11 +99,13 @@ def _coordinate_costs(shape: ShapeSequence, d: int):
     """Log-domain description of the d-variate spectrum.
 
     Per coordinate, eigenvalues are lambda_1 * ratio^k; returns the total
-    log lambda_1 offset and the per-coordinate costs -log(ratio) > 0.
+    log lambda_1 offset and the per-coordinate costs -log(ratio) > 0.  A
+    ratio that underflowed to 0 costs inf: that coordinate only takes k = 0.
     """
     ratios = np.array([eigenvalue_ratio(g) for g in shape.gammas(d)])
     offset = float(np.sum(np.log1p(-ratios)))
-    costs = -np.log(ratios)
+    with np.errstate(divide="ignore"):
+        costs = -np.log(ratios)
     return offset, costs
 
 
@@ -161,7 +163,9 @@ def _count_below_budget(costs: np.ndarray, budget: float, guard: int) -> int:
     enumerated so far, a certified lower bound.
     """
     groups = []  # (cost, multiplicity), descending cost
-    for c in sorted(costs, reverse=True):
+    # an infinite cost always reaches the budget; skipping it keeps inf - inf
+    # out of the grouping
+    for c in sorted(costs[np.isfinite(costs)], reverse=True):
         if groups and abs(groups[-1][0] - c) < 1e-14 * c:
             groups[-1][1] += 1
         else:

@@ -5,12 +5,13 @@ with ratio omega depending only on the shape parameter, and the
 eigenfunctions are scaled Hermite functions.  The d-variate operator is the
 tensor product, so its spectrum consists of products of univariate
 eigenvalues indexed by multi-indices; :func:`top_n_tensor_eigenvalues`
-enumerates the largest ones best-first.
+finds the largest ones with a pruned merge over the coordinates that keeps
+the n best partial log-sums after each coordinate (selection in X + Y,
+Frederickson and Johnson, JCSS 1984).
 """
 
 from __future__ import annotations
 
-import heapq
 import os
 from dataclasses import dataclass, field
 
@@ -32,6 +33,9 @@ __all__ = [
 ]
 
 DEFAULT_MAX_EIGS = 10_000_000
+
+# first merge size of an unlimited stream, which then doubles
+_STREAM_START = 64
 
 # largest |x| for which exp(x^2 / 2) stays finite in double precision
 _X_OVERFLOW = 37.6
@@ -221,80 +225,341 @@ def _log_product(base: float, log_ratio: np.ndarray, entries) -> float:
     return v
 
 
+def _log_spectrum(shape: ShapeSequence, d: int):
+    """(base, log_ratio): log of the leading tensor eigenvalue and per-coordinate log ratios.
+
+    A ratio that underflowed to 0 has log ratio -inf: every power above 1
+    on that coordinate is a zero eigenvalue.
+    """
+    ratios = np.array([eigenvalue_ratio(x) for x in shape.gammas(d)])
+    with np.errstate(divide="ignore"):
+        log_ratio = np.log(ratios)
+    return float(np.sum(np.log1p(-ratios))), log_ratio
+
+
 def tensor_log_eigenvalue(shape: ShapeSequence, d: int, dense_index) -> float:
     """log of the tensor eigenvalue at a dense multi-index.
 
-    Uses the same accumulation order as the best-first enumeration, so
-    values agree bit-for-bit with those in a :class:`TensorEigenList`.
+    Uses the same accumulation order as the enumeration, so values agree
+    bit-for-bit with those in a :class:`TensorEigenList`.
     """
-    g = shape.gammas(d)
-    ratios = np.array([eigenvalue_ratio(x) for x in g])
+    base, log_ratio = _log_spectrum(shape, d)
     entries = tuple(
         (pos, int(j)) for pos, j in enumerate(dense_index, start=1) if j > 1
     )
-    return _log_product(float(np.sum(np.log1p(-ratios))), np.log(ratios), entries)
+    return _log_product(base, log_ratio, entries)
 
 
-def _heap_stream(shape: ShapeSequence, d: int):
-    """Yield (log_value, sparse_entries) best-first, ties dense-prefix ordered.
+# a raised entry (pos, j) is stored as pos * 2**31 - j; powers are int32, so
+# the codes are positive, order the entries like the (position, -j) pairs of
+# the tie key, and a pad of 0 sorts first
+_KEY_SHIFT = 2**31
 
-    Each index is generated exactly once: coordinate l may be incremented
-    only if no earlier coordinate sits above 1 beyond l, i.e. l runs up to
-    the first raised position.  Equal log-values (exact float ties, common
-    for isotropic shapes) pop in the fixed tie-break order given by the
-    (position, -excess) key, which sorts (2,1) before (1,2).
+
+def _key_order(keys, zero, first=None):
+    """Stable ascending order of tie keys, after ``first`` if given.
+
+    ``keys`` holds the coded raised entries of each index, position
+    ascending and zero-padded.  Zero eigenvalues (``zero`` True, log value
+    -inf) compare (position, j) instead of (position, -j), since among the
+    equal powers of a ratio that underflowed there is no largest.
     """
-    g = shape.gammas(d)
-    ratios = np.array([eigenvalue_ratio(x) for x in g])
-    log_ratio = np.log(ratios)
-    base = float(np.sum(np.log1p(-ratios)))
-    # heap entries: (-log_value, tie_key, sparse entries ((pos, j), ...))
-    heap = [(-base, (), ())]
-    while heap:
-        neg, _, entries = heapq.heappop(heap)
-        yield -neg, entries
-        first = entries[0][0] if entries else d
-        for l in range(1, first + 1):
-            if entries and entries[0][0] == l:
-                child = ((l, entries[0][1] + 1),) + entries[1:]
-            else:
-                child = ((l, 2),) + entries
-            key = tuple((pos, -j) for pos, j in child)
-            heapq.heappush(
-                heap, (-_log_product(base, log_ratio, child), key, child)
+    order = np.arange(keys.shape[0])
+    if keys.shape[1]:
+        cmp = keys
+        if np.any(zero):
+            flip = np.where(keys > 0, 2 * (_KEY_SHIFT - keys % _KEY_SHIFT), 0)
+            cmp = np.where(np.reshape(zero, (-1, 1)), keys + flip, keys)
+        # the codes are non-negative, so their big-endian bytes compare
+        # like the rows, one memcmp per comparison however wide the key
+        raw = np.ascontiguousarray(cmp, dtype=">i8")
+        raw = raw.view(np.dtype((np.void, 8 * cmp.shape[1]))).ravel()
+        order = np.argsort(raw, kind="stable")
+    if first is None:
+        return order
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return np.lexsort((rank, first))
+
+
+def _extend_keys(keys, depth, src, j, pos):
+    """Keys and depths of prefixes ``src`` extended by power ``j`` at ``pos``."""
+    new = keys[src]
+    dep = depth[src]
+    up = np.flatnonzero(j > 1)
+    if up.size and dep[up].max() == new.shape[1]:
+        # widen by doubling; trailing zero pads do not change the order
+        pad = np.zeros((new.shape[0], max(new.shape[1], 1)), dtype=np.int64)
+        new = np.hstack((new, pad))
+    new[up, dep[up]] = pos * _KEY_SHIFT - j[up]
+    dep[up] += 1
+    return new, dep
+
+
+def _top_log_eigenvalues(shape: ShapeSequence, d: int, n: int):
+    """The n largest tensor log-eigenvalues and their sparse entries, in order.
+
+    Pruned merge over the coordinates.  After coordinate l it keeps the n
+    best prefixes (j_1, ..., j_l) in the final order: descending value,
+    exact ties by the (position, -j) key of the raised entries.  A
+    prefix's value is the log-sum accumulated so far in position order
+    (the order of :func:`_log_product`); it equals the final value of its
+    extension by ones, and every other extension adds terms <= 0, which
+    rounding cannot turn upward, and has a longer key.  So a prefix with
+    n better ones is never needed, and the comparison needs no rounding
+    band.
+
+    Candidates of coordinate l are kept prefix i (rows by descending
+    value) with power j.  The candidates (k, j') with k <= i and j' <= j
+    are worth at least as much, so row i needs at most ceil(n / (i + 1))
+    powers, and only those that reach a floor value which n candidates
+    are known to reach (:func:`_value_floor`).  Ties at the n-th value
+    are the exception: the key prefers the larger power, so a row whose
+    powers stay tied past its cap (a log ratio absorbed in rounding) gets
+    the tied powers beyond it, no more than the cut still takes.
+
+    Each kept prefix carries its raised entries as a zero-padded row of
+    int64 codes, so the indices take about 8 n w bytes, w <= d the most
+    coordinates above 1 in one index; no per-coordinate history is kept.
+    Returns ``(log_values, entries)``: a float array and a list of
+    ``((pos, j), ...)`` tuples.
+    """
+    base, log_ratio = _log_spectrum(shape, d)
+    vals = np.array([base])
+    keys = np.zeros((1, 0), dtype=np.int64)
+    depth = np.zeros(1, dtype=np.int64)
+    for l in range(d):
+        lr = log_ratio[l]
+        if vals.size == n and vals.max() + lr < vals.min():
+            continue  # no power above 1 reaches the n-th value: nothing moves
+        order = np.argsort(-vals, kind="stable")
+        rows = vals[order]
+        R = rows.size
+        cap = (n + np.arange(R)) // np.arange(1, R + 1)
+        if np.isneginf(lr):
+            row, j = _candidates(cap)
+            v = np.where(j > 1, -np.inf, rows[row])  # j = 1 must not meet 0 * -inf
+        else:
+            floor = _value_floor(rows, lr, n)
+            if floor is not None:
+                short = _powers_reaching(rows, lr, floor, cap)
+                row, j = _candidates(short)
+                # j = 1 adds -0.0, which changes no value
+                v = rows[row] + (j - 1) * lr
+                if np.count_nonzero(v >= floor) >= n:
+                    cap = short
+                else:  # rounding left fewer than n values at the floor
+                    floor = None
+            if floor is None:
+                row, j = _candidates(cap)
+                v = rows[row] + (j - 1) * lr
+        theta = -np.partition(-v, n - 1)[n - 1]  # the n-th value
+        keep = np.flatnonzero(v > theta)
+        take = n - keep.size
+        at = v == theta
+        past = _past_cap(rows, lr, cap, v, theta)
+        if np.isfinite(theta) and np.count_nonzero(at) == take and not past.size:
+            t_src, t_j = order[row[at]], j[at]  # every tie makes the cut
+        else:
+            ext, start, step, avail = _tie_runs(rows, lr, cap, row, j, at, theta, take, past)
+            tied = np.flatnonzero(at & (j == 1))
+            t_src, t_j = _select_ties(
+                keys, depth, order[row[tied]], j[tied], order[ext], start, step, avail,
+                take, l + 1, np.isneginf(theta),
             )
+        src = np.concatenate((order[row[keep]], t_src))
+        keys, depth = _extend_keys(keys, depth, src, np.concatenate((j[keep], t_j)), l + 1)
+        vals = np.concatenate((v[keep], np.full(t_src.size, theta)))
+    final = _key_order(keys, np.isneginf(vals), -vals)
+    keys = keys[final]
+    codes = keys[keys != 0]  # row by row, positions ascending
+    pos, j = codes // _KEY_SHIFT + 1, _KEY_SHIFT - codes % _KEY_SHIFT
+    pairs = list(zip(pos.tolist(), j.tolist()))
+    ends = np.cumsum(depth[final]).tolist()
+    entries = [tuple(pairs[a:b]) for a, b in zip([0] + ends[:-1], ends)]
+    return vals[final], entries
+
+
+def _candidates(cap):
+    """Row and power of every candidate, row i taking powers 1..cap[i]."""
+    row = np.repeat(np.arange(cap.size), cap)
+    j = np.arange(row.size) - np.repeat(np.cumsum(cap) - cap, cap) + 1
+    return row, j
+
+
+def _value_floor(rows, lr, n):
+    """A value that at least n candidates reach, or None.
+
+    Row i (values rows, descending) reaches t with floor((rows_i - t) / |lr|)
+    + 1 powers, which is at least (rows_i - t) / |lr|.  So for any P rows,
+    t = (sum of their rows - n |lr|) / P leaves n candidates at or above t,
+    up to rounding, which the caller checks.  The largest such t is taken.
+    """
+    finite = rows[np.isfinite(rows)]
+    if not finite.size:
+        return None
+    u = (finite - finite[0]) / -lr
+    P = np.arange(1, u.size + 1)
+    tau = (np.cumsum(u) - n) / P
+    return finite[0] + tau.max() * -lr
+
+
+def _powers_reaching(rows, lr, floor, cap):
+    """Per row, the powers j <= cap with rows + (j - 1) lr >= floor."""
+    k = np.clip(np.floor((rows - floor) / -lr) + 1, 0, cap).astype(np.int64)
+    # rounding can leave the next power at or above the floor
+    short = np.flatnonzero(k < cap)
+    short = short[rows[short] + k[short] * lr >= floor]
+    k[short] = np.minimum(_last_power(rows[short], lr, k[short] + 1, floor), cap[short])
+    return k
+
+
+def _last_power(rows, lr, start, t):
+    """Largest power j >= start with rows + (j - 1) lr >= t, per row.
+
+    The value at ``start`` reaches t and the values do not increase with
+    j, so an exponential then a binary search finds the last one, also
+    when |lr| is absorbed in rounding for many powers.
+    """
+    lo = start.copy()
+    step = np.ones_like(lo)
+    hi = lo + step
+    while True:
+        up = rows + (hi - 1) * lr >= t
+        if not up.any():
+            break
+        lo = np.where(up, hi, lo)
+        step = np.where(up, 2 * step, step)
+        hi = np.where(up, lo + step, hi)
+    while True:
+        gap = hi - lo > 1
+        if not gap.any():
+            return lo
+        mid = (lo + hi) // 2
+        up = gap & (rows + (mid - 1) * lr >= t)
+        lo = np.where(up, mid, lo)
+        hi = np.where(gap & ~up, mid, hi)
+
+
+def _past_cap(rows, lr, cap, v, theta):
+    """Rows whose powers still tie at a finite theta one past their cap."""
+    if np.isneginf(theta):
+        return np.zeros(0, dtype=np.int64)
+    ext = np.flatnonzero(cap > 0)
+    ext = ext[v[np.cumsum(cap)[ext] - 1] == theta]
+    return ext[rows[ext] + cap[ext] * lr == theta]
+
+
+def _tie_runs(rows, lr, cap, row, j, at, theta, take, past):
+    """Runs of powers above 1 that tie at theta, one per row at most.
+
+    ``at`` marks the candidates (``row``, ``j``) at theta, and ``past``
+    the rows whose run goes on past their ``cap``, which happens when
+    |lr| is absorbed in rounding.  Returns ``(ext, start, step, avail)``: row
+    ext[i] ties at powers start[i], start[i] + step[i], ..., in key
+    order, avail[i] of them (no more than ``take`` can be kept).  The key
+    prefers the larger power, so a run is walked down from its last tied
+    power.  For zero eigenvalues (theta = -inf) every power from 2 on
+    ties, on a -inf row or when lr = -inf, and the run is walked up.
+    """
+    if np.isneginf(theta):
+        ext = np.flatnonzero(np.isneginf(rows) | np.isneginf(lr))
+        start = np.full(ext.size, 2)
+        return ext, start, np.ones_like(start), np.full(ext.size, take)
+    lo = np.zeros(rows.size, dtype=np.int64)
+    hi = np.zeros(rows.size, dtype=np.int64)
+    t = np.flatnonzero(at & (j > 1))
+    # candidates run row by row with ascending powers, and the tied powers
+    # of a row are consecutive
+    r = row[t]
+    first = np.flatnonzero(np.diff(r, prepend=-1))
+    last = np.flatnonzero(np.diff(r, append=-1))
+    lo[r[first]] = j[t[first]]
+    hi[r[first]] = j[t[last]]
+    hi[past] = _last_power(rows[past], lr, cap[past] + 1, theta)
+    lo[past] = np.where(lo[past] > 0, lo[past], 2)
+    ext = np.flatnonzero(hi > 0)
+    start = hi[ext]
+    avail = np.minimum(start - lo[ext] + 1, take)
+    return ext, start, -np.ones_like(start), avail
+
+
+def _select_ties(keys, depth, src, j, ext_src, start, step, avail, take, pos, zero):
+    """The key-first ``take`` of the candidates tied at the cut.
+
+    ``src`` and ``j`` are the tied candidates with power 1 (prefix index
+    and power); each run of :func:`_tie_runs` adds powers above 1.  A run
+    starts with one power and doubles while its last power makes the cut,
+    so long runs of absorbed powers cost about what is kept.
+    Returns the prefix indices and powers of the chosen candidates.
+    """
+    if not ext_src.size and src.size <= take:
+        return src, j
+    q = np.minimum(avail, 1)
+    while True:
+        k = np.arange(q.sum()) - np.repeat(np.cumsum(q) - q, q)
+        cs = np.concatenate((src, np.repeat(ext_src, q)))
+        cj = np.concatenate((j, np.repeat(start, q) + np.repeat(step, q) * k))
+        chosen = np.ones(cs.size, dtype=bool)
+        if cs.size > take:
+            tk, _ = _extend_keys(keys, depth, cs, cj, pos)
+            chosen[:] = False
+            chosen[_key_order(tk, zero)[:take]] = True
+        grow = (q < avail) & chosen[src.size + np.cumsum(q) - 1]
+        if not grow.any():
+            return cs[chosen], cj[chosen]
+        q = np.where(grow, np.minimum(2 * q, avail), q)
 
 
 def stream_tensor_eigenvalues(shape: ShapeSequence, d: int, limit: int | None = None):
     """Generator of (log_value, MultiIndex) in descending order.
 
-    ``limit`` defaults to the enumeration guard; exceeding it raises
-    :class:`ResourceLimitError`.
+    Exact value ties come out in the ascending order of the (position, -j)
+    key of their raised entries, so (2, 1) precedes (1, 2) and (3, 1, 1)
+    precedes (2, 2, 1) when tied; zero eigenvalues (log value -inf, a
+    ratio that underflowed) come in ascending (position, j) order.
+
+    With ``limit`` given, one merge of exactly ``limit`` items runs and
+    asking for more raises :class:`ResourceLimitError`.  With ``limit``
+    None the merge size doubles from a small start up to the enumeration
+    guard, and asking past the guard raises.  A limit above the guard
+    raises before any work.
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    guard = max_enumeration() if limit is None else limit
-    for count, (logval, entries) in enumerate(_heap_stream(shape, d), start=1):
-        if count > guard:
+    guard = max_enumeration()
+    if limit is not None:
+        if limit > guard:
+            raise ResourceLimitError(f"requested {limit} eigenvalues, guard is {guard}")
+        guard = limit
+    size = guard if limit is not None else min(_STREAM_START, guard)
+    done = 0
+    while True:
+        if size > 0:
+            logs, entries = _top_log_eigenvalues(shape, d, size)
+            logs = logs.tolist()
+            for k in range(done, size):
+                yield logs[k], MultiIndex(d, entries[k])
+        if size == guard:
             raise ResourceLimitError(
                 f"tensor eigenvalue enumeration exceeded guard of {guard}"
             )
-        yield logval, MultiIndex(d, entries)
+        done, size = size, min(2 * size, guard)
 
 
 def top_n_tensor_eigenvalues(shape: ShapeSequence, d: int, n: int) -> TensorEigenList:
     """The n largest eigenvalues of the d-variate tensor operator.
 
     Values are products of univariate eigenvalues, accumulated in log
-    space so that large d cannot underflow; exact value ties are broken
-    deterministically (see :func:`_heap_stream`).
+    space so that large d cannot underflow.  Exact value ties are ordered
+    by the ascending (position, -j) key of the raised entries, as in
+    :func:`stream_tensor_eigenvalues`.  An n above the enumeration guard
+    raises :class:`ResourceLimitError` before any work.  While the list is
+    built its indices take about 8 n w bytes, w <= d the most coordinates
+    above 1 in one index.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if n > max_enumeration():
-        raise ResourceLimitError(
-            f"requested {n} eigenvalues, guard is {max_enumeration()}"
-        )
     logs = np.empty(n)
     idxs = []
     stream = stream_tensor_eigenvalues(shape, d, limit=n)

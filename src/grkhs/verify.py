@@ -21,7 +21,7 @@ from .complexity import (
     quasipoly_exponent,
     tractability_probe,
 )
-from .kernel import ShapeSequence, initial_error, kernel_eval
+from .kernel import ShapeSequence, eigenvalue_ratio, initial_error, kernel_eval
 from .quadrature import gauss_hermite, nystrom_eigs
 from .spectrum import top_n_tensor_eigenvalues, univariate_spectrum
 
@@ -109,22 +109,30 @@ def check_mercer() -> CheckResult:
 
 
 def _brute_force_top(shape, d, n, box=40):
-    import itertools
+    """Top n of the whole box {1..box}^d: descending log value, exact ties
+    by the (position, -j) key of the entries above 1.
 
-    from .kernel import eigenvalue_ratio
-    from .spectrum import _log_product
-
+    An exhaustive search that shares nothing with the merge: every index
+    is accumulated in position order, as in ``_log_product``.
+    """
     ratios = np.array([eigenvalue_ratio(g) for g in shape.gammas(d)])
     base = float(np.sum(np.log1p(-ratios)))
     log_ratio = np.log(ratios)
-    idx_all = []
-    for dense in itertools.product(range(1, box + 1), repeat=d):
-        entries = tuple((pos, j) for pos, j in enumerate(dense, start=1) if j > 1)
-        logval = _log_product(base, log_ratio, entries)
-        key = tuple((pos, -j) for pos, j in entries)
-        idx_all.append((-logval, key, dense))
-    idx_all.sort()
-    return [(-neg, dense) for neg, _, dense in idx_all[:n]]
+    axes = np.meshgrid(*[np.arange(1, box + 1)] * d, indexing="ij")
+    dense = np.stack(axes, axis=-1).reshape(-1, d)
+    logval = np.full(dense.shape[0], base)
+    # the key as a zero-padded row of (position, -j) pairs, left-justified
+    key = np.zeros((dense.shape[0], 2 * d), dtype=np.int64)
+    slot = np.zeros(dense.shape[0], dtype=np.int64)
+    for pos in range(d):
+        up = np.flatnonzero(dense[:, pos] > 1)
+        logval[up] += (dense[up, pos] - 1) * log_ratio[pos]
+        key[up, 2 * slot[up]] = pos + 1
+        key[up, 2 * slot[up] + 1] = -dense[up, pos]
+        slot[up] += 1
+    cols = tuple(key[:, k] for k in range(2 * d - 1, -1, -1))
+    top = np.lexsort(cols + (-logval,))[:n]
+    return [(logval[i], tuple(dense[i].tolist())) for i in top]
 
 
 def check_tensor_enumeration() -> CheckResult:

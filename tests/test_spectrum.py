@@ -1,5 +1,12 @@
+import heapq
+import itertools
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import grkhs
 from grkhs import (
@@ -8,6 +15,7 @@ from grkhs import (
     ResourceLimitError,
     ShapeSequence,
     eigenvalue_ratio,
+    error_sequence_all,
     gauss_hermite,
     mercer_check,
     stream_tensor_eigenvalues,
@@ -15,6 +23,108 @@ from grkhs import (
     top_n_tensor_eigenvalues,
     univariate_spectrum,
 )
+from grkhs.spectrum import _log_product
+from grkhs.verify import _brute_force_top
+
+
+def _heap_stream(shape, d):
+    """Best-first heap enumeration, one pop per item: the reference for
+    the merge.  Yields (log_value, sparse_entries); equal log-values pop
+    in (position, -j) key order among the items already generated."""
+    g = shape.gammas(d)
+    ratios = np.array([eigenvalue_ratio(x) for x in g])
+    log_ratio = np.log(ratios)
+    base = float(np.sum(np.log1p(-ratios)))
+    # heap entries: (-log_value, tie_key, sparse entries ((pos, j), ...))
+    heap = [(-base, (), ())]
+    while heap:
+        neg, _, entries = heapq.heappop(heap)
+        yield -neg, entries
+        first = entries[0][0] if entries else d
+        for l in range(1, first + 1):
+            if entries and entries[0][0] == l:
+                child = ((l, entries[0][1] + 1),) + entries[1:]
+            else:
+                child = ((l, 2),) + entries
+            key = tuple((pos, -j) for pos, j in child)
+            heapq.heappush(
+                heap, (-_log_product(base, log_ratio, child), key, child)
+            )
+
+
+def _children(entries, d):
+    first = entries[0][0] if entries else d
+    for l in range(1, first + 1):
+        if entries and entries[0][0] == l:
+            yield ((l, entries[0][1] + 1),) + entries[1:]
+        else:
+            yield ((l, 2),) + entries
+
+
+def _heap_top(shape, d, n):
+    """First n heap items, and whether the heap may have left key order.
+
+    The heap generates a child only after popping its parent, and a
+    child's key is smaller than its parent's.  So it leaves the key order
+    exactly when a child's log-value equals its parent's (a log ratio
+    absorbed in rounding) for a parent at or above the n-th value: an
+    emitted item, or an unpopped child tied with the n-th value.
+    """
+    items = list(itertools.islice(_heap_stream(shape, d), n))
+    ratios = np.array([eigenvalue_ratio(x) for x in shape.gammas(d)])
+    base, log_ratio = float(np.sum(np.log1p(-ratios))), np.log(ratios)
+    emitted = {e for _, e in items}
+    parents = list(items)
+    for _, e in items:
+        for c in _children(e, d):
+            cv = _log_product(base, log_ratio, c)
+            if c not in emitted and cv == items[-1][0]:
+                parents.append((cv, c))
+    ties = any(
+        _log_product(base, log_ratio, c) == v
+        for v, e in parents
+        for c in _children(e, d)
+    )
+    return items, ties
+
+
+def _brute_force_loop(shape, d, n, box=40):
+    """Check 05's exhaustive box search as a Python loop over the box:
+    the reference for the numpy search in grkhs.verify."""
+    ratios = np.array([eigenvalue_ratio(g) for g in shape.gammas(d)])
+    base = float(np.sum(np.log1p(-ratios)))
+    log_ratio = np.log(ratios)
+    idx_all = []
+    for dense in itertools.product(range(1, box + 1), repeat=d):
+        entries = tuple((pos, j) for pos, j in enumerate(dense, start=1) if j > 1)
+        logval = _log_product(base, log_ratio, entries)
+        key = tuple((pos, -j) for pos, j in entries)
+        idx_all.append((-logval, key, dense))
+    idx_all.sort()
+    return [(-neg, dense) for neg, _, dense in idx_all[:n]]
+
+
+def _key_first_ties(shape, d, n):
+    """First n indices in (position, -j) key order among those whose
+    value equals the leading one, by a depth-first walk of the keys."""
+    ratios = np.array([eigenvalue_ratio(g) for g in shape.gammas(d)])
+    base = float(np.sum(np.log1p(-ratios)))
+    log_ratio = np.log(ratios)
+    out = []
+
+    def walk(v, entries, last):
+        if v != base or len(out) == n:
+            return
+        out.append(entries)
+        for q in range(last + 1, d + 1):
+            top = 2
+            while v + top * log_ratio[q - 1] == base:
+                top += 1
+            for j in range(top, 1, -1):
+                walk(v + (j - 1) * log_ratio[q - 1], entries + ((q, j),), q)
+
+    walk(base, (), 0)
+    return out
 
 
 class TestUnivariateSpectrum:
@@ -147,3 +257,152 @@ class TestTensorEnumeration:
         monkeypatch.setenv("GRKHS_MAX_EIGS", "zero")
         with pytest.raises(ValueError):
             top_n_tensor_eigenvalues(ShapeSequence.isotropic(1.0), 2, 5)
+
+
+CHECK05_CASES = [
+    (ShapeSequence.isotropic(1.0), 2),
+    (ShapeSequence.isotropic(1.0), 3),
+    (ShapeSequence.explicit([1.0, 0.5, 0.25]), 2),
+    (ShapeSequence.explicit([1.0, 0.5, 0.25]), 3),
+]
+
+
+def _shapes(d):
+    gammas = st.floats(0.05, 20.0)
+    return st.one_of(
+        gammas.map(ShapeSequence.isotropic),
+        # a pool of two or three values forces repeated gammas
+        st.lists(gammas, min_size=2, max_size=3).flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), min_size=d, max_size=d)
+        ).map(ShapeSequence.explicit),
+        st.tuples(st.floats(0.1, 5.0), st.floats(0.1, 3.0)).map(
+            lambda ca: ShapeSequence.power_law(*ca)
+        ),
+        # gammas up to 1e15, where a log ratio can be absorbed in rounding
+        st.floats(1e9, 1e15).map(ShapeSequence.isotropic),
+    )
+
+
+class TestMergeAgainstHeap:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 12).flatmap(lambda d: st.tuples(st.just(d), _shapes(d))),
+        st.integers(1, 500),
+    )
+    def test_merge_equals_heap(self, d_shape, n):
+        d, shape = d_shape
+        items, ties = _heap_top(shape, d, n)
+        # where a child ties its parent the heap emits generation order,
+        # not key order (see test_absorbed_ties_follow_key_order)
+        assume(not ties)
+        top = top_n_tensor_eigenvalues(shape, d, n)
+        want = np.array([v for v, _ in items])
+        assert top.log_values.view(np.int64).tolist() == want.view(np.int64).tolist()
+        assert [i._entries for i in top.indices] == [e for _, e in items]
+
+    def test_absorbed_ties_follow_key_order(self):
+        # gamma = 1e14: |log ratio| ~ 1e-14 is absorbed by the leading
+        # value -1289.9 (ulp 2.3e-13) for powers up to 12, so all of the
+        # top 200 are equal and the heap emits them in generation order
+        shape = ShapeSequence.explicit([1e14] * 40)
+        top = top_n_tensor_eigenvalues(shape, 40, 200)
+        items, ties = _heap_top(shape, 40, 200)
+        assert ties
+        assert np.unique(top.log_values).size == 1
+        assert top.log_values.tolist() == [v for v, _ in items]
+        got = [i._entries for i in top.indices]
+        assert got == _key_first_ties(shape, 40, 200)
+        assert got != [e for _, e in items]
+        assert got[:2] == [(), ((1, 12),)]
+
+    @pytest.mark.parametrize(
+        "gammas, n, box",
+        [([1e15, 1e15, 1e15], 100, 30), ([1e15, 3.0], 200, 300), ([1e14, 1e14], 50, 100)],
+    )
+    def test_absorbed_ties_match_exhaustive_search(self, gammas, n, box):
+        shape = ShapeSequence.explicit(gammas)
+        d = len(gammas)
+        top = top_n_tensor_eigenvalues(shape, d, n)
+        brute = _brute_force_loop(shape, d, n, box)
+        # the box holds the answer: every index with a coordinate at the
+        # box edge or beyond is worth less than the n-th value
+        edge = [tuple(box if k == l else 1 for k in range(d)) for l in range(d)]
+        assert max(tensor_log_eigenvalue(shape, d, e) for e in edge) < top.log_values[-1]
+        assert top.log_values.tolist() == [v for v, _ in brute]
+        assert [i.dense() for i in top.indices] == [idx for _, idx in brute]
+
+    def test_error_sequence_memory(self):
+        shape = ShapeSequence.isotropic(1.0)
+        error_sequence_all(shape, 50, 100)
+        tracemalloc.start()
+        try:
+            error_sequence_all(shape, 50, 10_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # measured 7.6 MB (the heap took 26.6 MB)
+        assert peak < 16e6
+
+
+class TestUnderflowedRatio:
+    # gamma = 1e-200: the ratio gamma^2-ish underflows to 0, so every power
+    # above 1 on that coordinate is a zero eigenvalue (log value -inf)
+    SHAPE = ShapeSequence.explicit([1.0, 1e-200])
+
+    def test_top_n(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            top = top_n_tensor_eigenvalues(self.SHAPE, 2, 4)
+            tail = top_n_tensor_eigenvalues(ShapeSequence.explicit([1e-200]), 1, 3)
+        assert [i.dense() for i in top.indices] == [(1, 1), (2, 1), (3, 1), (4, 1)]
+        assert np.isfinite(top.log_values).all()
+        assert tail.log_values[0] == 0.0
+        assert np.isneginf(tail.log_values[1:]).all()
+        assert [i.dense() for i in tail.indices] == [(1,), (2,), (3,)]
+
+    def test_error_sequence(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            seq = error_sequence_all(self.SHAPE, 2, 10).values
+        one = error_sequence_all(ShapeSequence.isotropic(1.0), 1, 10).values
+        assert seq.tolist() == one.tolist()
+
+    def test_info_complexity(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert grkhs.info_complexity(self.SHAPE, 2, 0.1, "absolute") == 5
+            assert grkhs.info_complexity(self.SHAPE, 2, 0.1, "normalized") == 5
+
+
+class TestStream:
+    def test_unlimited_stream_crosses_merge_sizes(self):
+        shape = ShapeSequence.power_law(1.0, 1.5)
+        top = top_n_tensor_eigenvalues(shape, 6, 300)
+        streamed = list(itertools.islice(stream_tensor_eigenvalues(shape, 6), 300))
+        assert [lv for lv, _ in streamed] == top.log_values.tolist()
+        assert [i for _, i in streamed] == top.indices
+
+    def test_unlimited_stream_stops_at_guard(self, monkeypatch):
+        monkeypatch.setenv("GRKHS_MAX_EIGS", "100")
+        stream = stream_tensor_eigenvalues(ShapeSequence.isotropic(1.0), 3)
+        assert len(list(itertools.islice(stream, 100))) == 100
+        with pytest.raises(ResourceLimitError):
+            next(stream)
+
+    def test_limit(self, monkeypatch):
+        shape = ShapeSequence.isotropic(1.0)
+        stream = stream_tensor_eigenvalues(shape, 2, limit=5)
+        assert len(list(itertools.islice(stream, 5))) == 5
+        with pytest.raises(ResourceLimitError):
+            next(stream)
+        monkeypatch.setenv("GRKHS_MAX_EIGS", "10")
+        with pytest.raises(ResourceLimitError):
+            next(stream_tensor_eigenvalues(shape, 2, limit=11))
+
+
+@pytest.mark.parametrize("shape, d", CHECK05_CASES)
+def test_check05_search_matches_loop(shape, d):
+    fast = _brute_force_top(shape, d, 100)
+    loop = _brute_force_loop(shape, d, 100)
+    assert [v for v, _ in fast] == [v for v, _ in loop]
+    assert [idx for _, idx in fast] == [idx for _, idx in loop]
