@@ -13,14 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg
 
-from .kernel import ShapeSequence, gram_matrix, initial_error, kernel_eval
+from .kernel import ShapeSequence, gram_matrix, initial_error
 from .quadrature import _nystrom_matrix, gauss_hermite, tensor_rule
-from .spectrum import (
-    MultiIndex,
-    TensorEigenList,
-    top_n_tensor_eigenvalues,
-    univariate_spectrum,
-)
+from .spectrum import TensorEigenList, top_n_tensor_eigenvalues, univariate_spectrum
 
 __all__ = [
     "EigenProjector",
@@ -132,13 +127,18 @@ def minimal_error_all(shape: ShapeSequence, d: int, n: int) -> float:
 
 @dataclass
 class SplineModel:
-    """Fitted minimal-norm kernel interpolant."""
+    """Fitted minimal-norm kernel interpolant.
+
+    ``clip`` is the eigenvalue threshold of the Gram solve and ``rank`` the
+    number of Gram eigendirections kept, so ``n - rank`` were clipped.
+    """
 
     shape: ShapeSequence
     d: int
     design: np.ndarray
     coefficients: np.ndarray
     clip: float
+    rank: int
 
     def __call__(self, points) -> np.ndarray:
         pts = _as_design(points, self.d)
@@ -160,17 +160,44 @@ def _cross_kernel(shape, d, a, b) -> np.ndarray:
     return np.exp(-d2)
 
 
+# (key, (U, inv, tau)) of the most recent design, or None: one entry only
+_gram_memo = None
+
+
 def _gram_pinv_factors(shape, d, design):
     """Eigendecomposition of the Gram matrix with small eigenvalues clipped.
 
-    Returns (U, inv) with pseudo-inverse U diag(inv) U^T; eigenvalues below
-    CLIP_FACTOR times the largest are treated as exact zeros, which is the
-    minimal-Euclidean-norm convention for rank-deficient systems.
+    Returns (U, inv, tau) with pseudo-inverse U diag(inv) U^T; eigenvalues
+    at or below tau = CLIP_FACTOR times the largest are treated as exact
+    zeros, which is the minimal-Euclidean-norm convention for rank-deficient
+    systems.
+
+    The factors of the most recent design are kept, keyed by the exact bytes
+    of d, the shape parameters and the design, so a second solve on the same
+    design (a fit followed by its power function) costs no eigendecomposition.
+    The arrays are shared between callers and therefore read-only.
     """
+    global _gram_memo
+    key = b"".join(
+        (
+            np.int64(d).tobytes(),
+            shape.gammas(d).tobytes(),
+            np.array(design.shape, dtype=np.int64).tobytes(),
+            design.tobytes(),
+        )
+    )
+    memo = _gram_memo
+    if memo is not None and memo[0] == key:
+        return memo[1]
+    # drop the old factors first, so that two sets are never held at once
+    _gram_memo = None
     K = gram_matrix(shape, d, design)
     ev, U = np.linalg.eigh(K)
     tau = CLIP_FACTOR * ev[-1]
     inv = np.where(ev > tau, 1.0 / np.where(ev > tau, ev, 1.0), 0.0)
+    U.flags.writeable = False
+    inv.flags.writeable = False
+    _gram_memo = (key, (U, inv, tau))
     return U, inv, tau
 
 
@@ -180,7 +207,10 @@ def spline_fit(shape: ShapeSequence, d: int, design, y) -> SplineModel:
     The Gram system K c = y is solved through its symmetric
     eigendecomposition with relative spectral clipping, so coincident or
     nearly coincident sites yield the minimal-Euclidean-norm coefficient
-    vector instead of failing.
+    vector instead of failing; the model's ``rank`` counts the directions
+    kept.  The clipped factorization of the most recent design is reused
+    (the memo holds one entry), so ``power_function`` on the same design
+    right after the fit does not factor the Gram matrix again.
     """
     pts = _as_design(design, d)
     y = np.asarray(y, dtype=float)
@@ -190,7 +220,14 @@ def spline_fit(shape: ShapeSequence, d: int, design, y) -> SplineModel:
         raise ValueError(f"data must have shape ({pts.shape[0]},), got {y.shape}")
     U, inv, tau = _gram_pinv_factors(shape, d, pts)
     c = U @ (inv * (U.T @ y))
-    return SplineModel(shape=shape, d=d, design=pts, coefficients=c, clip=tau)
+    return SplineModel(
+        shape=shape,
+        d=d,
+        design=pts,
+        coefficients=c,
+        clip=tau,
+        rank=int(np.count_nonzero(inv)),
+    )
 
 
 def power_function(shape: ShapeSequence, d: int, design, x) -> np.ndarray:
@@ -199,6 +236,9 @@ def power_function(shape: ShapeSequence, d: int, design, x) -> np.ndarray:
     Returns sqrt(max(0, K(x,x) - k(x)^T K^+ k(x))), which is 0 at the data
     sites and 1 for the empty design (the kernel has unit diagonal).
     Accepts a single point or an (N, d) batch; always returns an array.
+    K^+ is the clipped pseudo-inverse of ``spline_fit``; the factorization of
+    the most recent design is reused (the memo holds one entry), so calling
+    this after ``spline_fit`` on the same design factors the Gram matrix once.
     """
     pts = _as_design(design, d)
     x = np.atleast_1d(np.asarray(x, dtype=float))

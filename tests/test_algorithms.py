@@ -1,10 +1,12 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import grkhs.algorithms as algorithms
 from grkhs import (
     ShapeSequence,
     eigen_projection,
@@ -96,6 +98,15 @@ class TestSpline:
         with pytest.raises(ValueError):
             spline_fit(shape, 2, [[0.0, 0.0]], [1.0, 2.0])
 
+    def test_rank_counts_kept_gram_directions(self):
+        shape = ShapeSequence.isotropic(1.0)
+        designs = _wce_designs(2)
+        spread = spline_fit(shape, 2, designs["spread"], np.ones(4))
+        assert spread.rank == 4
+        # two of the three sites coincide, so one Gram direction is clipped
+        coincident = spline_fit(shape, 2, designs["coincident"], np.ones(3))
+        assert coincident.rank == 3 - 1
+
 
 class TestPowerFunction:
     def test_zero_at_sites_one_far_away(self):
@@ -117,6 +128,143 @@ class TestPowerFunction:
         q = rng.standard_normal((40, 2))
         p = power_function(shape, 2, X, q)
         assert np.all((0.0 <= p) & (p <= 1.0))
+
+
+@st.composite
+def _separated_design(draw):
+    """Shape, d and sites at least 1 apart in the kernel's scaled distance.
+
+    Sites sit in distinct cells of a lattice of spacing 2 in scaled
+    coordinates, each moved by at most 1/2 per coordinate.
+    """
+    d = draw(st.integers(1, 3))
+    gammas = draw(st.lists(st.floats(0.5, 2.0), min_size=d, max_size=d))
+    cells = draw(
+        st.lists(
+            st.tuples(*[st.integers(-2, 2)] * d), min_size=1, max_size=8, unique=True
+        )
+    )
+    n = len(cells)
+    jitter = draw(st.lists(st.floats(-0.5, 0.5), min_size=n * d, max_size=n * d))
+    scaled = 2.0 * np.array(cells, dtype=float) + np.reshape(jitter, (n, d))
+    return ShapeSequence.explicit(gammas), d, scaled / np.array(gammas)
+
+
+def _points(d, max_size):
+    return st.lists(
+        st.lists(st.floats(-4.0, 4.0), min_size=d, max_size=d),
+        min_size=1,
+        max_size=max_size,
+    ).map(lambda rows: np.array(rows, dtype=float))
+
+
+class TestPowerFunctionProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_in_unit_interval(self, data):
+        # any sites, coincident ones included
+        d = data.draw(st.integers(1, 3))
+        gamma = data.draw(st.floats(0.1, 3.0))
+        sites = data.draw(_points(d, 10))
+        x = data.draw(_points(d, 20))
+        p = power_function(ShapeSequence.isotropic(gamma), d, sites, x)
+        assert np.all((0.0 <= p) & (p <= 1.0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_separated_design())
+    def test_vanishes_at_separated_sites(self, case):
+        shape, d, sites = case
+        assert np.all(power_function(shape, d, sites, sites) <= 1e-6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_separated_design(), st.integers(0, 7), st.data())
+    def test_adding_sites_does_not_increase_it(self, case, k, data):
+        # P(x)^2 is the residual of projecting k(x, .) onto the span of the
+        # sites, so it can only shrink as that span grows.  The sites are kept
+        # apart because the clipped pseudo-inverse projects onto a slightly
+        # moved span once a near-coincident site is added; P is compared
+        # squared because at the sites its square root magnifies rounding.
+        shape, d, sites = case
+        x = np.vstack([data.draw(_points(d, 20)), sites])
+        fewer = power_function(shape, d, sites[: min(k, len(sites) - 1)], x)
+        more = power_function(shape, d, sites, x)
+        assert np.all(more**2 <= fewer**2 + 1e-9)
+
+
+class TestGramMemo:
+    @pytest.fixture
+    def eigh_calls(self, monkeypatch):
+        """Start from an empty memo; record at each eigh call whether it is empty."""
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            calls.append(algorithms._gram_memo is None)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(algorithms, "_gram_memo", None)
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        return calls
+
+    def test_fit_then_power_function_factors_once(self, eigh_calls):
+        shape = ShapeSequence.isotropic(1.0)
+        rng = np.random.default_rng(4)
+        X = rng.standard_normal((12, 2))
+        q = rng.standard_normal((30, 2))
+        spline_fit(shape, 2, X, rng.standard_normal(12))
+        power_function(shape, 2, X, q)
+        assert len(eigh_calls) == 1
+        before = power_function(shape, 2, X, q)
+        X[0, 0] += 0.25  # mutated in place: the memo must not serve it
+        after = power_function(shape, 2, X, q)
+        assert len(eigh_calls) == 2
+        assert not np.array_equal(before, after)
+        # a miss drops the old factors before it factors the new Gram matrix
+        assert eigh_calls == [True, True]
+
+    def test_other_shape_or_dimension_misses(self, eigh_calls):
+        rng = np.random.default_rng(6)
+        X = rng.standard_normal((6, 2))
+        q = rng.standard_normal((5, 2))
+        power_function(ShapeSequence.isotropic(1.0), 2, X, q)
+        power_function(ShapeSequence.isotropic(0.5), 2, X, q)
+        assert len(eigh_calls) == 2
+        # the same bytes read as twelve sites in d = 1
+        power_function(ShapeSequence.isotropic(0.5), 1, X.reshape(12, 1), q[:, :1])
+        assert len(eigh_calls) == 3
+        # the key holds the first d shape parameters, not the shape object
+        power_function(ShapeSequence.explicit([0.5, 7.0]), 1, X.reshape(12, 1), q[:, :1])
+        assert len(eigh_calls) == 3
+
+    def test_hit_is_bit_equal_to_fresh_and_read_only(self, eigh_calls, monkeypatch):
+        shape = ShapeSequence.isotropic(1.0)
+        design = _wce_designs(2)["coincident"]
+        first = _gram_pinv_factors(shape, 2, design)
+        hit = _gram_pinv_factors(shape, 2, design)
+        assert len(eigh_calls) == 1
+        monkeypatch.setattr(algorithms, "_gram_memo", None)
+        fresh = _gram_pinv_factors(shape, 2, design)
+        assert len(eigh_calls) == 2
+        assert all(a is b for a, b in zip(first, hit))
+        assert fresh[0] is not hit[0]
+        for a, b in zip(hit, fresh):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        U, inv, _ = hit
+        with pytest.raises(ValueError):
+            U[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            inv[0] = 0.0
+
+    def test_holds_one_entry(self, eigh_calls):
+        shape = ShapeSequence.isotropic(1.0)
+        rng = np.random.default_rng(8)
+        designs = [rng.standard_normal((5, 2)) for _ in range(3)]
+        kept = [weakref.ref(_gram_pinv_factors(shape, 2, X)[0]) for X in designs]
+        # only the factors of the most recent design are still alive
+        assert [ref() is not None for ref in kept] == [False, False, True]
+        # the first design was evicted by the later ones
+        _gram_pinv_factors(shape, 2, designs[0])
+        assert eigh_calls == [True] * 4
 
 
 class TestSplineWorstCaseError:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grkhs import (
     ShapeSequence,
@@ -91,6 +93,27 @@ def test_gram_matrix_properties():
     assert np.allclose(K, K.T)
     ev = np.linalg.eigvalsh(K)
     assert ev.min() > -1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_gram_matrix_properties_any_sites(data):
+    # any sites, coincident ones included: symmetric, unit diagonal and PSD
+    # up to rounding
+    d = data.draw(st.integers(1, 3))
+    gammas = data.draw(st.lists(st.floats(0.1, 3.0), min_size=d, max_size=d))
+    rows = data.draw(
+        st.lists(
+            st.lists(st.floats(-5.0, 5.0), min_size=d, max_size=d),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    n = len(rows)
+    K = gram_matrix(ShapeSequence.explicit(gammas), d, np.array(rows))
+    assert np.array_equal(K, K.T)
+    assert np.all(np.diag(K) == 1.0)
+    assert np.linalg.eigvalsh(K)[0] >= -1e-12 * n
 
 
 def test_gram_matches_kernel_eval():
