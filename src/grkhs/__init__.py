@@ -12,6 +12,7 @@ __version__ = "0.1.0"
 from .errors import EvaluationOverflowError, ResourceLimitError
 from .kernel import (
     ShapeSequence,
+    cross_kernel,
     eigenvalue_ratio,
     gaussian_weight,
     gram_matrix,
@@ -58,6 +59,7 @@ __all__ = [
     "EvaluationOverflowError",
     "ResourceLimitError",
     "ShapeSequence",
+    "cross_kernel",
     "eigenvalue_ratio",
     "gaussian_weight",
     "gram_matrix",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg
 
-from .kernel import ShapeSequence, gram_matrix, initial_error
+from .kernel import ShapeSequence, _as_points, cross_kernel, gram_matrix, initial_error
 from .quadrature import _nystrom_matrix, gauss_hermite, tensor_rule
 from .spectrum import TensorEigenList, top_n_tensor_eigenvalues, univariate_spectrum
 
@@ -30,20 +30,6 @@ __all__ = [
 CLIP_FACTOR = 1e-12  # relative spectral clipping threshold for Gram solves
 
 
-def _as_design(points, d: int) -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
-    if pts.size == 0:
-        return np.empty((0, d))
-    if pts.ndim == 1:
-        if d == 1:
-            pts = pts[:, None]
-        else:
-            raise ValueError(f"1-d design only valid for d=1, got d={d}")
-    if pts.ndim != 2 or pts.shape[1] != d:
-        raise ValueError(f"design must have shape (n, {d}), got {pts.shape}")
-    return pts
-
-
 def tensor_eigenfunctions(shape: ShapeSequence, d: int, indices, points) -> np.ndarray:
     """Evaluate product eigenfunctions at points.
 
@@ -56,7 +42,7 @@ def tensor_eigenfunctions(shape: ShapeSequence, d: int, indices, points) -> np.n
     -------
     ndarray, shape (len(indices), N)
     """
-    pts = _as_design(points, d)
+    pts = _as_points(points, d)
     specs = [univariate_spectrum(g) for g in shape.gammas(d)]
     dense = [idx.dense() for idx in indices]
     max_j = [max(row[l] for row in dense) for l in range(d)] if dense else [1] * d
@@ -81,13 +67,8 @@ class EigenProjector:
     basis: TensorEigenList
     coefficients: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return len(self.basis)
-
     def __call__(self, points) -> np.ndarray:
-        pts = _as_design(points, self.d)
-        funcs = tensor_eigenfunctions(self.shape, self.d, self.basis.indices, pts)
+        funcs = tensor_eigenfunctions(self.shape, self.d, self.basis.indices, points)
         return self.coefficients @ funcs
 
 
@@ -129,8 +110,9 @@ def minimal_error_all(shape: ShapeSequence, d: int, n: int) -> float:
 class SplineModel:
     """Fitted minimal-norm kernel interpolant.
 
-    ``clip`` is the eigenvalue threshold of the Gram solve and ``rank`` the
-    number of Gram eigendirections kept, so ``n - rank`` were clipped.
+    ``design`` is a read-only copy of the (n, d) sites, ``clip`` the
+    eigenvalue threshold of the Gram solve and ``rank`` the number of Gram
+    eigendirections kept, so ``n - rank`` were clipped.
     """
 
     shape: ShapeSequence
@@ -141,23 +123,7 @@ class SplineModel:
     rank: int
 
     def __call__(self, points) -> np.ndarray:
-        pts = _as_design(points, self.d)
-        if self.design.shape[0] == 0:
-            return np.zeros(pts.shape[0])
-        kx = _cross_kernel(self.shape, self.d, pts, self.design)
-        return kx @ self.coefficients
-
-
-def _cross_kernel(shape, d, a, b) -> np.ndarray:
-    g = shape.gammas(d)
-    sa, sb = a * g, b * g
-    d2 = (
-        np.sum(sa * sa, axis=1)[:, None]
-        + np.sum(sb * sb, axis=1)[None, :]
-        - 2.0 * sa @ sb.T
-    )
-    np.maximum(d2, 0.0, out=d2)
-    return np.exp(-d2)
+        return cross_kernel(self.shape, self.d, points, self.design) @ self.coefficients
 
 
 # (key, (U, inv, tau)) of the most recent design, or None: one entry only
@@ -211,8 +177,11 @@ def spline_fit(shape: ShapeSequence, d: int, design, y) -> SplineModel:
     kept.  The clipped factorization of the most recent design is reused
     (the memo holds one entry), so ``power_function`` on the same design
     right after the fit does not factor the Gram matrix again.
+
+    The model keeps a read-only copy of the sites, so a later change to the
+    caller's array cannot move them away from its coefficients.
     """
-    pts = _as_design(design, d)
+    pts = _as_points(design, d)
     y = np.asarray(y, dtype=float)
     if pts.shape[0] == 0:
         raise ValueError("design must be nonempty")
@@ -220,10 +189,12 @@ def spline_fit(shape: ShapeSequence, d: int, design, y) -> SplineModel:
         raise ValueError(f"data must have shape ({pts.shape[0]},), got {y.shape}")
     U, inv, tau = _gram_pinv_factors(shape, d, pts)
     c = U @ (inv * (U.T @ y))
+    sites = pts.copy()
+    sites.flags.writeable = False
     return SplineModel(
         shape=shape,
         d=d,
-        design=pts,
+        design=sites,
         coefficients=c,
         clip=tau,
         rank=int(np.count_nonzero(inv)),
@@ -236,20 +207,18 @@ def power_function(shape: ShapeSequence, d: int, design, x) -> np.ndarray:
     Returns sqrt(max(0, K(x,x) - k(x)^T K^+ k(x))), which is 0 at the data
     sites and 1 for the empty design (the kernel has unit diagonal).
     Accepts a single point or an (N, d) batch; always returns an array.
+    Sites and points must have finite coordinates.
     K^+ is the clipped pseudo-inverse of ``spline_fit``; the factorization of
     the most recent design is reused (the memo holds one entry), so calling
     this after ``spline_fit`` on the same design factors the Gram matrix once.
     """
-    pts = _as_design(design, d)
+    pts = _as_points(design, d)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.ndim == 1 and x.size == d:
-        xb = x[None, :]
-    else:
-        xb = _as_design(x, d)
+    xb = _as_points(x[None, :] if x.ndim == 1 and x.size == d else x, d)
     if pts.shape[0] == 0:
         return np.ones(xb.shape[0])
     U, inv, _ = _gram_pinv_factors(shape, d, pts)
-    kx = _cross_kernel(shape, d, xb, pts)
+    kx = cross_kernel(shape, d, xb, pts)
     proj = kx @ U
     quad = np.sum(proj * proj * inv[None, :], axis=1)
     return np.sqrt(np.maximum(0.0, 1.0 - quad))
@@ -282,7 +251,7 @@ def spline_worst_case_error(
     """
     if method not in ("spectral", "trace"):
         raise ValueError(f"unknown method {method!r}")
-    pts = _as_design(design, d)
+    pts = _as_points(design, d)
     grid, w = tensor_rule(d, m)
     if method == "trace":
         diag = power_function(shape, d, pts, grid) ** 2
@@ -295,7 +264,7 @@ def spline_worst_case_error(
         # K(grid, design) U is rounded as in the power function before the
         # weights are applied: inv reaches 1/(CLIP_FACTOR lambda_max) and
         # would amplify a different rounding of it to about 1e-11
-        C = np.sqrt(w)[:, None] * (_cross_kernel(shape, d, grid, pts) @ U)
+        C = np.sqrt(w)[:, None] * (cross_kernel(shape, d, grid, pts) @ U)
     else:
         C, inv = np.empty((N, 0)), np.empty(0)
     if N <= 64:

@@ -10,7 +10,7 @@ observed growth of n(eps, d).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,7 +70,6 @@ class ErrorSequence:
     """Nonincreasing error values e(0), e(1), ..., e(N)."""
 
     values: np.ndarray
-    provenance: str  # "all-class exact" or "std-class empirical"
 
     def __len__(self):
         return self.values.size
@@ -92,7 +91,7 @@ def error_sequence_all(shape: ShapeSequence, d: int, N: int) -> ErrorSequence:
         logs[i] = logval
         if i == N:
             break
-    return ErrorSequence(values=np.exp(0.5 * logs), provenance="all-class exact")
+    return ErrorSequence(values=np.exp(0.5 * logs))
 
 
 def _coordinate_costs(shape: ShapeSequence, d: int):
@@ -279,7 +278,6 @@ class ComplexityReport:
     t_hat: float
     classification: str
     guard_hit: bool = False
-    info: dict = field(default_factory=dict)
 
 
 def _ols(X, y):
@@ -288,9 +286,12 @@ def _ols(X, y):
 
 
 def tractability_probe(
-    shape: ShapeSequence, eps_grid, d_grid, criterion: str, cls: str = "all"
+    shape: ShapeSequence, eps_grid, d_grid, criterion: str
 ) -> ComplexityReport:
     """Fill the n(eps, d) table over a grid and classify its growth.
+
+    n(eps, d) is the exact count of :func:`info_complexity`, i.e. for data
+    from arbitrary linear functionals.
 
     The exponent p of eps^(-1) is fitted on the per-eps envelope
     max_d n(eps, d), which is the quantity the tractability bounds
@@ -307,8 +308,6 @@ def tractability_probe(
     certified lower bound the count reports and degrade the
     classification to inconclusive.
     """
-    if cls != "all":
-        raise ValueError("only the arbitrary-functional class is exactly computable")
     eps_grid = [float(e) for e in eps_grid]
     d_grid = [int(d) for d in d_grid]
     if not eps_grid or not d_grid:
@@ -380,5 +379,4 @@ def tractability_probe(
         t_hat=t_full,
         classification=classification,
         guard_hit=guard_hit,
-        info={"t_hat_half_grid": t_half},
     )

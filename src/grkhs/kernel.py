@@ -19,6 +19,7 @@ __all__ = [
     "ShapeSequence",
     "gaussian_weight",
     "kernel_eval",
+    "cross_kernel",
     "gram_matrix",
     "initial_error",
 ]
@@ -69,13 +70,6 @@ class ShapeSequence:
         if not np.all((vals > 0) & (vals < np.inf)):
             raise ValueError("all shape parameters must be positive")
         return cls("explicit", {"values": vals})
-
-    @property
-    def dim(self):
-        """Implied dimension for explicit lists, ``None`` otherwise."""
-        if self.kind == "explicit":
-            return self.params["values"].size
-        return None
 
     def gamma(self, l: int) -> float:
         """Shape parameter of coordinate ``l`` (1-based)."""
@@ -143,34 +137,68 @@ def kernel_eval(shape: ShapeSequence, d: int, x, t) -> float:
     return float(np.exp(-np.sum((g * (x - t)) ** 2)))
 
 
-def gram_matrix(shape: ShapeSequence, d: int, points) -> np.ndarray:
-    """Kernel Gram matrix of a point set.
+def _as_points(points, d: int) -> np.ndarray:
+    """Validated (n, d) float array of points; a 1-d array is a column for d = 1.
 
-    Parameters
-    ----------
-    points : array_like, shape (n, d)
-        The data sites.  A 1-d array is accepted for d = 1.
-
-    Returns
-    -------
-    ndarray, shape (n, n)
-        Symmetric positive semidefinite with unit diagonal.
+    An empty input gives a (0, d) array.  NaN or infinite coordinates raise
+    ``ValueError``; the squared distances of such a point would be NaN.
     """
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
-        raise ValueError("point list must be nonempty")
+        return np.empty((0, d))
     if pts.ndim == 1:
         if d != 1:
             raise ValueError(f"1-d point array only valid for d=1, got d={d}")
         pts = pts[:, None]
     if pts.ndim != 2 or pts.shape[1] != d:
         raise ValueError(f"points must have shape (n, {d}), got {pts.shape}")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("point coordinates must be finite")
+    return pts
+
+
+def cross_kernel(shape: ShapeSequence, d: int, a, b) -> np.ndarray:
+    """Kernel matrix K[i, j] = K_d(a_i, b_j) between two point sets.
+
+    ``a`` and ``b`` are (n_a, d) and (n_b, d) arrays (1-d for d = 1) with
+    finite coordinates.  The squared weighted distances come from one matrix
+    product, |g a_i|^2 + |g b_j|^2 - 2 (g a_i).(g b_j), clamped at 0.  The
+    cancellation leaves an absolute error of about 1e-16 |g a_i|^2 in each,
+    so for near-coincident sites away from the origin 1 - K is rounding
+    noise (:func:`kernel_eval` takes exact differences).
+    """
     g = shape.gammas(d)
-    scaled = pts * g  # weighted coordinates, squared distance then separates
-    sq = np.sum(scaled * scaled, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * scaled @ scaled.T
+    sa = _as_points(a, d) * g
+    sb = sa if b is a else _as_points(b, d) * g
+    d2 = (
+        np.sum(sa * sa, axis=1)[:, None]
+        + np.sum(sb * sb, axis=1)[None, :]
+        - 2.0 * sa @ sb.T
+    )
     np.maximum(d2, 0.0, out=d2)
-    K = np.exp(-d2)
+    # in place: no second and third (n_a, n_b) array
+    np.negative(d2, out=d2)
+    return np.exp(d2, out=d2)
+
+
+def gram_matrix(shape: ShapeSequence, d: int, points) -> np.ndarray:
+    """Kernel Gram matrix of a point set.
+
+    Parameters
+    ----------
+    points : array_like, shape (n, d)
+        The data sites, nonempty and finite.  A 1-d array is accepted for
+        d = 1.
+
+    Returns
+    -------
+    ndarray, shape (n, n)
+        :func:`cross_kernel` of the sites with themselves, symmetrized and
+        with its diagonal set to exactly 1; positive semidefinite.
+    """
+    K = cross_kernel(shape, d, points, points)
+    if K.size == 0:
+        raise ValueError("point list must be nonempty")
     K = 0.5 * (K + K.T)
     np.fill_diagonal(K, 1.0)
     return K

@@ -75,6 +75,7 @@ def _scaled_rule(m: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _nystrom_matrix(gamma: float, t: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # exact differences: cross_kernel's GEMM form is off by up to 7e-17 here
     K = np.exp(-(gamma * (t[:, None] - t[None, :])) ** 2)
     s = np.sqrt(w)
     return s[:, None] * K * s[None, :]
@@ -179,21 +180,18 @@ def nystrom_eigs(gamma: float, m: int, k: int, scale: float = 1.0) -> np.ndarray
 def integrate(d: int, m: int, g) -> float:
     """Tensor-product Gauss-Hermite approximation of the rho_d integral of g.
 
-    ``g`` is called with an (N, d) array of points and must return N values;
-    a scalar signature ``g(point)`` is also accepted as a fallback.  Limited
-    to d <= 4 and grids of at most 10^7 nodes.
+    ``g`` is called once with the (N, d) array of grid points and must
+    return an array of shape (N,); any other shape raises ``ValueError``.
+    Limited to d <= 4 and grids of at most 10^7 nodes.
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     if d > 4:
         raise ResourceLimitError(f"tensor quadrature limited to d <= 4, got d={d}")
     pts, w = tensor_rule(d, m)
-    try:
-        vals = np.asarray(g(pts), dtype=float)
-        if vals.shape != (pts.shape[0],):
-            raise TypeError
-    except TypeError:
-        vals = np.array([float(g(p)) for p in pts])
+    vals = np.asarray(g(pts), dtype=float)
+    if vals.shape != w.shape:
+        raise ValueError(f"integrand must return shape {w.shape}, got {vals.shape}")
     return float(np.dot(w, vals))
 
 

@@ -34,9 +34,6 @@ __all__ = [
 
 DEFAULT_MAX_EIGS = 10_000_000
 
-# first merge size of an unlimited stream, which then doubles
-_STREAM_START = 64
-
 # largest |x| for which exp(x^2 / 2) stays finite in double precision
 _X_OVERFLOW = 37.6
 
@@ -511,40 +508,28 @@ def _select_ties(keys, depth, src, j, ext_src, start, step, avail, take, pos, ze
         q = np.where(grow, np.minimum(2 * q, avail), q)
 
 
-def stream_tensor_eigenvalues(shape: ShapeSequence, d: int, limit: int | None = None):
-    """Generator of (log_value, MultiIndex) in descending order.
+def stream_tensor_eigenvalues(shape: ShapeSequence, d: int, limit: int):
+    """Generator of the ``limit`` largest (log_value, MultiIndex) pairs, descending.
 
     Exact value ties come out in the ascending order of the (position, -j)
     key of their raised entries, so (2, 1) precedes (1, 2) and (3, 1, 1)
     precedes (2, 2, 1) when tied; zero eigenvalues (log value -inf, a
     ratio that underflowed) come in ascending (position, j) order.
 
-    With ``limit`` given, one merge of exactly ``limit`` items runs and
-    asking for more raises :class:`ResourceLimitError`.  With ``limit``
-    None the merge size doubles from a small start up to the enumeration
-    guard, and asking past the guard raises.  A limit above the guard
+    One merge of exactly ``limit`` items runs; asking for more raises
+    :class:`ResourceLimitError`.  A limit above the enumeration guard
     raises before any work.
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     guard = max_enumeration()
-    if limit is not None:
-        if limit > guard:
-            raise ResourceLimitError(f"requested {limit} eigenvalues, guard is {guard}")
-        guard = limit
-    size = guard if limit is not None else min(_STREAM_START, guard)
-    done = 0
-    while True:
-        if size > 0:
-            logs, entries = _top_log_eigenvalues(shape, d, size)
-            logs = logs.tolist()
-            for k in range(done, size):
-                yield logs[k], MultiIndex(d, entries[k])
-        if size == guard:
-            raise ResourceLimitError(
-                f"tensor eigenvalue enumeration exceeded guard of {guard}"
-            )
-        done, size = size, min(2 * size, guard)
+    if limit > guard:
+        raise ResourceLimitError(f"requested {limit} eigenvalues, guard is {guard}")
+    if limit > 0:
+        logs, entries = _top_log_eigenvalues(shape, d, limit)
+        for logval, ent in zip(logs.tolist(), entries):
+            yield logval, MultiIndex(d, ent)
+    raise ResourceLimitError(f"tensor eigenvalue enumeration exceeded limit of {limit}")
 
 
 def top_n_tensor_eigenvalues(shape: ShapeSequence, d: int, n: int) -> TensorEigenList:

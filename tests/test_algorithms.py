@@ -98,6 +98,16 @@ class TestSpline:
         with pytest.raises(ValueError):
             spline_fit(shape, 2, [[0.0, 0.0]], [1.0, 2.0])
 
+    def test_design_is_read_only_copy(self):
+        # changing the caller's sites after the fit must not move the model's
+        X = np.array([[0.0], [1.0], [2.0]])
+        model = spline_fit(ShapeSequence.isotropic(1.0), 1, X, [1.0, 2.0, 3.0])
+        X[0, 0] = 5.0
+        assert np.allclose(model([[0.0], [1.0], [2.0]]), [1.0, 2.0, 3.0], atol=1e-9)
+        assert model.design.tolist() == [[0.0], [1.0], [2.0]]
+        with pytest.raises(ValueError):
+            model.design[0, 0] = 5.0
+
     def test_rank_counts_kept_gram_directions(self):
         shape = ShapeSequence.isotropic(1.0)
         designs = _wce_designs(2)
@@ -158,6 +168,45 @@ def _points(d, max_size):
     ).map(lambda rows: np.array(rows, dtype=float))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+class TestNonFiniteCoordinates:
+    SHAPE = ShapeSequence.isotropic(1.0)
+    GOOD = np.array([[0.0, 0.0], [1.0, 0.5]])
+
+    def with_bad(self, value):
+        pts = self.GOOD.copy()
+        pts[1, 1] = value
+        return pts
+
+    def test_spline_fit(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            spline_fit(self.SHAPE, 2, self.with_bad(bad), [1.0, 2.0])
+
+    def test_spline_evaluation_point(self, bad):
+        model = spline_fit(self.SHAPE, 2, self.GOOD, [1.0, 2.0])
+        with pytest.raises(ValueError, match="must be finite"):
+            model(self.with_bad(bad))
+
+    def test_power_function_design(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            power_function(self.SHAPE, 2, self.with_bad(bad), self.GOOD)
+
+    def test_power_function_point(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            power_function(self.SHAPE, 2, self.GOOD, [0.5, bad])
+        with pytest.raises(ValueError, match="must be finite"):
+            power_function(self.SHAPE, 2, self.GOOD, self.with_bad(bad))
+        # also without sites, where no kernel is evaluated
+        with pytest.raises(ValueError, match="must be finite"):
+            power_function(self.SHAPE, 2, np.empty((0, 2)), self.with_bad(bad))
+
+    def test_spline_worst_case_error(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            spline_worst_case_error(self.SHAPE, 2, self.with_bad(bad), 10)
+        with pytest.raises(ValueError, match="must be finite"):
+            spline_worst_case_error(self.SHAPE, 2, self.with_bad(bad), 10, method="trace")
+
+
 class TestPowerFunctionProperties:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -211,8 +260,10 @@ class TestGramMemo:
         rng = np.random.default_rng(4)
         X = rng.standard_normal((12, 2))
         q = rng.standard_normal((30, 2))
-        spline_fit(shape, 2, X, rng.standard_normal(12))
+        model = spline_fit(shape, 2, X, rng.standard_normal(12))
         power_function(shape, 2, X, q)
+        # the model's sites are a copy, the memo is keyed by their bytes
+        assert model.design is not X
         assert len(eigh_calls) == 1
         before = power_function(shape, 2, X, q)
         X[0, 0] += 0.25  # mutated in place: the memo must not serve it

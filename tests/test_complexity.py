@@ -73,10 +73,6 @@ class TestErrorSequence:
         seq = error_sequence_all(ShapeSequence.isotropic(1.0), 3, 500)
         assert np.all(np.diff(seq.values) <= 1e-15)
 
-    def test_provenance(self):
-        seq = error_sequence_all(ShapeSequence.isotropic(1.0), 1, 5)
-        assert seq.provenance == "all-class exact"
-
 
 class TestInfoComplexity:
     def test_frozen_point_value(self):
@@ -209,7 +205,7 @@ class TestEstimateRate:
         n = np.arange(0, 1001, dtype=float)
         vals = np.ones(1001)
         vals[1:] = n[1:] ** -1.5
-        fit = estimate_rate(ErrorSequence(vals, "synthetic"), (10, 1000))
+        fit = estimate_rate(ErrorSequence(vals), (10, 1000))
         assert fit.rate == pytest.approx(1.5, abs=1e-10)
         assert not fit.superpolynomial and not fit.degenerate
 
@@ -217,15 +213,15 @@ class TestEstimateRate:
         n = np.arange(0, 501, dtype=float)
         vals = np.ones(501)
         vals[1:] = np.exp(-0.05 * n[1:])
-        fit = estimate_rate(ErrorSequence(vals, "synthetic"), (10, 500))
+        fit = estimate_rate(ErrorSequence(vals), (10, 500))
         assert fit.superpolynomial
 
     def test_degenerate_window(self):
-        fit = estimate_rate(ErrorSequence(np.full(100, 0.5), "synthetic"), (10, 90))
+        fit = estimate_rate(ErrorSequence(np.full(100, 0.5)), (10, 90))
         assert fit.degenerate and fit.rate == 0.0
 
     def test_window_validation(self):
-        seq = ErrorSequence(np.linspace(1.0, 0.1, 50), "synthetic")
+        seq = ErrorSequence(np.linspace(1.0, 0.1, 50))
         with pytest.raises(ValueError):
             estimate_rate(seq, (10, 60))
         with pytest.raises(ValueError):
@@ -273,9 +269,3 @@ class TestTractabilityProbe:
         true = [n for *_, n in exact.table]
         assert all(1 <= a <= b for a, b in zip(lower, true))
         assert lower != true
-
-    def test_std_class_rejected(self):
-        with pytest.raises(ValueError):
-            tractability_probe(
-                ShapeSequence.isotropic(1.0), [0.5], [1], "absolute", cls="std"
-            )

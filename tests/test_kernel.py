@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from grkhs import (
     ShapeSequence,
+    cross_kernel,
     eigenvalue_ratio,
     gaussian_weight,
     gram_matrix,
@@ -123,6 +124,96 @@ def test_gram_matches_kernel_eval():
     for i in range(3):
         for j in range(3):
             assert K[i, j] == pytest.approx(kernel_eval(s, 2, pts[i], pts[j]))
+
+
+def _gram_reference(shape, d, pts):
+    # reference: the Gram formula that gram_matrix must reproduce bit for bit
+    g = shape.gammas(d)
+    scaled = pts * g
+    sq = np.sum(scaled * scaled, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * scaled @ scaled.T
+    np.maximum(d2, 0.0, out=d2)
+    K = np.exp(-d2)
+    K = 0.5 * (K + K.T)
+    np.fill_diagonal(K, 1.0)
+    return K
+
+
+def _cross_reference(shape, d, a, b):
+    # reference: the sites-by-points formula of the spline evaluators
+    g = shape.gammas(d)
+    sa, sb = a * g, b * g
+    d2 = (
+        np.sum(sa * sa, axis=1)[:, None]
+        + np.sum(sb * sb, axis=1)[None, :]
+        - 2.0 * sa @ sb.T
+    )
+    np.maximum(d2, 0.0, out=d2)
+    return np.exp(-d2)
+
+
+@st.composite
+def _near_duplicate_points(draw, d, max_size):
+    """Rows in [-5, 5]^d, some repeated exactly or moved by at most 1e-9."""
+    rows = draw(
+        st.lists(
+            st.lists(st.floats(-5.0, 5.0), min_size=d, max_size=d),
+            min_size=1,
+            max_size=max_size,
+        )
+    )
+    pts = np.array(rows, dtype=float)
+    copies = draw(st.lists(st.integers(0, len(rows) - 1), max_size=max_size - len(rows)))
+    nudge = draw(st.floats(-1e-9, 1e-9))
+    return np.vstack([pts, pts[copies] + nudge]) if copies else pts
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_kernels_bit_equal_to_reference_formulas(data):
+    d = data.draw(st.integers(1, 8))
+    gammas = data.draw(st.lists(st.floats(0.1, 3.0), min_size=d, max_size=d))
+    shape = ShapeSequence.explicit(gammas)
+    a = data.draw(_near_duplicate_points(d, 40))
+    b = data.draw(_near_duplicate_points(d, 40))
+    assert np.array_equal(gram_matrix(shape, d, a), _gram_reference(shape, d, a))
+    assert np.array_equal(cross_kernel(shape, d, a, b), _cross_reference(shape, d, a, b))
+
+
+def test_cross_kernel_matches_kernel_eval():
+    s = ShapeSequence.power_law(1.2, 0.5)
+    rng = np.random.default_rng(2)
+    a = rng.standard_normal((6, 3))
+    b = rng.standard_normal((4, 3))
+    K = cross_kernel(s, 3, a, b)
+    assert K.shape == (6, 4)
+    ref = [[kernel_eval(s, 3, x, t) for t in b] for x in a]
+    assert np.allclose(K, ref, rtol=1e-12, atol=0.0)
+
+
+def test_cross_kernel_shapes():
+    s = ShapeSequence.isotropic(1.0)
+    # a 1-d array is a column of sites for d = 1, an empty one has no rows
+    assert cross_kernel(s, 1, [0.0, 1.0], [[0.0]]).shape == (2, 1)
+    assert cross_kernel(s, 2, np.empty((0, 2)), [[0.0, 0.0]]).shape == (0, 1)
+    with pytest.raises(ValueError, match="only valid for d=1"):
+        cross_kernel(s, 2, [0.0, 1.0], [[0.0, 0.0]])
+    with pytest.raises(ValueError, match=r"shape \(n, 2\)"):
+        cross_kernel(s, 2, [[0.0, 0.0, 0.0]], [[0.0, 0.0]])
+    with pytest.raises(ValueError, match="nonempty"):
+        gram_matrix(s, 2, np.empty((0, 2)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_points_rejected(bad):
+    s = ShapeSequence.isotropic(1.0)
+    pts = np.array([[0.0, 0.0], [1.0, bad]])
+    with pytest.raises(ValueError, match="must be finite"):
+        gram_matrix(s, 2, pts)
+    with pytest.raises(ValueError, match="must be finite"):
+        cross_kernel(s, 2, pts, [[0.0, 0.0]])
+    with pytest.raises(ValueError, match="must be finite"):
+        cross_kernel(s, 2, [[0.0, 0.0]], pts)
 
 
 def test_gaussian_weight():

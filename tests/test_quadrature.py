@@ -106,9 +106,17 @@ class TestIntegrate:
         val = integrate(1, 40, lambda p: np.exp(-p[:, 0] ** 2))
         assert val == pytest.approx(2.0**-0.5)
 
-    def test_scalar_fallback(self):
-        val = integrate(2, 20, lambda p: float(p[0]) ** 2 * float(p[1]) ** 2)
-        assert val == pytest.approx(0.25)
+    @pytest.mark.parametrize(
+        "g",
+        [
+            lambda p: float(p[0, 0]),  # a scalar integrand signature
+            lambda p: p,  # (N, d) instead of (N,)
+            lambda p: np.ones(p.shape[0] - 1),
+        ],
+    )
+    def test_wrong_result_shape(self, g):
+        with pytest.raises(ValueError, match=r"must return shape \(400,\)"):
+            integrate(2, 20, g)
 
     def test_multivariate(self):
         # coordinates are independent, each with variance 1/2

@@ -232,7 +232,7 @@ class TestTensorEnumeration:
         shape = ShapeSequence.isotropic(0.8)
         top = top_n_tensor_eigenvalues(shape, 3, 30)
         streamed = []
-        for lv, idx in stream_tensor_eigenvalues(shape, 3):
+        for lv, idx in stream_tensor_eigenvalues(shape, 3, limit=30):
             streamed.append((lv, idx))
             if len(streamed) == 30:
                 break
@@ -375,19 +375,9 @@ class TestUnderflowedRatio:
 
 
 class TestStream:
-    def test_unlimited_stream_crosses_merge_sizes(self):
-        shape = ShapeSequence.power_law(1.0, 1.5)
-        top = top_n_tensor_eigenvalues(shape, 6, 300)
-        streamed = list(itertools.islice(stream_tensor_eigenvalues(shape, 6), 300))
-        assert [lv for lv, _ in streamed] == top.log_values.tolist()
-        assert [i for _, i in streamed] == top.indices
-
-    def test_unlimited_stream_stops_at_guard(self, monkeypatch):
-        monkeypatch.setenv("GRKHS_MAX_EIGS", "100")
-        stream = stream_tensor_eigenvalues(ShapeSequence.isotropic(1.0), 3)
-        assert len(list(itertools.islice(stream, 100))) == 100
-        with pytest.raises(ResourceLimitError):
-            next(stream)
+    def test_limit_is_required(self):
+        with pytest.raises(TypeError):
+            stream_tensor_eigenvalues(ShapeSequence.isotropic(1.0), 3)
 
     def test_limit(self, monkeypatch):
         shape = ShapeSequence.isotropic(1.0)
