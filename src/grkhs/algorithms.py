@@ -123,11 +123,49 @@ class SplineModel:
     rank: int
 
     def __call__(self, points) -> np.ndarray:
-        return cross_kernel(self.shape, self.d, points, self.design) @ self.coefficients
+        """Spline values at an (N, d) batch of points (1-d for d = 1).
+
+        The points-by-sites kernel is the one-entry memo shared with
+        :func:`power_function`, so evaluating the model and then its power
+        function at the same points computes that kernel once.
+        """
+        pts = _as_points(points, self.d)
+        return _site_kernel(self.shape, self.d, pts, self.design) @ self.coefficients
+
+
+def _memo_key(shape, d, *arrays) -> bytes:
+    """Exact bytes of d, the first d shape parameters and each array with its shape."""
+    parts = [np.int64(d).tobytes(), shape.gammas(d).tobytes()]
+    for a in arrays:
+        parts += [np.array(a.shape, dtype=np.int64).tobytes(), a.tobytes()]
+    return b"".join(parts)
 
 
 # (key, (U, inv, tau)) of the most recent design, or None: one entry only
 _gram_memo = None
+# (key, K) of the most recent points and sites, or None: one entry only
+_site_memo = None
+
+
+def _site_kernel(shape, d, points, sites):
+    """:func:`cross_kernel` of validated points and sites, with a one-entry memo.
+
+    The kernel of the most recent pair is kept, keyed by the exact bytes of
+    d, the shape parameters and both arrays, so the spline and its power
+    function at the same points share one kernel.  The array is shared
+    between callers and therefore read-only.
+    """
+    global _site_memo
+    key = _memo_key(shape, d, points, sites)
+    memo = _site_memo
+    if memo is not None and memo[0] == key:
+        return memo[1]
+    # drop the old kernel first, so that two are never held at once
+    _site_memo = None
+    K = cross_kernel(shape, d, points, sites)
+    K.flags.writeable = False
+    _site_memo = (key, K)
+    return K
 
 
 def _gram_pinv_factors(shape, d, design):
@@ -144,14 +182,7 @@ def _gram_pinv_factors(shape, d, design):
     The arrays are shared between callers and therefore read-only.
     """
     global _gram_memo
-    key = b"".join(
-        (
-            np.int64(d).tobytes(),
-            shape.gammas(d).tobytes(),
-            np.array(design.shape, dtype=np.int64).tobytes(),
-            design.tobytes(),
-        )
-    )
+    key = _memo_key(shape, d, design)
     memo = _gram_memo
     if memo is not None and memo[0] == key:
         return memo[1]
@@ -174,9 +205,11 @@ def spline_fit(shape: ShapeSequence, d: int, design, y) -> SplineModel:
     eigendecomposition with relative spectral clipping, so coincident or
     nearly coincident sites yield the minimal-Euclidean-norm coefficient
     vector instead of failing; the model's ``rank`` counts the directions
-    kept.  The clipped factorization of the most recent design is reused
-    (the memo holds one entry), so ``power_function`` on the same design
-    right after the fit does not factor the Gram matrix again.
+    kept.  Two one-entry memos serve a fit followed by evaluation: the
+    clipped factorization of the most recent design is reused, so
+    ``power_function`` on the same design does not factor the Gram matrix
+    again, and the model and ``power_function`` at the same points share one
+    points-by-sites kernel.
 
     The model keeps a read-only copy of the sites, so a later change to the
     caller's array cannot move them away from its coefficients.
@@ -208,9 +241,11 @@ def power_function(shape: ShapeSequence, d: int, design, x) -> np.ndarray:
     sites and 1 for the empty design (the kernel has unit diagonal).
     Accepts a single point or an (N, d) batch; always returns an array.
     Sites and points must have finite coordinates.
-    K^+ is the clipped pseudo-inverse of ``spline_fit``; the factorization of
-    the most recent design is reused (the memo holds one entry), so calling
-    this after ``spline_fit`` on the same design factors the Gram matrix once.
+    K^+ = U diag(inv) U^T is the clipped pseudo-inverse of ``spline_fit``,
+    and k(x) is projected onto the kept directions only, the columns of U
+    whose inv is nonzero.  Both one-entry memos of ``spline_fit`` apply: after
+    a fit on the same design the Gram matrix is not factored again, and after
+    the model's call at the same points their kernel is not computed again.
     """
     pts = _as_points(design, d)
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -218,9 +253,11 @@ def power_function(shape: ShapeSequence, d: int, design, x) -> np.ndarray:
     if pts.shape[0] == 0:
         return np.ones(xb.shape[0])
     U, inv, _ = _gram_pinv_factors(shape, d, pts)
-    kx = cross_kernel(shape, d, xb, pts)
-    proj = kx @ U
-    quad = np.sum(proj * proj * inv[None, :], axis=1)
+    # eigh sorts the eigenvalues ascending, so the clip zeroes a leading
+    # block of inv and the kept directions are the trailing rank columns
+    kept = slice(inv.size - np.count_nonzero(inv), None)
+    proj = _site_kernel(shape, d, xb, pts) @ U[:, kept]
+    quad = np.sum(proj * proj * inv[None, kept], axis=1)
     return np.sqrt(np.maximum(0.0, 1.0 - quad))
 
 
@@ -261,9 +298,9 @@ def spline_worst_case_error(
     N = w.size
     if pts.shape[0]:
         U, inv, _ = _gram_pinv_factors(shape, d, pts)
-        # K(grid, design) U is rounded as in the power function before the
-        # weights are applied: inv reaches 1/(CLIP_FACTOR lambda_max) and
-        # would amplify a different rounding of it to about 1e-11
+        # all n columns of U are kept, clipped ones included, so that the WCE
+        # bytes stay as they were: inv reaches 1/(CLIP_FACTOR lambda_max) and
+        # amplifies any change in the rounding of K(grid, design) U to ~1e-11
         C = np.sqrt(w)[:, None] * (cross_kernel(shape, d, grid, pts) @ U)
     else:
         C, inv = np.empty((N, 0)), np.empty(0)

@@ -117,22 +117,16 @@ def gaussian_weight(points: np.ndarray) -> np.ndarray:
     return np.pi ** (-d / 2) * np.exp(-np.sum(pts * pts, axis=-1))
 
 
-def _check_point(x, d, name):
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0 and d == 1:
-        x = x.reshape(1)
-    if x.shape != (d,):
-        raise ValueError(f"{name} must have dimension {d}, got shape {x.shape}")
-    return x
-
-
 def kernel_eval(shape: ShapeSequence, d: int, x, t) -> float:
     """Evaluate K_d(x, t) = exp(-sum gamma_l^2 (x_l - t_l)^2).
 
-    The value lies in (0, 1] and equals 1 exactly when x = t.
+    ``x`` and ``t`` are points of shape (d,), or scalars for d = 1, with
+    finite coordinates.  The value lies in (0, 1] and equals 1 exactly
+    when x = t.
     """
-    x = _check_point(x, d, "x")
-    t = _check_point(t, d, "t")
+    # each point as a one-row point set: a scalar becomes (1, 1) for d = 1
+    x = _as_points(np.asarray(x, dtype=float)[None], d)
+    t = _as_points(np.asarray(t, dtype=float)[None], d)
     g = shape.gammas(d)
     return float(np.exp(-np.sum((g * (x - t)) ** 2)))
 
@@ -140,11 +134,12 @@ def kernel_eval(shape: ShapeSequence, d: int, x, t) -> float:
 def _as_points(points, d: int) -> np.ndarray:
     """Validated (n, d) float array of points; a 1-d array is a column for d = 1.
 
-    An empty input gives a (0, d) array.  NaN or infinite coordinates raise
-    ``ValueError``; the squared distances of such a point would be NaN.
+    An empty list gives a (0, d) array for any d; any other input must have
+    d columns.  NaN or infinite coordinates raise ``ValueError``; the
+    squared distances of such a point would be NaN.
     """
     pts = np.asarray(points, dtype=float)
-    if pts.size == 0:
+    if pts.shape == (0,):
         return np.empty((0, d))
     if pts.ndim == 1:
         if d != 1:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import grkhs.algorithms as algorithms
 from grkhs import (
     ShapeSequence,
+    cross_kernel,
     eigen_projection,
     gauss_hermite,
     initial_error,
@@ -18,7 +19,7 @@ from grkhs import (
     spline_worst_case_error,
     univariate_spectrum,
 )
-from grkhs.algorithms import _gram_pinv_factors, tensor_eigenfunctions
+from grkhs.algorithms import _gram_pinv_factors, _site_kernel, tensor_eigenfunctions
 from grkhs.spectrum import MultiIndex
 
 
@@ -316,6 +317,147 @@ class TestGramMemo:
         # the first design was evicted by the later ones
         _gram_pinv_factors(shape, 2, designs[0])
         assert eigh_calls == [True] * 4
+
+
+class TestSiteKernelMemo:
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        """Start from empty memos; record at each site kernel whether its memo is empty."""
+        calls = []
+
+        def counted(*args):
+            calls.append(algorithms._site_memo is None)
+            return cross_kernel(*args)
+
+        monkeypatch.setattr(algorithms, "_gram_memo", None)
+        monkeypatch.setattr(algorithms, "_site_memo", None)
+        monkeypatch.setattr(algorithms, "cross_kernel", counted)
+        return calls
+
+    def test_fit_evaluate_power_function_computes_kernel_once(self, kernel_calls):
+        shape = ShapeSequence.isotropic(1.0)
+        rng = np.random.default_rng(4)
+        X = rng.standard_normal((12, 2))
+        q = rng.standard_normal((30, 2))
+        model = spline_fit(shape, 2, X, rng.standard_normal(12))
+        model(q)
+        power_function(shape, 2, X, q)
+        # the model's sites are a copy, the memo is keyed by their bytes
+        assert kernel_calls == [True]
+
+    def test_in_place_change_misses(self, kernel_calls):
+        shape = ShapeSequence.isotropic(1.0)
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((8, 2))
+        q = rng.standard_normal((10, 2))
+        model = spline_fit(shape, 2, X, rng.standard_normal(8))
+        before = model(q)
+        q[0, 0] += 0.25
+        after = model(q)
+        assert len(kernel_calls) == 2
+        assert not np.array_equal(before, after)
+        assert np.array_equal(after, cross_kernel(shape, 2, q, X) @ model.coefficients)
+        before = power_function(shape, 2, X, q)
+        assert len(kernel_calls) == 2
+        X[0, 0] += 0.25
+        after = power_function(shape, 2, X, q)
+        assert len(kernel_calls) == 3
+        assert not np.array_equal(before, after)
+        # a miss drops the old kernel before it computes the new one
+        assert kernel_calls == [True] * 3
+
+    def test_other_shape_or_dimension_misses(self, kernel_calls):
+        rng = np.random.default_rng(6)
+        X = rng.standard_normal((6, 2))
+        q = rng.standard_normal((5, 2))
+        power_function(ShapeSequence.isotropic(1.0), 2, X, q)
+        power_function(ShapeSequence.isotropic(0.5), 2, X, q)
+        assert len(kernel_calls) == 2
+        # the same bytes read as twelve sites and ten points in d = 1
+        power_function(ShapeSequence.isotropic(0.5), 1, X.reshape(12, 1), q.reshape(10, 1))
+        assert len(kernel_calls) == 3
+        # the key holds the first d shape parameters, not the shape object
+        power_function(
+            ShapeSequence.explicit([0.5, 7.0]), 1, X.reshape(12, 1), q.reshape(10, 1)
+        )
+        assert kernel_calls == [True] * 3
+
+    def test_hit_is_bit_equal_to_fresh_and_read_only(self, kernel_calls):
+        shape = ShapeSequence.power_law(1.0, 1.0)
+        rng = np.random.default_rng(7)
+        X = rng.standard_normal((9, 3))
+        q = rng.standard_normal((20, 3))
+        first = _site_kernel(shape, 3, q, X)
+        hit = _site_kernel(shape, 3, q, X)
+        assert hit is first
+        assert len(kernel_calls) == 1
+        assert hit.tobytes() == cross_kernel(shape, 3, q, X).tobytes()
+        with pytest.raises(ValueError):
+            hit[0, 0] = 0.0
+
+    def test_holds_one_entry(self, kernel_calls):
+        shape = ShapeSequence.isotropic(1.0)
+        rng = np.random.default_rng(8)
+        q = rng.standard_normal((7, 2))
+        designs = [rng.standard_normal((5, 2)) for _ in range(3)]
+        kept = [weakref.ref(_site_kernel(shape, 2, q, X)) for X in designs]
+        # only the kernel of the most recent pair is still alive
+        assert [ref() is not None for ref in kept] == [False, False, True]
+        # the first pair was evicted by the later ones
+        _site_kernel(shape, 2, q, designs[0])
+        assert kernel_calls == [True] * 4
+
+
+def _power_function_all_columns(shape, d, design, x):
+    """Reference power function: k(x) projected onto every Gram direction.
+
+    ``power_function`` keeps only the trailing rank columns of U; here the
+    clipped directions enter too, with weight inv = 0.
+    """
+    U, inv, _ = _gram_pinv_factors(shape, d, design)
+    proj = cross_kernel(shape, d, x, design) @ U
+    quad = np.sum(proj * proj * inv[None, :], axis=1)
+    return np.sqrt(np.maximum(0.0, 1.0 - quad))
+
+
+@st.composite
+def _clipped_design(draw):
+    """Shape, d, sites with exact and 1e-9 near duplicates, and points.
+
+    Returns the number of duplicates too: each adds a Gram direction the
+    clip removes.
+    """
+    d = draw(st.integers(1, 4))
+    gammas = draw(st.lists(st.floats(0.2, 2.0), min_size=d, max_size=d))
+    n_base = draw(st.integers(1, 40))
+    # about half the designs have no duplicates, where the clip may keep all
+    n_exact, n_near = draw(
+        st.tuples(st.integers(0, 10), st.integers(0, 10)) | st.just((0, 0))
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.standard_normal((n_base, d))
+    exact = base[rng.integers(0, n_base, n_exact)]
+    near = base[rng.integers(0, n_base, n_near)] + 1e-9 * rng.standard_normal((n_near, d))
+    sites = rng.permutation(np.vstack([base, exact, near]))
+    x = np.vstack([rng.standard_normal((draw(st.integers(1, 30)), d)), sites])
+    return ShapeSequence.explicit(gammas), d, sites, x, n_exact + n_near
+
+
+class TestPowerFunctionKeptDirections:
+    @settings(max_examples=80, deadline=None)
+    @given(_clipped_design())
+    def test_matches_all_columns_reference(self, case):
+        shape, d, sites, x, duplicates = case
+        U, inv, _ = _gram_pinv_factors(shape, d, sites)
+        n, rank = inv.size, np.count_nonzero(inv)
+        # the zeros of inv form a leading block, so the kept directions are
+        # the trailing rank columns of U
+        assert np.all(inv[: n - rank] == 0.0) and np.all(inv[n - rank :] > 0.0)
+        assert n - rank >= duplicates
+        p = power_function(shape, d, sites, x)
+        ref = _power_function_all_columns(shape, d, sites, x)
+        assert np.all((0.0 <= p) & (p <= 1.0))
+        assert np.max(np.abs(p**2 - ref**2)) <= 1e-13
 
 
 class TestSplineWorstCaseError:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,6 +84,30 @@ def test_kernel_diagonal_is_one():
     s = ShapeSequence.power_law(1.0, 2.0)
     x = [0.3, -1.2, 4.0]
     assert kernel_eval(s, 3, x, x) == pytest.approx(1.0)
+
+
+def test_kernel_eval_point_shapes():
+    s = ShapeSequence.isotropic(1.0)
+    # a scalar is a point for d = 1
+    assert kernel_eval(s, 1, 0.5, 0.0) == kernel_eval(s, 1, [0.5], [0.0])
+    for x in ([0.0, 0.0, 0.0], [[0.0, 0.0]], 0.0, []):
+        with pytest.raises(ValueError, match="shape|only valid for d=1"):
+            kernel_eval(s, 2, x, [0.0, 0.0])
+        with pytest.raises(ValueError, match="shape|only valid for d=1"):
+            kernel_eval(s, 2, [0.0, 0.0], x)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kernel_eval_rejects_non_finite(bad):
+    s = ShapeSequence.isotropic(1.0)
+    # the check comes before any arithmetic, so inf - inf warns about nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x, t in (([bad], [0.0]), ([0.0], [bad]), (bad, bad)):
+            with pytest.raises(ValueError, match="point coordinates must be finite"):
+                kernel_eval(s, 1, x, t)
+        with pytest.raises(ValueError, match="point coordinates must be finite"):
+            kernel_eval(s, 2, [0.0, bad], [bad, 0.0])
 
 
 def test_gram_matrix_properties():
