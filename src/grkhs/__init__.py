@@ -50,6 +50,7 @@ from .complexity import (
     error_sequence_all,
     estimate_rate,
     info_complexity,
+    info_complexity_row,
     quasipoly_exponent,
     tractability_probe,
 )
@@ -95,6 +96,7 @@ __all__ = [
     "error_sequence_all",
     "estimate_rate",
     "info_complexity",
+    "info_complexity_row",
     "quasipoly_exponent",
     "tractability_probe",
 ]

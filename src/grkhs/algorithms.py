@@ -257,7 +257,11 @@ def power_function(shape: ShapeSequence, d: int, design, x) -> np.ndarray:
     # block of inv and the kept directions are the trailing rank columns
     kept = slice(inv.size - np.count_nonzero(inv), None)
     proj = _site_kernel(shape, d, xb, pts) @ U[:, kept]
-    quad = np.sum(proj * proj * inv[None, kept], axis=1)
+    # in place, the same operations in the same order as proj * proj * inv,
+    # with no further N x rank array
+    np.multiply(proj, proj, out=proj)
+    np.multiply(proj, inv[None, kept], out=proj)
+    quad = np.sum(proj, axis=1)
     return np.sqrt(np.maximum(0.0, 1.0 - quad))
 
 

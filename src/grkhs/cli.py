@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 validation failure, 2 resource limit exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -24,7 +25,7 @@ from .algorithms import spline_worst_case_error
 from .complexity import (
     error_sequence_all,
     estimate_rate,
-    info_complexity,
+    info_complexity_row,
 )
 from .errors import ResourceLimitError
 from .kernel import ShapeSequence
@@ -142,8 +143,11 @@ def cmd_complexity(cfg):
     )
     lines = _header(cfg) + ["d,eps,n,criterion"]
     for d in ds:
-        for eps in eps_list:
-            n = info_complexity(shape, d, eps, criterion)
+        row = info_complexity_row(shape, d, eps_list, criterion)
+        for eps, n in zip(eps_list, row):
+            # the first trip in (d, eps) order stops the command
+            if isinstance(n, ResourceLimitError):
+                raise n
             lines.append(f"{d},{_num(eps)},{n},{criterion}")
     _emit(cfg.get("out"), lines)
     return 0
@@ -215,7 +219,10 @@ _REQUIRED = {
 }
 
 
+@functools.cache
 def _build_parser():
+    # built on first use and shared by every later main() in the process;
+    # parse_args leaves the parser unchanged
     parser = argparse.ArgumentParser(
         prog="grkhs",
         description="Worst-case Gaussian-kernel approximation experiments",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceLimitError
-from .kernel import ShapeSequence, eigenvalue_ratio, initial_error
+from .kernel import ShapeSequence, _eigenvalue_ratios, eigenvalue_ratio
 from .spectrum import max_enumeration, stream_tensor_eigenvalues
 
 __all__ = [
@@ -24,6 +24,7 @@ __all__ = [
     "ErrorSequence",
     "error_sequence_all",
     "info_complexity",
+    "info_complexity_row",
     "quasipoly_exponent",
     "RateFit",
     "estimate_rate",
@@ -101,7 +102,7 @@ def _coordinate_costs(shape: ShapeSequence, d: int):
     log lambda_1 offset and the per-coordinate costs -log(ratio) > 0.  A
     ratio that underflowed to 0 costs inf: that coordinate only takes k = 0.
     """
-    ratios = np.array([eigenvalue_ratio(g) for g in shape.gammas(d)])
+    ratios = _eigenvalue_ratios(shape.gammas(d))
     offset = float(np.sum(np.log1p(-ratios)))
     with np.errstate(divide="ignore"):
         costs = -np.log(ratios)
@@ -115,13 +116,15 @@ def _half_sums(groups, limit: float, guard: int, dtype):
     half with sum k_l * costs_l < limit, the number of full lattice
     vectors it stands for (a group of multiplicity g at excess s stands
     for binomial(s + g - 1, g - 1) of them) and whether the enumeration
-    finished.  The half holds at most ``guard`` entries; when the next
-    shift of a group would pass that, the points enumerated so far are
-    returned with ``complete`` False.  Each of them is a counted lattice
-    point with the remaining coordinates at zero.
+    finished.  ``weights`` is None when every group of the half has
+    multiplicity 1, so every point stands for one vector.  The half holds
+    at most ``guard`` entries; when the next shift of a group would pass
+    that, the points enumerated so far are returned with ``complete``
+    False.  Each of them is a counted lattice point with the remaining
+    coordinates at zero.
     """
     sums = np.zeros(1)
-    weights = np.ones(1, dtype=dtype)
+    weights = None if all(g == 1 for _, g in groups) else np.ones(1, dtype=dtype)
     for c, g in groups:
         parts, wparts, size = [], [], 0
         base, wbase = sums, weights
@@ -131,35 +134,77 @@ def _half_sums(groups, limit: float, guard: int, dtype):
         while base.size:
             shifted = base + s * c
             keep = shifted < limit
-            base, wbase, shifted = base[keep], wbase[keep], shifted[keep]
+            base, shifted = base[keep], shifted[keep]
             if size + shifted.size > guard:
-                return np.concatenate(parts), np.concatenate(wparts), False
+                wsums = None if weights is None else np.concatenate(wparts)
+                return np.concatenate(parts), wsums, False
             size += shifted.size
             parts.append(shifted)
-            wparts.append(wbase * math.comb(s + g - 1, g - 1))
+            if weights is not None:
+                wbase = wbase[keep]
+                wparts.append(wbase * math.comb(s + g - 1, g - 1))
             s += 1
-        sums, weights = np.concatenate(parts), np.concatenate(wparts)
+        sums = np.concatenate(parts)
+        weights = None if weights is None else np.concatenate(wparts)
     return sums, weights, True
 
 
-def _count_below_budget(costs: np.ndarray, budget: float, guard: int) -> int:
-    """Number of k >= 0 vectors with sum k_l * costs_l < budget.
+def _below(sums, weights, limit: float):
+    """The entries of a half below ``limit``; no copy when all are."""
+    keep = sums < limit
+    if keep.all():
+        return sums, weights
+    return sums[keep], None if weights is None else weights[keep]
+
+
+def _pairs_below(left, wleft, right, wright, limit: float, dtype) -> int:
+    """Weighted number of pairs, one partial sum from each half, below ``limit``.
+
+    Entries at or above the limit pair with nothing and are dropped first,
+    so the halves of a larger limit give the count of a smaller one.  The
+    smaller half (the right one on a tie) is sorted and searched with the
+    other: a pair counts when right < limit - left.  With unit weights the
+    number of right entries below that is the searchsorted index itself.
+    """
+    left, wleft = _below(left, wleft, limit)
+    right, wright = _below(right, wright, limit)
+    if right.size > left.size:
+        left, wleft, right, wright = right, wright, left, wleft
+    if wright is None:
+        below = np.searchsorted(np.sort(right), limit - left, side="left")
+    else:
+        order = np.argsort(right)
+        cum = np.concatenate((np.zeros(1, dtype=dtype), np.cumsum(wright[order])))
+        below = cum[np.searchsorted(right[order], limit - left, side="left")]
+    return int(np.sum(below if wleft is None else wleft * below, dtype=dtype))
+
+
+def _count_below_budget(costs: np.ndarray, budgets, guard: int) -> list:
+    """Number of k >= 0 vectors with sum k_l * costs_l < budget, per budget.
 
     Coordinates with equal cost are grouped, and a whole group of size g
     at total excess s contributes binomial(s + g - 1, g - 1) vectors, so
     isotropic shapes are counted in closed form.  Groups whose cost
-    reaches the budget only take s = 0 and drop out.  The rest are split
-    into two halves (alternating by descending cost), each half's partial
-    sums are enumerated with their weights, and the pairs below the
-    budget are counted by sorting one half and searching it with the
-    other (meet in the middle; Horowitz and Sahni, JACM 1974).  Sums
-    within 1e-12 of the budget count as reaching it.  The result is an
-    exact int at any size.
+    reaches the largest budget only take s = 0 and drop out.  The rest are
+    split into two halves (alternating by descending cost), each half's
+    partial sums below the largest budget are enumerated once with their
+    weights, and for every budget the pairs below it are counted by
+    sorting one half and searching it with the other (meet in the middle;
+    Horowitz and Sahni, JACM 1974).  Sums within 1e-12 of a budget count
+    as reaching it.  Each result is an exact int at any size.
+
+    Every budget gets the count a list of that budget alone would get.  A
+    group that a smaller budget drops comes first in its half, so at s = 0
+    it leaves the other sums bit-equal, and at s >= 1 it gives sums at or
+    above that budget, which pair with nothing.  When an odd number of
+    groups drops, the smaller budget's halves are these two swapped.
 
     The guard bounds the number of entries each half may hold, i.e. the
-    memory of the count, not the returned count.  When it trips,
-    ``ResourceLimitError.partial`` carries the count over the entries
-    enumerated so far, a certified lower bound.
+    memory of the count, not the returned count.  When it trips at the
+    largest budget, that budget's entry is the ``ResourceLimitError`` a
+    list of it alone raises, whose ``partial`` is the count over the
+    entries enumerated so far, a certified lower bound; the smaller
+    budgets are then counted again from halves built for the next largest.
     """
     groups = []  # (cost, multiplicity), descending cost
     # an infinite cost always reaches the budget; skipping it keeps inf - inf
@@ -169,29 +214,79 @@ def _count_below_budget(costs: np.ndarray, budget: float, guard: int) -> int:
             groups[-1][1] += 1
         else:
             groups.append([c, 1])
-    limit = budget - 1e-12
-    groups = [(c, g) for c, g in groups if c < limit]
+    limits = [b - 1e-12 for b in budgets]
+    results = {}
+    for limit in sorted(set(limits), reverse=True):
+        counts = _count_from_halves(groups, limit, set(limits) - results.keys(), guard)
+        if isinstance(counts, ResourceLimitError):
+            results[limit] = counts
+            continue
+        results.update(counts)
+        break
+    return [results[limit] for limit in limits]
+
+
+def _count_from_halves(groups, largest: float, limits, guard: int):
+    """Counts below every limit of ``limits`` from the halves built for ``largest``.
+
+    Returns ``{limit: count}``, or the ``ResourceLimitError`` of ``largest``
+    when its halves trip the guard.  The halves are freed on return, so a
+    retry never holds two pairs of them.
+    """
+    kept = [(c, g) for c, g in groups if c < largest]
     # top bounds the weight of one lattice point, so the half totals and
     # the pair count stay below top * guard**2; past int64, Python ints
-    top = math.prod(math.comb(int(limit / c) + g - 1, g - 1) for c, g in groups)
+    top = math.prod(math.comb(int(largest / c) + g - 1, g - 1) for c, g in kept)
     dtype = np.int64 if top * guard * guard < 2**63 else object
-    left, wleft, complete = _half_sums(groups[0::2], limit, guard, dtype)
-    right, wright = np.zeros(1), np.ones(1, dtype=dtype)
+    left, wleft, complete = _half_sums(kept[0::2], largest, guard, dtype)
+    right, wright = np.zeros(1), None
     if complete:
-        right, wright, complete = _half_sums(groups[1::2], limit, guard, dtype)
-    if right.size > left.size:  # sort the smaller half
-        left, wleft, right, wright = right, wright, left, wleft
-    order = np.argsort(right)
-    cum = np.concatenate((np.zeros(1, dtype=dtype), np.cumsum(wright[order])))
-    below = np.searchsorted(right[order], limit - left, side="left")
-    count = int(np.sum(wleft * cum[below]))
+        right, wright, complete = _half_sums(kept[1::2], largest, guard, dtype)
     if not complete:
-        raise ResourceLimitError(
+        count = _pairs_below(left, wleft, right, wright, largest, dtype)
+        return ResourceLimitError(
             f"complexity count exceeded half-set guard of {guard} entries; "
             f"n >= {count}",
             partial=count,
         )
-    return count
+    counts = {}
+    for limit in limits:
+        halves = (left, wleft, right, wright)
+        if sum(c >= limit for c, _ in kept) % 2:
+            halves = (right, wright, left, wleft)
+        counts[limit] = _pairs_below(*halves, limit, dtype)
+    return counts
+
+
+def info_complexity_row(
+    shape: ShapeSequence, d: int, eps_list, criterion: str
+) -> list:
+    """n(eps, d) for every eps of ``eps_list`` at one d, from one pair of half-sets.
+
+    Entry i is what ``info_complexity(shape, d, eps_list[i], criterion)``
+    returns, or the ``ResourceLimitError`` it raises when its count trips
+    the guard, so callers choose whether a trip stops them.  The half-sets
+    are built once, for the smallest eps (the largest budget), and serve
+    every eps of the list; the guard applies to those half-sets, and when
+    it trips there the larger eps are counted again from half-sets built
+    for the next smallest.  The list may be unsorted and hold duplicates.
+    Every eps and the criterion are validated before any counting.
+    """
+    eps_list = list(eps_list)
+    for eps in eps_list:
+        if not 0.0 < eps < 1.0:
+            raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    if criterion not in ("absolute", "normalized"):
+        raise ValueError(f"criterion must be absolute or normalized, got {criterion!r}")
+    offset, costs = _coordinate_costs(shape, d)
+    # count log lambda = offset - sum k_l costs_l > 2 log(eps * CRI)
+    budgets = [-2.0 * math.log(eps) for eps in eps_list]
+    if criterion == "absolute":
+        # CRI = 1, threshold 2 log eps; offset moves to budget
+        budgets = [b + offset for b in budgets]
+    counted = [b for b in budgets if b > 0]
+    counts = iter(_count_below_budget(costs, counted, max_enumeration()))
+    return [next(counts) if b > 0 else 0 for b in budgets]
 
 
 def info_complexity(shape: ShapeSequence, d: int, eps: float, criterion: str) -> int:
@@ -204,20 +299,13 @@ def info_complexity(shape: ShapeSequence, d: int, eps: float, criterion: str) ->
     it.  The count is a meet-in-the-middle over two halves of the
     coordinates; the guard ``max_enumeration()`` bounds the entries each
     half may hold (its memory), not n.  When it trips,
-    ``ResourceLimitError.partial`` is a certified lower bound on n.
+    ``ResourceLimitError.partial`` is a certified lower bound on n.  This
+    is the one-eps case of :func:`info_complexity_row`.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    if criterion not in ("absolute", "normalized"):
-        raise ValueError(f"criterion must be absolute or normalized, got {criterion!r}")
-    offset, costs = _coordinate_costs(shape, d)
-    # count log lambda = offset - sum k_l costs_l > 2 log(eps * CRI)
-    budget = -2.0 * math.log(eps)
-    if criterion == "absolute":
-        budget += offset  # CRI = 1, threshold 2 log eps; offset moves to budget
-    if budget <= 0:
-        return 0
-    return _count_below_budget(costs, budget, max_enumeration())
+    (n,) = info_complexity_row(shape, d, [eps], criterion)
+    if isinstance(n, ResourceLimitError):
+        raise n
+    return n
 
 
 def quasipoly_exponent(gamma: float) -> float:
@@ -291,7 +379,8 @@ def tractability_probe(
     """Fill the n(eps, d) table over a grid and classify its growth.
 
     n(eps, d) is the exact count of :func:`info_complexity`, i.e. for data
-    from arbitrary linear functionals.
+    from arbitrary linear functionals, filled one row per d by
+    :func:`info_complexity_row`.
 
     The exponent p of eps^(-1) is fitted on the per-eps envelope
     max_d n(eps, d), which is the quantity the tractability bounds
@@ -315,11 +404,10 @@ def tractability_probe(
     table = []
     guard_hit = False
     for d in d_grid:
-        for eps in eps_grid:
-            try:
-                n = info_complexity(shape, d, eps, criterion)
-            except ResourceLimitError as exc:
-                n = exc.partial
+        row = info_complexity_row(shape, d, eps_grid, criterion)
+        for eps, n in zip(eps_grid, row):
+            if isinstance(n, ResourceLimitError):
+                n = n.partial
                 guard_hit = True
             table.append((d, eps, n))
 

@@ -214,12 +214,29 @@ def eigenvalue_ratio(gamma: float) -> float:
     return np.float64(omega)
 
 
+def _eigenvalue_ratios(gammas: np.ndarray) -> np.ndarray:
+    """:func:`eigenvalue_ratio` of every entry, as one array.
+
+    The same IEEE operations in the same order (sqrt is correctly rounded
+    in both), so each entry is bit-equal to the scalar.  The first entry
+    the scalar rejects raises the scalar's ValueError.
+    """
+    g = np.asarray(gammas, dtype=float)
+    # like the scalar, let gamma^2 overflow to inf and inf / inf give NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        g2 = g * g
+        omega = 2.0 * g2 / (1.0 + 2.0 * g2 + np.sqrt(1.0 + 4.0 * g2))
+    ok = (g > 0) & (g < np.inf) & (omega < 1.0)
+    if not ok.all():
+        eigenvalue_ratio(g[np.argmin(ok)])  # raises for that entry
+    return omega
+
+
 def initial_error(shape: ShapeSequence, d: int) -> float:
     """Norm of the embedding into L2(rho_d), i.e. the error of the zero algorithm.
 
     Equals sqrt(prod_l lambda_1(gamma_l)) with lambda_1 = 1 - omega the
     largest univariate eigenvalue; always <= 1.
     """
-    g = shape.gammas(d)
-    log_l1 = np.log1p(-np.array([eigenvalue_ratio(x) for x in g]))
+    log_l1 = np.log1p(-_eigenvalue_ratios(shape.gammas(d)))
     return float(np.exp(0.5 * np.sum(log_l1)))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EvaluationOverflowError, ResourceLimitError
-from .kernel import ShapeSequence, eigenvalue_ratio
+from .kernel import ShapeSequence, _eigenvalue_ratios, eigenvalue_ratio
 
 __all__ = [
     "UnivariateSpectrum",
@@ -228,7 +228,7 @@ def _log_spectrum(shape: ShapeSequence, d: int):
     A ratio that underflowed to 0 has log ratio -inf: every power above 1
     on that coordinate is a zero eigenvalue.
     """
-    ratios = np.array([eigenvalue_ratio(x) for x in shape.gammas(d)])
+    ratios = _eigenvalue_ratios(shape.gammas(d))
     with np.errstate(divide="ignore"):
         log_ratio = np.log(ratios)
     return float(np.sum(np.log1p(-ratios))), log_ratio

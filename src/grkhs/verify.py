@@ -18,9 +18,11 @@ from .complexity import (
     error_sequence_all,
     estimate_rate,
     info_complexity,
+    info_complexity_row,
     quasipoly_exponent,
     tractability_probe,
 )
+from .errors import ResourceLimitError
 from .kernel import ShapeSequence, eigenvalue_ratio, initial_error, kernel_eval
 from .quadrature import gauss_hermite, nystrom_eigs
 from .spectrum import top_n_tensor_eigenvalues, univariate_spectrum
@@ -214,13 +216,16 @@ def check_quasipoly() -> CheckResult:
     shape = ShapeSequence.isotropic(1.0)
     bound = 1.15 * quasipoly_exponent(1.0)
     t_hat = 0.0
+    ns = []  # n(1/2, d)
     for d in range(1, 33):
-        for j in range(1, 7):
-            n = info_complexity(shape, d, 2.0**-j, "normalized")
+        row = info_complexity_row(shape, d, [2.0**-j for j in range(1, 7)], "normalized")
+        for j, n in enumerate(row, start=1):
+            if isinstance(n, ResourceLimitError):
+                raise n
             if n >= 1:
                 t = math.log(n) / ((1.0 + math.log(d)) * (1.0 + j * math.log(2.0)))
                 t_hat = max(t_hat, t)
-    ns = [info_complexity(shape, d, 0.5, "normalized") for d in range(1, 33)]
+        ns.append(row[0])
     increasing = all(a < b for a, b in zip(ns, ns[1:]))
     ok = t_hat <= bound and increasing
     return CheckResult(

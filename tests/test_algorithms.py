@@ -460,6 +460,36 @@ class TestPowerFunctionKeptDirections:
         assert np.max(np.abs(p**2 - ref**2)) <= 1e-13
 
 
+class TestPowerFunctionMemory:
+    def test_bit_equal_to_product_with_temporaries(self):
+        shape = ShapeSequence.isotropic(1.0)
+        rng = np.random.default_rng(11)
+        base = rng.standard_normal((30, 2))
+        sites = np.vstack([base, base[:5]])  # duplicates, so the clip fires
+        x = rng.standard_normal((50, 2))
+        U, inv, _ = _gram_pinv_factors(shape, 2, sites)
+        kept = slice(inv.size - np.count_nonzero(inv), None)
+        assert kept.start >= 5
+        proj = cross_kernel(shape, 2, x, sites) @ U[:, kept]
+        quad = np.sum(proj * proj * inv[None, kept], axis=1)
+        ref = np.sqrt(np.maximum(0.0, 1.0 - quad))
+        assert power_function(shape, 2, sites, x).tobytes() == ref.tobytes()
+
+    def test_trace_bound_needs_no_rank_wide_temporaries(self):
+        # d = 3, m = 32, n = 200: the grid-by-design kernel is 52 MB, and
+        # cross_kernel peaks at twice that; squaring and scaling the
+        # projection out of place added 150 MB more
+        shape = ShapeSequence.isotropic(1.0)
+        design = np.random.default_rng(0).standard_normal((200, 3))
+        tracemalloc.start()
+        try:
+            spline_worst_case_error(shape, 3, design, 32, method="trace")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2**20
+
+
 class TestSplineWorstCaseError:
     def test_empty_design_is_initial_error(self):
         shape = ShapeSequence.isotropic(1.0)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from grkhs import ShapeSequence
+from grkhs import ShapeSequence, cli
 from grkhs.cli import main, parse_shape
 
 
@@ -162,5 +162,53 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert int(err.split("n >= ")[1]) >= 1
 
+    @pytest.mark.parametrize("eps", ["0.01,0.001", "0.001,0.01"])
+    def test_first_trip_reported_in_list_order(self, capsys, monkeypatch, eps):
+        # d = 8 trips at eps = 0.001 only, whichever place it has in the list
+        monkeypatch.setenv("GRKHS_MAX_EIGS", "3000")
+        argv = ["complexity", "--shape", "powerlaw:1:0.5", "--d", "8,16", "--eps", eps,
+                "--criterion", "norm"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "resource limit: complexity count exceeded half-set guard of 3000 "
+            "entries; n >= 85694\n"
+        )
+
+    @pytest.mark.parametrize("eps", ["2.0,0.1", "0.1,0.5,1.0", "0.1,0.0", "0.1,nan"])
+    def test_invalid_eps_anywhere_exits_1(self, capsys, eps):
+        argv = ["complexity", "--shape", "iso:1.0", "--d", "1,2", "--eps", eps]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: eps must lie in (0, 1)")
+
     def test_missing_config_file(self, capsys):
         assert main(["spectrum", "--gamma", "1.0", "--config", "/nonexistent.json"]) == 1
+
+
+class TestParserReuse:
+    ARGVS = [
+        ["spectrum", "--gamma", "1.0", "--k", "2"],
+        ["complexity", "--shape", "iso:1.0", "--d", "1,2", "--eps", "0.5,0.1"],
+        ["complexity", "--shape", "iso:1.0", "--bogus", "1"],
+        ["--help"],
+        ["complexity", "--help"],
+    ]
+
+    def _run_all(self, capsys, fresh):
+        outputs = []
+        for argv in self.ARGVS:
+            if fresh:
+                cli._build_parser.cache_clear()
+            code = main(list(argv))
+            outputs.append((code, *capsys.readouterr()))
+        return outputs
+
+    def test_same_outputs_as_fresh_parsers(self, capsys):
+        reused = self._run_all(capsys, fresh=False)
+        fresh = self._run_all(capsys, fresh=True)
+        assert reused == fresh
+        assert [code for code, *_ in reused] == [0, 0, 1, 0, 0]
+        assert reused[3][1].startswith("usage: grkhs")
+        assert cli._build_parser() is cli._build_parser()

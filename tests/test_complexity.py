@@ -13,6 +13,7 @@ from grkhs import (
     error_sequence_all,
     estimate_rate,
     info_complexity,
+    info_complexity_row,
     minimal_error_all,
     quasipoly_exponent,
     tractability_probe,
@@ -164,7 +165,9 @@ class TestInfoComplexity:
             )
 
     def test_guard_bounds_half_memory(self):
-        # n = 1,905,078 from two half-sets of about 1e5 entries each
+        # n = 1,905,078 from two half-sets of about 1e5 entries each; every
+        # power-law coordinate has its own cost, so no half carries a weight
+        # array (with int64 weights this cell peaked at 5.7 MB)
         shape = ShapeSequence.power_law(1.0, 0.5)
         tracemalloc.start()
         try:
@@ -173,17 +176,17 @@ class TestInfoComplexity:
         finally:
             tracemalloc.stop()
         assert n == 1905078
-        assert peak < 16 * 2**20
+        assert peak < 4.5 * 2**20
 
     def test_guard_partial_is_lower_bound(self, monkeypatch):
         shape = ShapeSequence.power_law(1.0, 0.5)
         costs, budget = _budget(shape, 16, 0.001, "normalized")
-        exact = _count_below_budget(costs, budget, 10**7)
+        (exact,) = _count_below_budget(costs, [budget], 10**7)
         for guard in (1, 100, 3000):
-            with pytest.raises(ResourceLimitError) as info:
-                _count_below_budget(costs, budget, guard)
-            assert type(info.value.partial) is int
-            assert 1 <= info.value.partial <= exact
+            (trip,) = _count_below_budget(costs, [budget], guard)
+            assert isinstance(trip, ResourceLimitError)
+            assert type(trip.partial) is int
+            assert 1 <= trip.partial <= exact
         monkeypatch.setenv("GRKHS_MAX_EIGS", "20000")
         tracemalloc.start()
         try:
@@ -194,6 +197,75 @@ class TestInfoComplexity:
             tracemalloc.stop()
         assert 1 <= info.value.partial <= 80826051
         assert peak < 4 * 2**20
+
+
+def _cell(shape, d, eps, criterion):
+    """info_complexity, or the ResourceLimitError it raises."""
+    try:
+        return info_complexity(shape, d, eps, criterion)
+    except ResourceLimitError as exc:
+        return exc
+
+
+class TestInfoComplexityRow:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        base=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=3),
+        picks=st.lists(st.integers(0, 2), min_size=1, max_size=4),
+        eps=st.lists(st.floats(1e-3, 0.99), min_size=1, max_size=5),
+        dup=st.integers(0, 2),
+        criterion=st.sampled_from(["absolute", "normalized"]),
+        data=st.data(),
+    )
+    def test_matches_cells_and_reference(self, base, picks, eps, dup, criterion, data):
+        # repeated picks force equal costs; eps near 1 under the absolute
+        # criterion gives budgets <= 0; the list is unsorted with duplicates
+        gammas = [base[i % len(base)] for i in picks]
+        shape, d = ShapeSequence.explicit(gammas), len(gammas)
+        eps_list = data.draw(st.permutations(eps + eps[:dup]))
+        row = info_complexity_row(shape, d, eps_list, criterion)
+        assert row == [info_complexity(shape, d, e, criterion) for e in eps_list]
+        for e, n in zip(eps_list, row):
+            assert type(n) is int
+            costs, budget = _budget(shape, d, e, criterion)
+            assert n == (_reference_count(costs, budget) if budget > 0 else 0)
+
+    def test_budgets_at_or_below_zero_count_zero(self):
+        shape = ShapeSequence.isotropic(1.0)
+        # the initial error at d = 4 is 0.38, so eps above it needs no data
+        row = info_complexity_row(shape, 4, [0.9, 0.1, 0.5, 0.9], "absolute")
+        assert row[0] == row[2] == row[3] == 0
+        assert row[1] == info_complexity(shape, 4, 0.1, "absolute") > 0
+
+    @pytest.mark.parametrize("guard,d", [(300, 16), (1000, 16), (3000, 16), (300, 8)])
+    def test_trips_match_cells(self, monkeypatch, guard, d):
+        # at these guards some but not all cells of a row trip, and a trip
+        # at the smallest eps is retried at the next one
+        monkeypatch.setenv("GRKHS_MAX_EIGS", str(guard))
+        shape = ShapeSequence.power_law(1.0, 0.5)
+        eps_list = [0.01, 0.001, 0.05, 0.001, 0.003, 0.02]
+        row = info_complexity_row(shape, d, eps_list, "normalized")
+        cells = [_cell(shape, d, e, "normalized") for e in eps_list]
+        trips = [isinstance(n, ResourceLimitError) for n in row]
+        assert any(trips) and not all(trips)
+        assert trips == [isinstance(c, ResourceLimitError) for c in cells]
+        for n, c in zip(row, cells):
+            if isinstance(c, ResourceLimitError):
+                assert (n.partial, str(n)) == (c.partial, str(c))
+            else:
+                assert n == c
+        report = tractability_probe(shape, eps_list, [d], "normalized")
+        assert report.guard_hit
+        partials = [c.partial if isinstance(c, ResourceLimitError) else c for c in cells]
+        assert report.table == [(d, e, n) for e, n in zip(eps_list, partials)]
+
+    def test_validates_every_eps_before_counting(self):
+        shape = ShapeSequence.isotropic(1.0)
+        for eps_list in ([0.1, 1.5], [0.0, 0.1], [0.1, 0.2, float("nan")]):
+            with pytest.raises(ValueError, match="eps must lie in"):
+                info_complexity_row(shape, 2, eps_list, "absolute")
+        with pytest.raises(ValueError, match="criterion"):
+            info_complexity_row(shape, 2, [0.1, 0.2], "relative")
 
 
 def test_quasipoly_exponent():

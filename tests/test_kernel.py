@@ -14,6 +14,7 @@ from grkhs import (
     initial_error,
     kernel_eval,
 )
+from grkhs.kernel import _eigenvalue_ratios
 
 
 class TestShapeSequence:
@@ -247,6 +248,22 @@ def test_gaussian_weight():
     w = gaussian_weight(x)
     assert w[0] == pytest.approx(np.pi**-0.5)
     assert w[1] == pytest.approx(np.pi**-0.5 * np.exp(-1.0))
+
+
+def test_eigenvalue_ratios_bit_equal_to_scalar():
+    rng = np.random.default_rng(20261018)
+    g = np.concatenate((10.0 ** rng.uniform(-150.0, 15.0, 20000), [1e-162, 1e-200, 1.0]))
+    ref = np.array([eigenvalue_ratio(x) for x in g])
+    assert _eigenvalue_ratios(g).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("bad", [1e17, 1e200, np.inf, 0.0, -1.0, np.nan])
+def test_eigenvalue_ratios_raise_like_scalar(bad):
+    with pytest.raises(ValueError) as scalar:
+        eigenvalue_ratio(bad)
+    with pytest.raises(ValueError) as vector:
+        _eigenvalue_ratios(np.array([0.5, bad, 2.0, 1e17, 0.0]))
+    assert str(vector.value) == str(scalar.value)
 
 
 def test_eigenvalue_ratio_closed_form():
