@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg
 
 from .kernel import ShapeSequence, _as_points, cross_kernel, gram_matrix, initial_error
 from .quadrature import _nystrom_matrix, gauss_hermite, tensor_rule
@@ -141,10 +140,37 @@ def _memo_key(shape, d, *arrays) -> bytes:
     return b"".join(parts)
 
 
-# (key, (U, inv, tau)) of the most recent design, or None: one entry only
-_gram_memo = None
-# (key, K) of the most recent points and sites, or None: one entry only
-_site_memo = None
+class _OneEntryMemo:
+    """The value built for the most recent key, and nothing older.
+
+    A hit returns the stored value itself, so its arrays (the value, or the
+    arrays in a tuple value) are shared between callers and made read-only.
+    A miss drops the old value before it builds the new one, so that two are
+    never held at once.
+    """
+
+    def __init__(self):
+        self.entry = None  # (key, value), or None
+
+    def get(self, key: bytes, build):
+        entry = self.entry
+        if entry is not None and entry[0] == key:
+            return entry[1]
+        self.entry = None
+        value = build()
+        for a in value if isinstance(value, tuple) else (value,):
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+        self.entry = (key, value)
+        return value
+
+
+# the clipped Gram factors (U, inv, tau) of the most recent design
+_gram_memo = _OneEntryMemo()
+# the kernel K of the most recent points and sites
+_site_memo = _OneEntryMemo()
+# the univariate Nystrom factors (A_1, ..., A_d) of the most recent grid
+_grid_memo = _OneEntryMemo()
 
 
 def _site_kernel(shape, d, points, sites):
@@ -155,17 +181,9 @@ def _site_kernel(shape, d, points, sites):
     function at the same points share one kernel.  The array is shared
     between callers and therefore read-only.
     """
-    global _site_memo
-    key = _memo_key(shape, d, points, sites)
-    memo = _site_memo
-    if memo is not None and memo[0] == key:
-        return memo[1]
-    # drop the old kernel first, so that two are never held at once
-    _site_memo = None
-    K = cross_kernel(shape, d, points, sites)
-    K.flags.writeable = False
-    _site_memo = (key, K)
-    return K
+    return _site_memo.get(
+        _memo_key(shape, d, points, sites), lambda: cross_kernel(shape, d, points, sites)
+    )
 
 
 def _gram_pinv_factors(shape, d, design):
@@ -181,21 +199,37 @@ def _gram_pinv_factors(shape, d, design):
     design (a fit followed by its power function) costs no eigendecomposition.
     The arrays are shared between callers and therefore read-only.
     """
-    global _gram_memo
-    key = _memo_key(shape, d, design)
-    memo = _gram_memo
-    if memo is not None and memo[0] == key:
-        return memo[1]
-    # drop the old factors first, so that two sets are never held at once
-    _gram_memo = None
-    K = gram_matrix(shape, d, design)
-    ev, U = np.linalg.eigh(K)
-    tau = CLIP_FACTOR * ev[-1]
-    inv = np.where(ev > tau, 1.0 / np.where(ev > tau, ev, 1.0), 0.0)
-    U.flags.writeable = False
-    inv.flags.writeable = False
-    _gram_memo = (key, (U, inv, tau))
-    return U, inv, tau
+
+    def build():
+        ev, U = np.linalg.eigh(gram_matrix(shape, d, design))
+        tau = CLIP_FACTOR * ev[-1]
+        inv = np.where(ev > tau, 1.0 / np.where(ev > tau, ev, 1.0), 0.0)
+        return U, inv, tau
+
+    return _gram_memo.get(_memo_key(shape, d, design), build)
+
+
+def _grid_factors(shape, d, m):
+    """Univariate Nystrom matrices (A_1, ..., A_d) of the m-point rule.
+
+    A_l = diag(sqrt(w)) K_l diag(sqrt(w)) depends on gamma_l alone, so it is
+    built once per distinct gamma_l and shared by the coordinates with that
+    value.  The factors of the most recent grid are kept, keyed by the exact
+    bytes of m and the first d shape parameters, so repeated error
+    evaluations on one grid build none.  The arrays are shared between
+    callers and therefore read-only.
+    """
+    gammas = shape.gammas(d)
+
+    def build():
+        rule = gauss_hermite(m)
+        by_gamma = {
+            g: _nystrom_matrix(g, rule.nodes, rule.weights)
+            for g in dict.fromkeys(gammas.tolist())
+        }
+        return tuple(by_gamma[g] for g in gammas.tolist())
+
+    return _grid_memo.get(np.int64(m).tobytes() + gammas.tobytes(), build)
 
 
 def spline_fit(shape: ShapeSequence, d: int, design, y) -> SplineModel:
@@ -252,11 +286,20 @@ def power_function(shape: ShapeSequence, d: int, design, x) -> np.ndarray:
     xb = _as_points(x[None, :] if x.ndim == 1 and x.size == d else x, d)
     if pts.shape[0] == 0:
         return np.ones(xb.shape[0])
-    U, inv, _ = _gram_pinv_factors(shape, d, pts)
+    return _power_from_kernel(shape, d, pts, _site_kernel(shape, d, xb, pts))
+
+
+def _power_from_kernel(shape, d, design, K):
+    """:func:`power_function` at the rows of K, the points-by-sites kernel.
+
+    The design is validated and nonempty; K may come from the site memo or,
+    for a kernel used once, straight from :func:`cross_kernel`.
+    """
+    U, inv, _ = _gram_pinv_factors(shape, d, design)
     # eigh sorts the eigenvalues ascending, so the clip zeroes a leading
     # block of inv and the kept directions are the trailing rank columns
     kept = slice(inv.size - np.count_nonzero(inv), None)
-    proj = _site_kernel(shape, d, xb, pts) @ U[:, kept]
+    proj = K @ U[:, kept]
     # in place, the same operations in the same order as proj * proj * inv,
     # with no further N x rank array
     np.multiply(proj, proj, out=proj)
@@ -285,7 +328,8 @@ def spline_worst_case_error(
     without forming any N x N matrix: a product applies A_l along each
     grid axis and the rank-n correction, costing O(m^d (sum_l m + n))
     time and O(m^d n) memory.  For N <= 64 the matrix is formed from the
-    same factors and solved densely.
+    same factors and solved densely.  The A_l of the most recent grid are
+    kept in a one-entry memo, one per distinct gamma_l.
 
     With ``method="trace"`` the cheap trace upper bound
     sqrt(integral of G(t, t)) is returned instead.
@@ -293,36 +337,46 @@ def spline_worst_case_error(
     if method not in ("spectral", "trace"):
         raise ValueError(f"unknown method {method!r}")
     pts = _as_points(design, d)
+    n = pts.shape[0]
     grid, w = tensor_rule(d, m)
     if method == "trace":
-        diag = power_function(shape, d, pts, grid) ** 2
+        # the grid-by-design kernel is used once, so it bypasses the site memo
+        diag = np.ones(w.size)
+        if n:
+            K = cross_kernel(shape, d, grid, pts)
+            diag = _power_from_kernel(shape, d, pts, K) ** 2
         return float(np.sqrt(max(0.0, np.dot(w, diag))))
-    rule = gauss_hermite(m)
-    factors = [_nystrom_matrix(g, rule.nodes, rule.weights) for g in shape.gammas(d)]
+    factors = _grid_factors(shape, d, m)
     N = w.size
-    if pts.shape[0]:
+    if n:
         U, inv, _ = _gram_pinv_factors(shape, d, pts)
         # all n columns of U are kept, clipped ones included, so that the WCE
         # bytes stay as they were: inv reaches 1/(CLIP_FACTOR lambda_max) and
         # amplifies any change in the rounding of K(grid, design) U to ~1e-11
         C = np.sqrt(w)[:, None] * (cross_kernel(shape, d, grid, pts) @ U)
-    else:
-        C, inv = np.empty((N, 0)), np.empty(0)
+    # with no design the correction is exactly +0.0, and x - 0.0 = x bit for
+    # bit, so the Kronecker product alone is the operator
     if N <= 64:
         B = factors[0]
         for A in factors[1:]:
             B = np.kron(B, A)
-        B = B - (C * inv[None, :]) @ C.T
+        if n:
+            B = B - (C * inv[None, :]) @ C.T
         lam = float(np.linalg.eigvalsh(0.5 * (B + B.T))[-1])
     else:
+        # imported here, so that importing grkhs loads no scipy; eigsh is
+        # looked up on the module at each call
+        import scipy.sparse.linalg
 
-        def matvec(v):
-            x = np.reshape(v, (m,) * d)
-            # contracting axis 0 and appending the result cycles the axes,
-            # so after d products they are back in grid order
-            for A in factors:
-                x = np.tensordot(x, A, axes=(0, 0))
-            return x.ravel() - C @ (inv * (C.T @ np.ravel(v)))
+        kron = _kron_matvec(factors)
+        if n:
+            Ct = C.T
+
+            def matvec(v):
+                return kron(v) - C @ (inv * (Ct @ v))
+
+        else:
+            matvec = kron
 
         op = scipy.sparse.linalg.LinearOperator((N, N), matvec=matvec, dtype=float)
         # fixed start vector keeps the Lanczos iteration deterministic
@@ -331,3 +385,26 @@ def spline_worst_case_error(
             scipy.sparse.linalg.eigsh(op, k=1, which="LA", tol=1e-12, v0=v0)[0][0]
         )
     return float(np.sqrt(max(0.0, lam)))
+
+
+def _kron_matvec(factors):
+    """The product v -> (A_1 (x) ... (x) A_d) v for d square m x m factors.
+
+    Each step does what np.tensordot(x, A, axes=(0, 0)) does on the (m,)*d
+    array x, the same transpose, copy and matrix product, so the bytes are
+    the same, without the bookkeeping that tensordot repeats on every call.
+    Contracting axis 0 and appending the result cycles the axes, so after d
+    steps they are back in grid order.
+    """
+    d, m = len(factors), factors[0].shape[0]
+    grid_shape = (m,) * d
+    perm = (*range(1, d), 0)
+    rest = m ** (d - 1)
+
+    def matvec(v):
+        x = v.reshape(grid_shape)
+        for A in factors:
+            x = np.dot(x.transpose(perm).reshape(rest, m), A).reshape(grid_shape)
+        return x.ravel()
+
+    return matvec

@@ -31,7 +31,6 @@ from .errors import ResourceLimitError
 from .kernel import ShapeSequence
 from .quadrature import nystrom_eigs
 from .spectrum import top_n_tensor_eigenvalues, univariate_spectrum
-from .verify import render_report, run_full
 
 __all__ = ["main", "parse_shape"]
 
@@ -189,6 +188,9 @@ def cmd_spline_bench(cfg):
 
 
 def cmd_verify(cfg):
+    # only this command needs the suite
+    from .verify import render_report, run_full
+
     results = run_full(include_determinism=True)
     report = render_report(results)
     sys.stdout.write(report)

@@ -90,10 +90,15 @@ class ShapeSequence:
         """First ``d`` shape parameters as an array."""
         if d < 1:
             raise ValueError(f"dimension must be >= 1, got {d}")
-        if self.kind == "explicit" and d > self.params["values"].size:
-            raise ValueError(
-                f"explicit shape has {self.params['values'].size} entries, asked for d={d}"
-            )
+        if self.kind == "isotropic":
+            return np.full(d, self.params["gamma"])
+        if self.kind == "explicit":
+            vals = self.params["values"]
+            if d > vals.size:
+                raise ValueError(f"explicit shape has {vals.size} entries, asked for d={d}")
+            return vals[:d].copy()
+        # numpy's vectorized power may round differently from the scalar
+        # pow of gamma(l) (it does on AVX-512 machines), so these stay scalar
         return np.array([self.gamma(l) for l in range(1, d + 1)])
 
     def __repr__(self):

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from math import lgamma, log
 
 import numpy as np
-from scipy.special import roots_hermite
 
 from .errors import ResourceLimitError
 
@@ -50,6 +49,9 @@ def gauss_hermite(m: int) -> QuadratureRule:
     """
     if not 1 <= m <= MAX_RULE_SIZE:
         raise ValueError(f"rule size must be in [1, {MAX_RULE_SIZE}], got {m}")
+    # imported here, so that importing grkhs loads no scipy
+    from scipy.special import roots_hermite
+
     nodes, weights = roots_hermite(m)
     weights = weights / np.sqrt(np.pi)
     nodes.flags.writeable = False

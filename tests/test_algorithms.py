@@ -19,7 +19,14 @@ from grkhs import (
     spline_worst_case_error,
     univariate_spectrum,
 )
-from grkhs.algorithms import _gram_pinv_factors, _site_kernel, tensor_eigenfunctions
+from grkhs.algorithms import (
+    _grid_factors,
+    _gram_pinv_factors,
+    _kron_matvec,
+    _site_kernel,
+    tensor_eigenfunctions,
+)
+from grkhs.quadrature import _nystrom_matrix
 from grkhs.spectrum import MultiIndex
 
 
@@ -249,10 +256,10 @@ class TestGramMemo:
         eigh = np.linalg.eigh
 
         def counted(a, *args, **kwargs):
-            calls.append(algorithms._gram_memo is None)
+            calls.append(algorithms._gram_memo.entry is None)
             return eigh(a, *args, **kwargs)
 
-        monkeypatch.setattr(algorithms, "_gram_memo", None)
+        monkeypatch.setattr(algorithms._gram_memo, "entry", None)
         monkeypatch.setattr(np.linalg, "eigh", counted)
         return calls
 
@@ -294,7 +301,7 @@ class TestGramMemo:
         first = _gram_pinv_factors(shape, 2, design)
         hit = _gram_pinv_factors(shape, 2, design)
         assert len(eigh_calls) == 1
-        monkeypatch.setattr(algorithms, "_gram_memo", None)
+        monkeypatch.setattr(algorithms._gram_memo, "entry", None)
         fresh = _gram_pinv_factors(shape, 2, design)
         assert len(eigh_calls) == 2
         assert all(a is b for a, b in zip(first, hit))
@@ -326,11 +333,11 @@ class TestSiteKernelMemo:
         calls = []
 
         def counted(*args):
-            calls.append(algorithms._site_memo is None)
+            calls.append(algorithms._site_memo.entry is None)
             return cross_kernel(*args)
 
-        monkeypatch.setattr(algorithms, "_gram_memo", None)
-        monkeypatch.setattr(algorithms, "_site_memo", None)
+        monkeypatch.setattr(algorithms._gram_memo, "entry", None)
+        monkeypatch.setattr(algorithms._site_memo, "entry", None)
         monkeypatch.setattr(algorithms, "cross_kernel", counted)
         return calls
 
@@ -489,6 +496,21 @@ class TestPowerFunctionMemory:
             tracemalloc.stop()
         assert peak < 128 * 2**20
 
+    def test_trace_bound_leaves_no_kernel_behind(self, monkeypatch):
+        # the 52 MB grid-by-design kernel is used once and then freed; only
+        # the Gram memo's n x n factors (0.3 MB) stay alive
+        monkeypatch.setattr(algorithms._site_memo, "entry", None)
+        shape = ShapeSequence.isotropic(1.0)
+        design = np.random.default_rng(0).standard_normal((200, 3))
+        tracemalloc.start()
+        try:
+            spline_worst_case_error(shape, 3, design, 32, method="trace")
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 2**20
+        assert algorithms._site_memo.entry is None
+
 
 class TestSplineWorstCaseError:
     def test_empty_design_is_initial_error(self):
@@ -608,6 +630,100 @@ class TestSplineWorstCaseErrorOperator:
         trace = spline_worst_case_error(shape, d, design, m, method="trace")
         lower = minimal_error_all(shape, d, design.shape[0])
         assert lower - 1e-9 <= wce <= trace + 1e-9
+
+
+def _tensordot_matvec(factors, v):
+    """The Kronecker product as it was first written, with np.tensordot."""
+    m = factors[0].shape[0]
+    x = np.reshape(v, (m,) * len(factors))
+    for A in factors:
+        x = np.tensordot(x, A, axes=(0, 0))
+    return x.ravel()
+
+
+class TestGridOperator:
+    @pytest.mark.parametrize("d,m", [(1, 200), (1, 65), (2, 32), (2, 9), (3, 12), (3, 5)])
+    def test_matvec_bit_equal_to_tensordot(self, d, m):
+        rng = np.random.default_rng([d, m])
+        rule = gauss_hermite(m)
+        gammas = rng.uniform(0.3, 2.0, d)
+        factors = [_nystrom_matrix(g, rule.nodes, rule.weights) for g in gammas]
+        # a general square factor too, so no symmetry can hide an axis mix-up
+        factors[-1] = rng.standard_normal((m, m))
+        matvec = _kron_matvec(factors)
+        for _ in range(5):
+            v = rng.standard_normal(m**d)
+            assert matvec(v).tobytes() == _tensordot_matvec(factors, v).tobytes()
+
+    def test_empty_correction_is_exact_zero(self):
+        # the empty design skips C diag(inv) C^T v, which is +0.0 everywhere
+        rng = np.random.default_rng(3)
+        factors = _grid_factors(ShapeSequence.isotropic(1.0), 2, 9)
+        C, inv = np.empty((81, 0)), np.empty(0)
+        for _ in range(5):
+            v = rng.standard_normal(81)
+            kron = _kron_matvec(factors)(v)
+            assert (kron - C @ (inv * (C.T @ v))).tobytes() == kron.tobytes()
+
+    @pytest.fixture
+    def factor_calls(self, monkeypatch):
+        """Start from an empty grid memo; record the gamma of each factor built."""
+        calls = []
+
+        def counted(gamma, t, w):
+            calls.append(gamma)
+            return _nystrom_matrix(gamma, t, w)
+
+        monkeypatch.setattr(algorithms._grid_memo, "entry", None)
+        monkeypatch.setattr(algorithms, "_nystrom_matrix", counted)
+        return calls
+
+    def test_one_factor_per_distinct_gamma(self, factor_calls):
+        design = np.random.default_rng(4).standard_normal((5, 3))
+        spline_worst_case_error(ShapeSequence.isotropic(1.0), 3, design, 6)
+        assert factor_calls == [1.0]
+        shape = ShapeSequence.explicit([0.7, 1.3, 0.7])
+        spline_worst_case_error(shape, 3, design, 6)
+        assert factor_calls == [1.0, 0.7, 1.3]
+        A = _grid_factors(shape, 3, 6)
+        assert A[0] is A[2] and A[1] is not A[0]
+        # the same grid again builds nothing
+        spline_worst_case_error(shape, 3, design[:2], 6)
+        assert len(factor_calls) == 3
+
+    def test_factors_are_read_only_and_bit_equal_to_fresh(self, factor_calls):
+        shape = ShapeSequence.power_law(1.0, 0.5)
+        factors = _grid_factors(shape, 2, 30)
+        rule = gauss_hermite(30)
+        for A, g in zip(factors, shape.gammas(2)):
+            assert A.tobytes() == _nystrom_matrix(g, rule.nodes, rule.weights).tobytes()
+            with pytest.raises(ValueError):
+                A[0, 0] = 0.0
+
+    def test_holds_one_entry(self, factor_calls):
+        shape = ShapeSequence.isotropic(1.0)
+        kept = [weakref.ref(_grid_factors(shape, 1, m)[0]) for m in (10, 11, 12)]
+        assert [ref() is not None for ref in kept] == [False, False, True]
+        _grid_factors(shape, 1, 10)
+        assert len(factor_calls) == 4
+
+    def test_interleaved_grids_repeat_bit_equal(self):
+        # every case misses the memo of the one before it, and a repeat of
+        # the first case gives the first result bit for bit
+        rng = np.random.default_rng(9)
+        cases = [
+            (ShapeSequence.isotropic(1.0), 2, 12),
+            (ShapeSequence.isotropic(1.0), 1, 120),
+            (ShapeSequence.explicit([1.0, 0.5, 2.0]), 3, 6),
+            (ShapeSequence.isotropic(0.5), 2, 12),
+            (ShapeSequence.isotropic(1.0), 2, 13),
+            (ShapeSequence.explicit([0.5, 1.0]), 2, 12),
+        ]
+        designs = [rng.standard_normal((4, d)) for _, d, _ in cases]
+        first = [spline_worst_case_error(*c[:2], X, c[2]) for c, X in zip(cases, designs)]
+        again = spline_worst_case_error(*cases[0][:2], designs[0], cases[0][2])
+        assert float(again).hex() == float(first[0]).hex()
+        assert len(set(first)) == len(first)
 
 
 def test_tensor_eigenfunctions_product_structure():

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import grkhs
 from grkhs import ShapeSequence, cli
 from grkhs.cli import main, parse_shape
 
@@ -212,3 +217,23 @@ class TestParserReuse:
         assert [code for code, *_ in reused] == [0, 0, 1, 0, 0]
         assert reused[3][1].startswith("usage: grkhs")
         assert cli._build_parser() is cli._build_parser()
+
+
+def test_import_and_complexity_load_no_scipy():
+    # scipy is imported only by the Gauss-Hermite rule and the Lanczos solve
+    code = (
+        "import sys, grkhs, grkhs.cli\n"
+        "assert 'scipy' not in sys.modules\n"
+        "rc = grkhs.cli.main(['complexity', '--shape', 'iso:1.0', '--d', '1,2',"
+        " '--eps', '0.5,0.1'])\n"
+        "assert rc == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(grkhs.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -65,6 +65,31 @@ class TestShapeSequence:
         with pytest.raises(ValueError, match="shape parameter must be positive"):
             eigenvalue_ratio(bad)
 
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            ShapeSequence.isotropic(1.5),
+            ShapeSequence.isotropic(1e-300),
+            ShapeSequence.explicit([0.7, 0.7, 1.3, 2.0**-40, 5e300]),
+            ShapeSequence.power_law(3.7, 0.61),
+            ShapeSequence.geometric(0.93),
+        ],
+    )
+    def test_gammas_bit_equal_to_scalar_gamma(self, shape):
+        d = 5
+        g = shape.gammas(d)
+        assert g.dtype == np.float64 and g.shape == (d,)
+        assert g.tobytes() == np.array([shape.gamma(l) for l in range(1, d + 1)]).tobytes()
+        # a fresh array each call: writing to it leaves the shape unchanged
+        g[0] = 0.0
+        assert shape.gammas(d)[0] == shape.gamma(1)
+
+    def test_explicit_gammas_copy_a_strided_list(self):
+        vals = np.arange(1.0, 13.0)[::3]
+        s = ShapeSequence.explicit(vals)
+        assert s.gammas(3).tolist() == [1.0, 4.0, 7.0]
+        assert s.gammas(3).flags.c_contiguous
+
     @pytest.mark.parametrize("huge", [1e17, 1e200])
     def test_rejects_ratio_rounding_to_one(self, huge):
         # a unit ratio is a zero lattice cost; NaN would make every count 1
