@@ -108,9 +108,10 @@ def cmd_eigs(cfg):
     d, n = int(cfg["d"]), int(cfg["n"])
     top = top_n_tensor_eigenvalues(shape, d, n)
     lines = _header(cfg) + ["rank,value,index"]
-    for rank, (value, idx) in enumerate(top, start=1):
+    # repr of a Python float is _num's form, one tolist() per column
+    for rank, (value, idx) in enumerate(zip(top.values.tolist(), top.indices), start=1):
         dense = ";".join(str(v) for v in idx.dense())
-        lines.append(f"{rank},{_num(value)},{dense}")
+        lines.append(f"{rank},{value!r},{dense}")
     _emit(cfg.get("out"), lines)
     return 0
 
@@ -126,8 +127,11 @@ def cmd_decay(cfg):
         seq = error_sequence_all(shape, d, N)
         init = seq.values[0]
         lines = _header({**cfg, "d": d}) + ["n,e_all,e_all_over_init"]
-        for n, e in enumerate(seq.values):
-            lines.append(f"{n},{_num(e)},{_num(e / init)}")
+        # the array division is the scalar one entry by entry (IEEE), and
+        # repr of a Python float is _num's form
+        rel = (seq.values / init).tolist()
+        for n, (e, r) in enumerate(zip(seq.values.tolist(), rel)):
+            lines.append(f"{n},{e!r},{r!r}")
         target = out if len(ds) == 1 else f"{out}_d{d}.csv"
         _emit(target, lines)
     return 0

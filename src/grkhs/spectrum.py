@@ -5,9 +5,10 @@ with ratio omega depending only on the shape parameter, and the
 eigenfunctions are scaled Hermite functions.  The d-variate operator is the
 tensor product, so its spectrum consists of products of univariate
 eigenvalues indexed by multi-indices; :func:`top_n_tensor_eigenvalues`
-finds the largest ones with a pruned merge over the coordinates that keeps
-the n best partial log-sums after each coordinate (selection in X + Y,
-Frederickson and Johnson, JCSS 1984).
+finds the largest ones with a merge over the coordinates (selection in
+X + Y, Frederickson and Johnson, JCSS 1982): a pass over the values alone
+finds the n-th largest, then the indexed pass keeps the partial log-sums
+that reach it.
 """
 
 from __future__ import annotations
@@ -296,78 +297,52 @@ def _extend_keys(keys, depth, src, j, pos):
 def _top_log_eigenvalues(shape: ShapeSequence, d: int, n: int):
     """The n largest tensor log-eigenvalues and their sparse entries, in order.
 
-    Pruned merge over the coordinates.  After coordinate l it keeps the n
-    best prefixes (j_1, ..., j_l) in the final order: descending value,
-    exact ties by the (position, -j) key of the raised entries.  A
-    prefix's value is the log-sum accumulated so far in position order
-    (the order of :func:`_log_product`); it equals the final value of its
-    extension by ones, and every other extension adds terms <= 0, which
-    rounding cannot turn upward, and has a longer key.  So a prefix with
-    n better ones is never needed, and the comparison needs no rounding
-    band.
+    Merge over the coordinates in two passes.  The final order is
+    descending value, exact ties by the (position, -j) key of the raised
+    entries.  A prefix's value (j_1, ..., j_l) is the log-sum accumulated
+    so far in position order (the order of :func:`_log_product`); it
+    equals the final value of its extension by ones, and every other
+    extension adds terms <= 0, which rounding cannot turn upward, and has
+    a longer key.  So the comparison needs no rounding band, and:
 
-    Candidates of coordinate l are kept prefix i (rows by descending
-    value) with power j.  The candidates (k, j') with k <= i and j' <= j
-    are worth at least as much, so row i needs at most ceil(n / (i + 1))
-    powers, and only those that reach a floor value which n candidates
-    are known to reach (:func:`_value_floor`).  Ties at the n-th value
-    are the exception: the key prefers the larger power, so a row whose
-    powers stay tied past its cap (a log ratio absorbed in rounding) gets
-    the tied powers beyond it, no more than the cut still takes.
+    - every prefix of one of the n largest indices is worth at least the
+      n-th value, the cut, which :func:`_top_log_values` finds first;
+    - a prefix with n better ones is never needed.
+
+    After coordinate l the merge keeps every extension of the kept
+    prefixes that reaches the cut, all ties included, and orders the
+    survivors once at the end.  Where more than 2 n would reach it (a log
+    ratio absorbed in rounding ties runs of powers at the cut, or the cut
+    is a zero eigenvalue), that coordinate keeps the n best prefixes in
+    the final order instead (:func:`_pruned_step`).
 
     Each kept prefix carries its raised entries as a zero-padded row of
-    int64 codes, so the indices take about 8 n w bytes, w <= d the most
-    coordinates above 1 in one index; no per-coordinate history is kept.
-    Returns ``(log_values, entries)``: a float array and a list of
-    ``((pos, j), ...)`` tuples.
+    int64 codes, so with at most 2 n prefixes kept the indices take
+    about 16 n w bytes, w <= d the most coordinates above 1 in one index;
+    no per-coordinate history is kept.  Returns ``(log_values,
+    entries)``: a float array and a list of ``((pos, j), ...)`` tuples.
     """
     base, log_ratio = _log_spectrum(shape, d)
+    cut = _top_log_values(base, log_ratio, n)[-1]
     vals = np.array([base])
     keys = np.zeros((1, 0), dtype=np.int64)
     depth = np.zeros(1, dtype=np.int64)
     for l in range(d):
         lr = log_ratio[l]
-        if vals.size == n and vals.max() + lr < vals.min():
-            continue  # no power above 1 reaches the n-th value: nothing moves
-        order = np.argsort(-vals, kind="stable")
-        rows = vals[order]
-        R = rows.size
-        cap = (n + np.arange(R)) // np.arange(1, R + 1)
-        if np.isneginf(lr):
-            row, j = _candidates(cap)
-            v = np.where(j > 1, -np.inf, rows[row])  # j = 1 must not meet 0 * -inf
+        if vals.max() + lr < cut:
+            continue  # no power above 1 reaches the cut: nothing moves
+        k = None
+        if np.isfinite(cut):  # zero eigenvalues at the cut tie without end
+            k = _powers_reaching(vals, lr, cut, np.full(vals.size, 2 * n + 1))
+        if k is not None and k.sum() <= 2 * n:
+            row, j = _candidates(k)
+            v = vals[row] + (j - 1) * lr
+            keep = np.flatnonzero(v >= cut)  # rounding can overcount a row
+            src, j, vals = row[keep], j[keep], v[keep]
         else:
-            floor = _value_floor(rows, lr, n)
-            if floor is not None:
-                short = _powers_reaching(rows, lr, floor, cap)
-                row, j = _candidates(short)
-                # j = 1 adds -0.0, which changes no value
-                v = rows[row] + (j - 1) * lr
-                if np.count_nonzero(v >= floor) >= n:
-                    cap = short
-                else:  # rounding left fewer than n values at the floor
-                    floor = None
-            if floor is None:
-                row, j = _candidates(cap)
-                v = rows[row] + (j - 1) * lr
-        theta = -np.partition(-v, n - 1)[n - 1]  # the n-th value
-        keep = np.flatnonzero(v > theta)
-        take = n - keep.size
-        at = v == theta
-        past = _past_cap(rows, lr, cap, v, theta)
-        if np.isfinite(theta) and np.count_nonzero(at) == take and not past.size:
-            t_src, t_j = order[row[at]], j[at]  # every tie makes the cut
-        else:
-            ext, start, step, avail = _tie_runs(rows, lr, cap, row, j, at, theta, take, past)
-            tied = np.flatnonzero(at & (j == 1))
-            t_src, t_j = _select_ties(
-                keys, depth, order[row[tied]], j[tied], order[ext], start, step, avail,
-                take, l + 1, np.isneginf(theta),
-            )
-        src = np.concatenate((order[row[keep]], t_src))
-        keys, depth = _extend_keys(keys, depth, src, np.concatenate((j[keep], t_j)), l + 1)
-        vals = np.concatenate((v[keep], np.full(t_src.size, theta)))
-    final = _key_order(keys, np.isneginf(vals), -vals)
+            src, j, vals = _pruned_step(keys, depth, vals, lr, n, l + 1)
+        keys, depth = _extend_keys(keys, depth, src, j, l + 1)
+    final = _key_order(keys, np.isneginf(vals), -vals)[:n]
     keys = keys[final]
     codes = keys[keys != 0]  # row by row, positions ascending
     pos, j = codes // _KEY_SHIFT + 1, _KEY_SHIFT - codes % _KEY_SHIFT
@@ -375,6 +350,92 @@ def _top_log_eigenvalues(shape: ShapeSequence, d: int, n: int):
     ends = np.cumsum(depth[final]).tolist()
     entries = [tuple(pairs[a:b]) for a, b in zip([0] + ends[:-1], ends)]
     return vals[final], entries
+
+
+def _top_log_values(base, log_ratio, n):
+    """The n largest tensor log-eigenvalues, descending, without indices.
+
+    The pruned merge with values only: after each coordinate it keeps the
+    values above the n-th candidate value and as many copies of that value
+    as make n.  Prefixes with bit-equal values extend to bit-equal values,
+    so which of the tied prefixes is kept does not matter, and the values
+    are bit-equal to those of :func:`_top_log_eigenvalues`.
+    """
+    vals = np.array([base])
+    for lr in log_ratio:
+        if vals.size == n and vals.max() + lr < vals.min():
+            continue  # no power above 1 reaches the n-th value: nothing moves
+        _, _, _, v, theta = _coordinate_candidates(-np.sort(-vals), lr, n)
+        above = v[v > theta]
+        vals = np.concatenate((above, np.full(n - above.size, theta)))
+    return -np.sort(-vals)
+
+
+def _coordinate_candidates(rows, lr, n):
+    """Candidates of one coordinate of the pruned merge, and the n-th value.
+
+    Candidates are prefix i (``rows`` by descending value) with power j.
+    The candidates (k, j') with k <= i and j' <= j are worth at least as
+    much, so row i needs at most ceil(n / (i + 1)) powers, and only those
+    that reach a floor value which n candidates are known to reach
+    (:func:`_value_floor`).  Returns ``(cap, row, j, v, theta)``: the
+    powers each row got, row and power of each candidate, its value, and
+    the n-th largest value.
+    """
+    R = rows.size
+    cap = (n + np.arange(R)) // np.arange(1, R + 1)
+    if np.isneginf(lr):
+        row, j = _candidates(cap)
+        v = np.where(j > 1, -np.inf, rows[row])  # j = 1 must not meet 0 * -inf
+    else:
+        floor = _value_floor(rows, lr, n)
+        if floor is not None:
+            short = _powers_reaching(rows, lr, floor, cap)
+            row, j = _candidates(short)
+            # j = 1 adds -0.0, which changes no value
+            v = rows[row] + (j - 1) * lr
+            if np.count_nonzero(v >= floor) >= n:
+                cap = short
+            else:  # rounding left fewer than n values at the floor
+                floor = None
+        if floor is None:
+            row, j = _candidates(cap)
+            v = rows[row] + (j - 1) * lr
+    theta = -np.partition(-v, n - 1)[n - 1]
+    return cap, row, j, v, theta
+
+
+def _pruned_step(keys, depth, vals, lr, n, pos):
+    """The n best extensions of the prefixes ``vals`` at coordinate ``pos``.
+
+    Keeps the candidates above the n-th value theta, and of those tied at
+    theta the key-first ones.  The key prefers the larger power, so a row
+    whose powers stay tied past its cap (a log ratio absorbed in
+    rounding) gets the tied powers beyond it, no more than the cut still
+    takes.  Returns the prefix indices, powers and values of the kept.
+    """
+    order = np.argsort(-vals, kind="stable")
+    rows = vals[order]
+    cap, row, j, v, theta = _coordinate_candidates(rows, lr, n)
+    keep = np.flatnonzero(v > theta)
+    take = n - keep.size
+    at = v == theta
+    past = _past_cap(rows, lr, cap, v, theta)
+    if np.isfinite(theta) and np.count_nonzero(at) == take and not past.size:
+        t_src, t_j = order[row[at]], j[at]  # every tie makes the cut
+    else:
+        ext, start, step, avail = _tie_runs(rows, lr, cap, row, j, at, theta, take, past)
+        tied = np.flatnonzero(at & (j == 1))
+        t_src, t_j = _select_ties(
+            keys, depth, order[row[tied]], j[tied], order[ext], start, step, avail,
+            take, pos, np.isneginf(theta),
+        )
+    src = np.concatenate((order[row[keep]], t_src))
+    return (
+        src,
+        np.concatenate((j[keep], t_j)),
+        np.concatenate((v[keep], np.full(t_src.size, theta))),
+    )
 
 
 def _candidates(cap):
@@ -402,32 +463,39 @@ def _value_floor(rows, lr, n):
 
 
 def _powers_reaching(rows, lr, floor, cap):
-    """Per row, the powers j <= cap with rows + (j - 1) lr >= floor."""
+    """Per row, the powers j <= cap with rows + (j - 1) lr >= floor.
+
+    Counted from the quotient (rows - floor) / |lr|, which rounding can
+    leave one too high; the caller drops values below the floor.
+    """
     k = np.clip(np.floor((rows - floor) / -lr) + 1, 0, cap).astype(np.int64)
     # rounding can leave the next power at or above the floor
     short = np.flatnonzero(k < cap)
     short = short[rows[short] + k[short] * lr >= floor]
-    k[short] = np.minimum(_last_power(rows[short], lr, k[short] + 1, floor), cap[short])
+    k[short] = _last_power(rows[short], lr, k[short] + 1, floor, cap[short])
     return k
 
 
-def _last_power(rows, lr, start, t):
+def _last_power(rows, lr, start, t, stop=None):
     """Largest power j >= start with rows + (j - 1) lr >= t, per row.
 
     The value at ``start`` reaches t and the values do not increase with
     j, so an exponential then a binary search finds the last one, also
-    when |lr| is absorbed in rounding for many powers.
+    when |lr| is absorbed in rounding for many powers.  With ``stop``
+    the search ends there: the answer is the largest such j <= stop.
     """
     lo = start.copy()
     step = np.ones_like(lo)
-    hi = lo + step
+    end = None if stop is None else stop + 1  # the first power not searched
     while True:
+        hi = lo + step if end is None else np.minimum(lo + step, end)
         up = rows + (hi - 1) * lr >= t
+        if end is not None:
+            up &= hi < end
         if not up.any():
             break
         lo = np.where(up, hi, lo)
         step = np.where(up, 2 * step, step)
-        hi = np.where(up, lo + step, hi)
     while True:
         gap = hi - lo > 1
         if not gap.any():
@@ -540,8 +608,8 @@ def top_n_tensor_eigenvalues(shape: ShapeSequence, d: int, n: int) -> TensorEige
     by the ascending (position, -j) key of the raised entries, as in
     :func:`stream_tensor_eigenvalues`.  An n above the enumeration guard
     raises :class:`ResourceLimitError` before any work.  While the list is
-    built its indices take about 8 n w bytes, w <= d the most coordinates
-    above 1 in one index.
+    built the merge holds at most 2 n indices, about 16 n w bytes, w <= d
+    the most coordinates above 1 in one index.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")

@@ -23,7 +23,7 @@ from grkhs import (
     top_n_tensor_eigenvalues,
     univariate_spectrum,
 )
-from grkhs.spectrum import _log_product
+from grkhs.spectrum import _last_power, _log_product, _log_spectrum, _top_log_values
 from grkhs.verify import _brute_force_top
 
 
@@ -90,12 +90,14 @@ def _heap_top(shape, d, n):
 
 def _brute_force_loop(shape, d, n, box=40):
     """Check 05's exhaustive box search as a Python loop over the box:
-    the reference for the numpy search in grkhs.verify."""
+    the reference for the numpy search in grkhs.verify.  ``box`` is the
+    largest power, one for every coordinate or a sequence of d."""
     ratios = np.array([eigenvalue_ratio(g) for g in shape.gammas(d)])
     base = float(np.sum(np.log1p(-ratios)))
     log_ratio = np.log(ratios)
+    sizes = [box] * d if np.ndim(box) == 0 else list(box)
     idx_all = []
-    for dense in itertools.product(range(1, box + 1), repeat=d):
+    for dense in itertools.product(*(range(1, b + 1) for b in sizes)):
         entries = tuple((pos, j) for pos, j in enumerate(dense, start=1) if j > 1)
         logval = _log_product(base, log_ratio, entries)
         key = tuple((pos, -j) for pos, j in entries)
@@ -267,7 +269,8 @@ CHECK05_CASES = [
 ]
 
 
-def _shapes(d):
+def _tied(d):
+    # isotropic and repeated gammas: exact value ties between indices
     gammas = st.floats(0.05, 20.0)
     return st.one_of(
         gammas.map(ShapeSequence.isotropic),
@@ -275,12 +278,26 @@ def _shapes(d):
         st.lists(gammas, min_size=2, max_size=3).flatmap(
             lambda pool: st.lists(st.sampled_from(pool), min_size=d, max_size=d)
         ).map(ShapeSequence.explicit),
+    )
+
+
+def _shapes(d):
+    return st.one_of(
+        _tied(d),
         st.tuples(st.floats(0.1, 5.0), st.floats(0.1, 3.0)).map(
             lambda ca: ShapeSequence.power_law(*ca)
         ),
         # gammas up to 1e15, where a log ratio can be absorbed in rounding
         st.floats(1e9, 1e15).map(ShapeSequence.isotropic),
     )
+
+
+def _underflowed(d):
+    # gamma = 1e-200 underflows its ratio to 0: zero eigenvalues, log -inf
+    others = st.one_of(st.floats(0.05, 20.0), st.floats(1e9, 1e15))
+    return st.lists(others, min_size=1, max_size=2).flatmap(
+        lambda pool: st.lists(st.sampled_from([1e-200] + pool), min_size=d, max_size=d)
+    ).map(ShapeSequence.explicit)
 
 
 class TestMergeAgainstHeap:
@@ -330,6 +347,52 @@ class TestMergeAgainstHeap:
         assert max(tensor_log_eigenvalue(shape, d, e) for e in edge) < top.log_values[-1]
         assert top.log_values.tolist() == [v for v, _ in brute]
         assert [i.dense() for i in top.indices] == [idx for _, idx in brute]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda d: st.tuples(st.just(d), st.one_of(_shapes(d), _underflowed(d)))
+        ),
+        st.integers(1, 500),
+    )
+    def test_values_pass_equals_merge(self, d_shape, n):
+        d, shape = d_shape
+        base, log_ratio = _log_spectrum(shape, d)
+        fast = _top_log_values(base, log_ratio, n)
+        top = top_n_tensor_eigenvalues(shape, d, n)
+        assert fast.view(np.int64).tolist() == top.log_values.view(np.int64).tolist()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 4).flatmap(lambda d: st.tuples(st.just(d), _tied(d))), st.integers(1, 500))
+    def test_ties_match_exhaustive_search(self, d_shape, n):
+        d, shape = d_shape
+        top = top_n_tensor_eigenvalues(shape, d, n)
+        cut = top.log_values[-1]
+        # per coordinate the first power below the n-th value: every index
+        # at the box edge or beyond is worth less, so the box holds the answer
+        box = []
+        for l in range(d):
+            j = 2
+            while tensor_log_eigenvalue(shape, d, [j if k == l else 1 for k in range(d)]) >= cut:
+                j += 1
+            box.append(j)
+        edge = [tuple(box[l] if k == l else 1 for k in range(d)) for l in range(d)]
+        assert max(tensor_log_eigenvalue(shape, d, e) for e in edge) < cut
+        brute = _brute_force_loop(shape, d, n, box)
+        want = np.array([v for v, _ in brute])
+        assert top.log_values.view(np.int64).tolist() == want.view(np.int64).tolist()
+        assert [i.dense() for i in top.indices] == [idx for _, idx in brute]
+
+    @given(
+        st.floats(-2000.0, 0.0), st.floats(1e-16, 1.0), st.integers(1, 50), st.integers(0, 200)
+    )
+    def test_last_power_stop(self, row, mag, start, extra):
+        # |lr| down to 1e-16 is absorbed by |row| up to 2000 for many powers
+        rows, lr, first = np.array([row]), -mag, np.array([start])
+        t = row + (start - 1) * lr
+        full = _last_power(rows, lr, first, t)
+        stopped = _last_power(rows, lr, first, t, first + extra)
+        assert stopped.tolist() == np.minimum(full, start + extra).tolist()
 
     def test_error_sequence_memory(self):
         shape = ShapeSequence.isotropic(1.0)
