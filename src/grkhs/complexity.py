@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceLimitError
-from .kernel import ShapeSequence, _eigenvalue_ratios, eigenvalue_ratio
+from .kernel import ShapeSequence, _log_spectrum, eigenvalue_ratio
 from .spectrum import max_enumeration, stream_tensor_eigenvalues
 
 __all__ = [
@@ -93,20 +93,6 @@ def error_sequence_all(shape: ShapeSequence, d: int, N: int) -> ErrorSequence:
         if i == N:
             break
     return ErrorSequence(values=np.exp(0.5 * logs))
-
-
-def _coordinate_costs(shape: ShapeSequence, d: int):
-    """Log-domain description of the d-variate spectrum.
-
-    Per coordinate, eigenvalues are lambda_1 * ratio^k; returns the total
-    log lambda_1 offset and the per-coordinate costs -log(ratio) > 0.  A
-    ratio that underflowed to 0 costs inf: that coordinate only takes k = 0.
-    """
-    ratios = _eigenvalue_ratios(shape.gammas(d))
-    offset = float(np.sum(np.log1p(-ratios)))
-    with np.errstate(divide="ignore"):
-        costs = -np.log(ratios)
-    return offset, costs
 
 
 def _half_sums(groups, limit: float, guard: int, dtype):
@@ -278,14 +264,14 @@ def info_complexity_row(
             raise ValueError(f"eps must lie in (0, 1), got {eps}")
     if criterion not in ("absolute", "normalized"):
         raise ValueError(f"criterion must be absolute or normalized, got {criterion!r}")
-    offset, costs = _coordinate_costs(shape, d)
-    # count log lambda = offset - sum k_l costs_l > 2 log(eps * CRI)
+    offset, log_ratio = _log_spectrum(shape, d)
+    # count log lambda = offset + sum k_l log_ratio_l > 2 log(eps * CRI)
     budgets = [-2.0 * math.log(eps) for eps in eps_list]
     if criterion == "absolute":
         # CRI = 1, threshold 2 log eps; offset moves to budget
         budgets = [b + offset for b in budgets]
     counted = [b for b in budgets if b > 0]
-    counts = iter(_count_below_budget(costs, counted, max_enumeration()))
+    counts = iter(_count_below_budget(-log_ratio, counted, max_enumeration()))
     return [next(counts) if b > 0 else 0 for b in budgets]
 
 

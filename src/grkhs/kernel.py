@@ -237,11 +237,24 @@ def _eigenvalue_ratios(gammas: np.ndarray) -> np.ndarray:
     return omega
 
 
+def _log_spectrum(shape: ShapeSequence, d: int):
+    """(base, log_ratio): log of the leading tensor eigenvalue and per-coordinate log ratios.
+
+    The d-variate eigenvalues are exp(base + sum_l (k_l - 1) log_ratio_l),
+    k_l >= 1.  A ratio that underflowed to 0 has log ratio -inf, so the cost
+    -log_ratio of a power on that coordinate is +inf: every power above 1
+    there is a zero eigenvalue.
+    """
+    ratios = _eigenvalue_ratios(shape.gammas(d))
+    with np.errstate(divide="ignore"):
+        log_ratio = np.log(ratios)
+    return float(np.sum(np.log1p(-ratios))), log_ratio
+
+
 def initial_error(shape: ShapeSequence, d: int) -> float:
     """Norm of the embedding into L2(rho_d), i.e. the error of the zero algorithm.
 
     Equals sqrt(prod_l lambda_1(gamma_l)) with lambda_1 = 1 - omega the
     largest univariate eigenvalue; always <= 1.
     """
-    log_l1 = np.log1p(-_eigenvalue_ratios(shape.gammas(d)))
-    return float(np.exp(0.5 * np.sum(log_l1)))
+    return float(np.exp(0.5 * _log_spectrum(shape, d)[0]))

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EvaluationOverflowError, ResourceLimitError
-from .kernel import ShapeSequence, _eigenvalue_ratios, eigenvalue_ratio
+from .kernel import ShapeSequence, _log_spectrum, eigenvalue_ratio
 
 __all__ = [
     "UnivariateSpectrum",
@@ -75,10 +75,9 @@ class UnivariateSpectrum:
     beta: float = field(init=False)
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError(f"shape parameter must be positive, got {self.gamma}")
-        s = np.sqrt(1.0 + 4.0 * self.gamma**2)
+        # eigenvalue_ratio validates gamma, before gamma^2 can overflow below
         object.__setattr__(self, "omega", eigenvalue_ratio(self.gamma))
+        s = np.sqrt(1.0 + 4.0 * self.gamma**2)
         object.__setattr__(self, "delta_sq", (s - 1.0) / 2.0)
         object.__setattr__(self, "beta", float(s**0.5))
 
@@ -221,18 +220,6 @@ def _log_product(base: float, log_ratio: np.ndarray, entries) -> float:
     for pos, j in entries:
         v += (j - 1) * log_ratio[pos - 1]
     return v
-
-
-def _log_spectrum(shape: ShapeSequence, d: int):
-    """(base, log_ratio): log of the leading tensor eigenvalue and per-coordinate log ratios.
-
-    A ratio that underflowed to 0 has log ratio -inf: every power above 1
-    on that coordinate is a zero eigenvalue.
-    """
-    ratios = _eigenvalue_ratios(shape.gammas(d))
-    with np.errstate(divide="ignore"):
-        log_ratio = np.log(ratios)
-    return float(np.sum(np.log1p(-ratios))), log_ratio
 
 
 def tensor_log_eigenvalue(shape: ShapeSequence, d: int, dense_index) -> float:

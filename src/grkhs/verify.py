@@ -298,19 +298,17 @@ def render_report(results) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_full(include_determinism: bool = True):
+def run_full():
     """Run all checks; the determinism check re-runs the suite and compares reports."""
     results = run_checks()
-    if include_determinism:
-        first = render_report(results)
-        second = render_report(run_checks())
-        results = results + [
-            CheckResult(
-                DETERMINISM_CHECK_NAME,
-                first == second,
-                "two runs render byte-identical reports"
-                if first == second
-                else "reports differ between runs",
-            )
-        ]
-    return results
+    first = render_report(results)
+    second = render_report(run_checks())
+    return results + [
+        CheckResult(
+            DETERMINISM_CHECK_NAME,
+            first == second,
+            "two runs render byte-identical reports"
+            if first == second
+            else "reports differ between runs",
+        )
+    ]

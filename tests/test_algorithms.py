@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import grkhs.algorithms as algorithms
 from grkhs import (
+    ResourceLimitError,
     ShapeSequence,
     cross_kernel,
     eigen_projection,
@@ -49,6 +50,30 @@ class TestEigenProjection:
         proj = eigen_projection(shape, 10, 3, {(1,) * 10: 2.0})
         assert proj.coefficients[0] == 2.0
         assert np.all(proj.coefficients[1:] == 0.0)
+
+    @pytest.mark.parametrize(
+        "key, message",
+        [
+            ((1,), r"multi-index \(1,\) has 1 entries, need d = 2"),
+            ((1, 1, 1), r"has 3 entries, need d = 2"),
+            ((0, 1), "multi-index entries must be >= 1"),
+            ((2, -1), "multi-index entries must be >= 1"),
+        ],
+    )
+    def test_mapping_rejects_malformed_keys(self, key, message):
+        # such keys used to match no basis index and give zero coefficients
+        shape = ShapeSequence.isotropic(1.0)
+        with pytest.raises(ValueError, match=message):
+            eigen_projection(shape, 2, 5, {(1, 1): 1.0, key: 1.0})
+
+    def test_callable_grid_limit(self):
+        # the limit is tensor_rule's m^d <= 10^7 points, not a bound on d
+        shape = ShapeSequence.isotropic(1.0)
+        f = lambda p: np.exp(-np.sum(p**2, axis=1))
+        proj = eigen_projection(shape, 5, 3, f, m=8)
+        assert proj.coefficients.shape == (3,) and proj.coefficients[0] > 0.0
+        with pytest.raises(ResourceLimitError):
+            eigen_projection(shape, 4, 3, f)
 
     def test_parseval(self):
         # quadrature norm of the projection equals the coefficient norm

@@ -18,8 +18,9 @@ from grkhs import (
     quasipoly_exponent,
     tractability_probe,
 )
-from grkhs.complexity import _coordinate_costs, _count_below_budget
+from grkhs.complexity import _count_below_budget
 from grkhs.errors import ResourceLimitError
+from grkhs.kernel import _log_spectrum
 
 
 def _reference_count(costs, budget):
@@ -47,9 +48,9 @@ def _reference_count(costs, budget):
 
 
 def _budget(shape, d, eps, criterion):
-    offset, costs = _coordinate_costs(shape, d)
+    offset, log_ratio = _log_spectrum(shape, d)
     budget = -2.0 * math.log(eps) + (offset if criterion == "absolute" else 0.0)
-    return costs, budget
+    return -log_ratio, budget
 
 
 class TestDecayRate:
@@ -141,7 +142,7 @@ class TestInfoComplexity:
         # budget k * cost puts shell k on the threshold; the 1e-12 budget
         # tolerance leaves it out until the budget clears it by 1e-12
         d = 3
-        cost = _coordinate_costs(ShapeSequence.isotropic(1.0), d)[1][0]
+        cost = -_log_spectrum(ShapeSequence.isotropic(1.0), d)[1][0]
         shape = ShapeSequence.isotropic(1.0)
         for excess, shells in ((0.0, k), (5e-13, k), (2e-12, k + 1)):
             eps = math.exp(-(k * cost + excess) / 2.0)

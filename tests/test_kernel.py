@@ -14,7 +14,7 @@ from grkhs import (
     initial_error,
     kernel_eval,
 )
-from grkhs.kernel import _eigenvalue_ratios
+from grkhs.kernel import _eigenvalue_ratios, _log_spectrum
 
 
 class TestShapeSequence:
@@ -295,6 +295,34 @@ def test_eigenvalue_ratio_closed_form():
     # gamma = 1: omega = (3 - sqrt 5) / 2
     assert eigenvalue_ratio(1.0) == pytest.approx((3.0 - np.sqrt(5.0)) / 2.0)
     assert 0.0 < eigenvalue_ratio(0.01) < eigenvalue_ratio(10.0) < 1.0
+
+
+@pytest.mark.parametrize(
+    "shape, d",
+    [
+        (ShapeSequence.isotropic(1.0), 7),
+        (ShapeSequence.isotropic(1e-200), 3),
+        (ShapeSequence.isotropic(1e14), 40),
+        (ShapeSequence.power_law(1.0, 0.5), 1024),
+        (ShapeSequence.geometric(0.5), 64),
+        (ShapeSequence.explicit([1.0, 1e-200, 1e14, 0.3, 1e-162, 2.5]), 6),
+        (ShapeSequence.explicit(10.0 ** np.random.default_rng(13).uniform(-200, 14, 300)), 300),
+    ],
+)
+def test_log_spectrum_bit_equal_to_scalar_reference(shape, d):
+    # log lambda_1 and log omega from the scalar ratio; an underflowed ratio
+    # has log ratio -inf and cost +inf
+    ratios = np.array([eigenvalue_ratio(g) for g in shape.gammas(d)])
+    ref_base = float(np.sum(np.log1p(-ratios)))
+    with np.errstate(divide="ignore"):
+        ref_log_ratio = np.log(ratios)
+    ref_costs = np.array([np.inf if r == 0.0 else -x for r, x in zip(ratios, ref_log_ratio)])
+    base, log_ratio = _log_spectrum(shape, d)
+    assert base.hex() == ref_base.hex()
+    assert log_ratio.view(np.int64).tolist() == ref_log_ratio.view(np.int64).tolist()
+    assert (-log_ratio).view(np.int64).tolist() == ref_costs.view(np.int64).tolist()
+    assert initial_error(shape, d).hex() == float(np.exp(0.5 * base)).hex()
+    assert np.all(np.isneginf(log_ratio) == (ratios == 0.0))
 
 
 def test_initial_error_values():

@@ -23,7 +23,8 @@ from grkhs import (
     top_n_tensor_eigenvalues,
     univariate_spectrum,
 )
-from grkhs.spectrum import _last_power, _log_product, _log_spectrum, _top_log_values
+from grkhs.kernel import _log_spectrum
+from grkhs.spectrum import _last_power, _log_product, _top_log_values
 from grkhs.verify import _brute_force_top
 
 
@@ -180,9 +181,25 @@ class TestUnivariateSpectrum:
         with pytest.raises(EvaluationOverflowError):
             spec.eigenfunction(1, 40.0)
 
-    def test_invalid_gamma(self):
-        with pytest.raises(ValueError):
-            univariate_spectrum(-1.0)
+    @pytest.mark.parametrize(
+        "gamma, message",
+        [
+            (np.nan, "shape parameter must be positive, got nan"),
+            (np.inf, "shape parameter must be positive, got inf"),
+            (0.0, "shape parameter must be positive, got 0.0"),
+            (-1.0, "shape parameter must be positive, got -1.0"),
+            (1e17, "shape parameter 1e+17 too large for double precision"),
+            # gamma^2 overflows: rejected before the eigenfunction scales
+            (1e200, "shape parameter 1e+200 too large for double precision"),
+        ],
+    )
+    def test_invalid_gamma(self, gamma, message):
+        with pytest.raises(ValueError) as exc:
+            univariate_spectrum(gamma)
+        assert str(exc.value) == message
+        with pytest.raises(ValueError) as scalar:
+            eigenvalue_ratio(gamma)
+        assert str(scalar.value) == message
 
 
 class TestMultiIndex:
