@@ -89,9 +89,12 @@ class UnivariateSpectrum:
         return (1.0 - self.omega) * self.omega ** (j - 1)
 
     def log_eigenvalue(self, j):
+        """log lambda_j, vectorized over j >= 1; -inf where lambda_j is 0."""
         j = np.asarray(j)
         if np.any(j < 1):
             raise ValueError("eigenvalue index must be >= 1")
+        if self.omega == 0.0:  # the ratio underflowed: only lambda_1 = 1 is nonzero
+            return np.log1p(-self.omega) + np.where(j > 1, -np.inf, 0.0)
         return np.log1p(-self.omega) + (j - 1) * np.log(self.omega)
 
     def eigenfunction(self, j: int, x):
@@ -300,8 +303,8 @@ def _top_log_eigenvalues(shape: ShapeSequence, d: int, n: int):
     prefixes that reaches the cut, all ties included, and orders the
     survivors once at the end.  Where more than 2 n would reach it (a log
     ratio absorbed in rounding ties runs of powers at the cut, or the cut
-    is a zero eigenvalue), that coordinate keeps the n best prefixes in
-    the final order instead (:func:`_pruned_step`).
+    is a zero eigenvalue), that coordinate keeps those above the cut and
+    the key-first of those at it, n in all (:func:`_tie_step`).
 
     Each kept prefix carries its raised entries as a zero-padded row of
     int64 codes, so with at most 2 n prefixes kept the indices take
@@ -327,7 +330,7 @@ def _top_log_eigenvalues(shape: ShapeSequence, d: int, n: int):
             keep = np.flatnonzero(v >= cut)  # rounding can overcount a row
             src, j, vals = row[keep], j[keep], v[keep]
         else:
-            src, j, vals = _pruned_step(keys, depth, vals, lr, n, l + 1)
+            src, j, vals = _tie_step(keys, depth, vals, lr, cut, n, l + 1)
         keys, depth = _extend_keys(keys, depth, src, j, l + 1)
     final = _key_order(keys, np.isneginf(vals), -vals)[:n]
     keys = keys[final]
@@ -352,22 +355,21 @@ def _top_log_values(base, log_ratio, n):
     for lr in log_ratio:
         if vals.size == n and vals.max() + lr < vals.min():
             continue  # no power above 1 reaches the n-th value: nothing moves
-        _, _, _, v, theta = _coordinate_candidates(-np.sort(-vals), lr, n)
+        v, theta = _coordinate_candidates(-np.sort(-vals), lr, n)
         above = v[v > theta]
         vals = np.concatenate((above, np.full(n - above.size, theta)))
     return -np.sort(-vals)
 
 
 def _coordinate_candidates(rows, lr, n):
-    """Candidates of one coordinate of the pruned merge, and the n-th value.
+    """Candidate values of one coordinate of the values pass, and the n-th.
 
     Candidates are prefix i (``rows`` by descending value) with power j.
     The candidates (k, j') with k <= i and j' <= j are worth at least as
     much, so row i needs at most ceil(n / (i + 1)) powers, and only those
     that reach a floor value which n candidates are known to reach
-    (:func:`_value_floor`).  Returns ``(cap, row, j, v, theta)``: the
-    powers each row got, row and power of each candidate, its value, and
-    the n-th largest value.
+    (:func:`_value_floor`).  Returns ``(v, theta)``: the value of each
+    candidate and the n-th largest value.
     """
     R = rows.size
     cap = (n + np.arange(R)) // np.arange(1, R + 1)
@@ -381,47 +383,60 @@ def _coordinate_candidates(rows, lr, n):
             row, j = _candidates(short)
             # j = 1 adds -0.0, which changes no value
             v = rows[row] + (j - 1) * lr
-            if np.count_nonzero(v >= floor) >= n:
-                cap = short
-            else:  # rounding left fewer than n values at the floor
-                floor = None
+            if np.count_nonzero(v >= floor) < n:
+                floor = None  # rounding left fewer than n values at the floor
         if floor is None:
             row, j = _candidates(cap)
             v = rows[row] + (j - 1) * lr
-    theta = -np.partition(-v, n - 1)[n - 1]
-    return cap, row, j, v, theta
+    return v, -np.partition(-v, n - 1)[n - 1]
 
 
-def _pruned_step(keys, depth, vals, lr, n, pos):
+def _tie_step(keys, depth, vals, lr, cut, n, pos):
     """The n best extensions of the prefixes ``vals`` at coordinate ``pos``.
 
-    Keeps the candidates above the n-th value theta, and of those tied at
-    theta the key-first ones.  The key prefers the larger power, so a row
-    whose powers stay tied past its cap (a log ratio absorbed in
-    rounding) gets the tied powers beyond it, no more than the cut still
-    takes.  Returns the prefix indices, powers and values of the kept.
+    Fewer than n candidates lie above the cut: each, extended by ones, is
+    a distinct final value above the n-th.  So all of them are kept, and
+    the key-first ``take`` of those at the cut make up n.  A row's tied
+    powers above 1 form one run whose keys differ only in the last code,
+    at ``pos``, which is larger than every code of a prefix, so no other
+    candidate's key falls between them: one key order over the power-1
+    ties and one block per run, keyed by the run's first power, orders
+    them all.  Returns the prefix indices, powers and values of the kept.
     """
-    order = np.argsort(-vals, kind="stable")
-    rows = vals[order]
-    cap, row, j, v, theta = _coordinate_candidates(rows, lr, n)
-    keep = np.flatnonzero(v > theta)
-    take = n - keep.size
-    at = v == theta
-    past = _past_cap(rows, lr, cap, v, theta)
-    if np.isfinite(theta) and np.count_nonzero(at) == take and not past.size:
-        t_src, t_j = order[row[at]], j[at]  # every tie makes the cut
+    one = np.ones(vals.size, dtype=np.int64)
+    zero = np.isneginf(cut)
+    if zero:
+        # every log ratio is -inf: a finite prefix has only power 1 above
+        # the cut, and every power from 2 on ties, walked up
+        above = np.isfinite(vals).astype(np.int64)
+        first, run = one + 1, np.full(vals.size, n)
     else:
-        ext, start, step, avail = _tie_runs(rows, lr, cap, row, j, at, theta, take, past)
-        tied = np.flatnonzero(at & (j == 1))
-        t_src, t_j = _select_ties(
-            keys, depth, order[row[tied]], j[tied], order[ext], start, step, avail,
-            take, pos, np.isneginf(theta),
-        )
-    src = np.concatenate((order[row[keep]], t_src))
+        # the key prefers the larger power, so a run is walked down from
+        # the last power at the cut
+        above = np.zeros(vals.size, dtype=np.int64)
+        up = np.flatnonzero(vals > cut)
+        above[up] = _last_power(vals[up], lr, one[up], np.nextafter(cut, np.inf))
+        first = _last_power(vals, lr, one, cut)
+        run = first - np.maximum(above, 1)
+    row, j = _candidates(above)
+    # with a zero cut the powers above it are 1 and lr is -inf: no 0 * -inf
+    v = vals[row] if zero else vals[row] + (j - 1) * lr
+    tied = np.flatnonzero(above == 0)  # power 1 at the cut
+    ext = np.flatnonzero(run > 0)
+    src = np.concatenate((tied, ext))
+    start = np.concatenate((one[tied], first[ext]))
+    size = np.concatenate((one[tied], run[ext]))
+    tk, _ = _extend_keys(keys, depth, src, start, pos)
+    order = _key_order(tk, zero)
+    src, start, size = src[order], start[order], size[order]
+    take = n - row.size
+    q = np.clip(take - (np.cumsum(size) - size), 0, size)  # blocks in key order
+    k = np.arange(q.sum()) - np.repeat(np.cumsum(q) - q, q)
+    tie_j = np.repeat(start, q) + (k if zero else -k)
     return (
-        src,
-        np.concatenate((j[keep], t_j)),
-        np.concatenate((v[keep], np.full(t_src.size, theta))),
+        np.concatenate((row, np.repeat(src, q))),
+        np.concatenate((j, tie_j)),
+        np.concatenate((v, np.full(tie_j.size, cut))),
     )
 
 
@@ -491,76 +506,6 @@ def _last_power(rows, lr, start, t, stop=None):
         up = gap & (rows + (mid - 1) * lr >= t)
         lo = np.where(up, mid, lo)
         hi = np.where(gap & ~up, mid, hi)
-
-
-def _past_cap(rows, lr, cap, v, theta):
-    """Rows whose powers still tie at a finite theta one past their cap."""
-    if np.isneginf(theta):
-        return np.zeros(0, dtype=np.int64)
-    ext = np.flatnonzero(cap > 0)
-    ext = ext[v[np.cumsum(cap)[ext] - 1] == theta]
-    return ext[rows[ext] + cap[ext] * lr == theta]
-
-
-def _tie_runs(rows, lr, cap, row, j, at, theta, take, past):
-    """Runs of powers above 1 that tie at theta, one per row at most.
-
-    ``at`` marks the candidates (``row``, ``j``) at theta, and ``past``
-    the rows whose run goes on past their ``cap``, which happens when
-    |lr| is absorbed in rounding.  Returns ``(ext, start, step, avail)``: row
-    ext[i] ties at powers start[i], start[i] + step[i], ..., in key
-    order, avail[i] of them (no more than ``take`` can be kept).  The key
-    prefers the larger power, so a run is walked down from its last tied
-    power.  For zero eigenvalues (theta = -inf) every power from 2 on
-    ties, on a -inf row or when lr = -inf, and the run is walked up.
-    """
-    if np.isneginf(theta):
-        ext = np.flatnonzero(np.isneginf(rows) | np.isneginf(lr))
-        start = np.full(ext.size, 2)
-        return ext, start, np.ones_like(start), np.full(ext.size, take)
-    lo = np.zeros(rows.size, dtype=np.int64)
-    hi = np.zeros(rows.size, dtype=np.int64)
-    t = np.flatnonzero(at & (j > 1))
-    # candidates run row by row with ascending powers, and the tied powers
-    # of a row are consecutive
-    r = row[t]
-    first = np.flatnonzero(np.diff(r, prepend=-1))
-    last = np.flatnonzero(np.diff(r, append=-1))
-    lo[r[first]] = j[t[first]]
-    hi[r[first]] = j[t[last]]
-    hi[past] = _last_power(rows[past], lr, cap[past] + 1, theta)
-    lo[past] = np.where(lo[past] > 0, lo[past], 2)
-    ext = np.flatnonzero(hi > 0)
-    start = hi[ext]
-    avail = np.minimum(start - lo[ext] + 1, take)
-    return ext, start, -np.ones_like(start), avail
-
-
-def _select_ties(keys, depth, src, j, ext_src, start, step, avail, take, pos, zero):
-    """The key-first ``take`` of the candidates tied at the cut.
-
-    ``src`` and ``j`` are the tied candidates with power 1 (prefix index
-    and power); each run of :func:`_tie_runs` adds powers above 1.  A run
-    starts with one power and doubles while its last power makes the cut,
-    so long runs of absorbed powers cost about what is kept.
-    Returns the prefix indices and powers of the chosen candidates.
-    """
-    if not ext_src.size and src.size <= take:
-        return src, j
-    q = np.minimum(avail, 1)
-    while True:
-        k = np.arange(q.sum()) - np.repeat(np.cumsum(q) - q, q)
-        cs = np.concatenate((src, np.repeat(ext_src, q)))
-        cj = np.concatenate((j, np.repeat(start, q) + np.repeat(step, q) * k))
-        chosen = np.ones(cs.size, dtype=bool)
-        if cs.size > take:
-            tk, _ = _extend_keys(keys, depth, cs, cj, pos)
-            chosen[:] = False
-            chosen[_key_order(tk, zero)[:take]] = True
-        grow = (q < avail) & chosen[src.size + np.cumsum(q) - 1]
-        if not grow.any():
-            return cs[chosen], cj[chosen]
-        q = np.where(grow, np.minimum(2 * q, avail), q)
 
 
 def stream_tensor_eigenvalues(shape: ShapeSequence, d: int, limit: int):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import minimal_error_all, spline_worst_case_error
+from .algorithms import spline_worst_case_error
 from .complexity import (
     error_sequence_all,
     estimate_rate,

@@ -317,6 +317,41 @@ def _underflowed(d):
     ).map(ShapeSequence.explicit)
 
 
+def _absorbed_or_zero(d):
+    # gamma in [1e13, 1e15] absorbs its log ratio for runs of powers, and
+    # gamma = 1e-200 makes every power above 1 a zero eigenvalue
+    pool = st.lists(st.floats(1e13, 1e15), min_size=1, max_size=2)
+    mixed = pool.flatmap(
+        lambda p: st.lists(st.sampled_from([1e-200] + p), min_size=d, max_size=d)
+    ).map(ShapeSequence.explicit)
+    return st.one_of(mixed, _underflowed(d))
+
+
+def _box_search(shape, d, n, box):
+    """Top n of the box {1..box_l}: descending log value, finite ties by
+    the (position, -j) key of the entries above 1 and zero eigenvalues
+    (log value -inf) by (position, j); an exhaustive numpy search whose
+    values are accumulated in position order, as in ``_log_product``."""
+    base, log_ratio = _log_spectrum(shape, d)
+    axes = np.meshgrid(*[np.arange(1, b + 1) for b in box], indexing="ij")
+    dense = np.stack(axes, axis=-1).reshape(-1, d)
+    logval = np.full(dense.shape[0], base)
+    for pos in range(d):
+        up = np.flatnonzero(dense[:, pos] > 1)
+        logval[up] += (dense[up, pos] - 1) * log_ratio[pos]
+    sign = np.where(np.isneginf(logval), 1, -1)
+    key = np.zeros((dense.shape[0], 2 * d), dtype=np.int64)
+    slot = np.zeros(dense.shape[0], dtype=np.int64)
+    for pos in range(d):
+        up = np.flatnonzero(dense[:, pos] > 1)
+        key[up, 2 * slot[up]] = pos + 1
+        key[up, 2 * slot[up] + 1] = sign[up] * dense[up, pos]
+        slot[up] += 1
+    cols = tuple(key[:, k] for k in range(2 * d - 1, -1, -1))
+    top = np.lexsort(cols + (-logval,))[:n]
+    return logval[top], [tuple(dense[i].tolist()) for i in top]
+
+
 class TestMergeAgainstHeap:
     @settings(max_examples=80, deadline=None)
     @given(
@@ -400,6 +435,32 @@ class TestMergeAgainstHeap:
         assert top.log_values.view(np.int64).tolist() == want.view(np.int64).tolist()
         assert [i.dense() for i in top.indices] == [idx for _, idx in brute]
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(lambda d: st.tuples(st.just(d), _absorbed_or_zero(d))),
+        st.integers(1, 300),
+    )
+    def test_absorbed_and_zero_ties_match_exhaustive_search(self, d_shape, n):
+        d, shape = d_shape
+        top = top_n_tensor_eigenvalues(shape, d, n)
+        cut = top.log_values[-1]
+        # per coordinate the first power below the n-th value, so every
+        # index at the box edge or beyond is worth less; when the n-th value
+        # is a zero eigenvalue, n + 1: an index with power n + 1 or more
+        # there comes after the leading one and its n - 1 copies with that
+        # power lowered to 2, ..., n, in (position, j) order
+        box = [n + 1] * d
+        if np.isfinite(cut):
+            for l in range(d):
+                j = 2
+                while tensor_log_eigenvalue(shape, d, [j if k == l else 1 for k in range(d)]) >= cut:
+                    j += 1
+                box[l] = j
+        assume(np.prod(box, dtype=float) <= 3e5)
+        want, dense = _box_search(shape, d, n, box)
+        assert top.log_values.view(np.int64).tolist() == want.view(np.int64).tolist()
+        assert [i.dense() for i in top.indices] == dense
+
     @given(
         st.floats(-2000.0, 0.0), st.floats(1e-16, 1.0), st.integers(1, 50), st.integers(0, 200)
     )
@@ -439,6 +500,14 @@ class TestUnderflowedRatio:
         assert tail.log_values[0] == 0.0
         assert np.isneginf(tail.log_values[1:]).all()
         assert [i.dense() for i in tail.indices] == [(1,), (2,), (3,)]
+
+    def test_log_eigenvalue(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            logs = univariate_spectrum(1e-200).log_eigenvalue([1, 2, 3])
+            one = tensor_log_eigenvalue(ShapeSequence.explicit([1e-200]), 1, [1])
+        assert logs[0] == one
+        assert np.isneginf(logs[1:]).all()
 
     def test_error_sequence(self):
         with warnings.catch_warnings():
