@@ -12,11 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import ShapeSequence, _as_points, cross_kernel, gram_matrix, initial_error
+from .errors import ResourceLimitError
+from .kernel import ShapeSequence, _as_points, _log_spectrum, cross_kernel, gram_matrix
 from .quadrature import _nystrom_matrix, gauss_hermite, tensor_rule
 from .spectrum import (
     MultiIndex,
     TensorEigenList,
+    _top_log_values,
+    max_enumeration,
     top_n_tensor_eigenvalues,
     univariate_spectrum,
 )
@@ -111,14 +114,15 @@ def minimal_error_all(shape: ShapeSequence, d: int, n: int) -> float:
     """Minimal worst-case error with n arbitrary linear functionals.
 
     Equals the square root of the (n+1)-st largest tensor eigenvalue; for
-    n = 0 this is the initial error (the norm of the embedding).
+    n = 0 this is the initial error (the norm of the embedding).  Read
+    from the values pass of the merge, with no multi-indices built.
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    if n == 0:
-        return initial_error(shape, d)
-    top = top_n_tensor_eigenvalues(shape, d, n + 1)
-    return float(np.exp(0.5 * top.log_values[-1]))
+    base, log_ratio = _log_spectrum(shape, d)  # rejects d < 1
+    if n + 1 > max_enumeration():
+        raise ResourceLimitError(f"n+1 = {n + 1} exceeds guard {max_enumeration()}")
+    return float(np.exp(0.5 * _top_log_values(base, log_ratio, n + 1)[-1]))
 
 
 @dataclass

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -86,12 +87,8 @@ def error_sequence_all(shape: ShapeSequence, d: int, N: int) -> ErrorSequence:
         raise ValueError(f"need N >= 0, got {N}")
     if N + 1 > max_enumeration():
         raise ResourceLimitError(f"N+1 = {N + 1} exceeds guard {max_enumeration()}")
-    logs = np.empty(N + 1)
     stream = stream_tensor_eigenvalues(shape, d, limit=N + 1)
-    for i, (logval, _) in enumerate(stream):
-        logs[i] = logval
-        if i == N:
-            break
+    logs = np.array([logval for logval, _ in islice(stream, N + 1)])
     return ErrorSequence(values=np.exp(0.5 * logs))
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -244,24 +245,18 @@ def tensor_log_eigenvalue(shape: ShapeSequence, d: int, dense_index) -> float:
 _KEY_SHIFT = 2**31
 
 
-def _key_order(keys, zero, first=None):
+def _key_order(keys, first=None):
     """Stable ascending order of tie keys, after ``first`` if given.
 
     ``keys`` holds the coded raised entries of each index, position
-    ascending and zero-padded.  Zero eigenvalues (``zero`` True, log value
-    -inf) compare (position, j) instead of (position, -j), since among the
-    equal powers of a ratio that underflowed there is no largest.
+    ascending and zero-padded.
     """
     order = np.arange(keys.shape[0])
     if keys.shape[1]:
-        cmp = keys
-        if np.any(zero):
-            flip = np.where(keys > 0, 2 * (_KEY_SHIFT - keys % _KEY_SHIFT), 0)
-            cmp = np.where(np.reshape(zero, (-1, 1)), keys + flip, keys)
         # the codes are non-negative, so their big-endian bytes compare
         # like the rows, one memcmp per comparison however wide the key
-        raw = np.ascontiguousarray(cmp, dtype=">i8")
-        raw = raw.view(np.dtype((np.void, 8 * cmp.shape[1]))).ravel()
+        raw = np.ascontiguousarray(keys, dtype=">i8")
+        raw = raw.view(np.dtype((np.void, 8 * keys.shape[1]))).ravel()
         order = np.argsort(raw, kind="stable")
     if first is None:
         return order
@@ -302,9 +297,16 @@ def _top_log_eigenvalues(shape: ShapeSequence, d: int, n: int):
     After coordinate l the merge keeps every extension of the kept
     prefixes that reaches the cut, all ties included, and orders the
     survivors once at the end.  Where more than 2 n would reach it (a log
-    ratio absorbed in rounding ties runs of powers at the cut, or the cut
-    is a zero eigenvalue), that coordinate keeps those above the cut and
-    the key-first of those at it, n in all (:func:`_tie_step`).
+    ratio absorbed in rounding ties runs of powers at the cut), that
+    coordinate keeps those above the cut and the key-first of those at
+    it, n in all (:func:`_tie_step`).
+
+    One finite log ratio gives infinitely many nonzero eigenvalues, so the
+    cut is finite unless every ratio underflowed.  Then every eigenvalue
+    after the first is zero (log value -inf), and the list is written out
+    in the ascending (position, j) order of the stream: (), then
+    positions 1, 2, ... raised to 2 one by one up to all d, then the
+    power at position d climbs.
 
     Each kept prefix carries its raised entries as a zero-padded row of
     int64 codes, so with at most 2 n prefixes kept the indices take
@@ -313,6 +315,14 @@ def _top_log_eigenvalues(shape: ShapeSequence, d: int, n: int):
     entries)``: a float array and a list of ``((pos, j), ...)`` tuples.
     """
     base, log_ratio = _log_spectrum(shape, d)
+    if np.isneginf(log_ratio).all():
+        # index i > 0 raises positions 1 .. min(i, d) to 2, the last of
+        # them by max(i - d, 0) more
+        twos = tuple((pos, 2) for pos in range(1, d))
+        entries = [()] + [
+            twos[: min(i, d) - 1] + ((min(i, d), 2 + max(i - d, 0)),) for i in range(1, n)
+        ]
+        return np.concatenate(([base], np.full(n - 1, -np.inf))), entries
     cut = _top_log_values(base, log_ratio, n)[-1]
     vals = np.array([base])
     keys = np.zeros((1, 0), dtype=np.int64)
@@ -321,10 +331,8 @@ def _top_log_eigenvalues(shape: ShapeSequence, d: int, n: int):
         lr = log_ratio[l]
         if vals.max() + lr < cut:
             continue  # no power above 1 reaches the cut: nothing moves
-        k = None
-        if np.isfinite(cut):  # zero eigenvalues at the cut tie without end
-            k = _powers_reaching(vals, lr, cut, np.full(vals.size, 2 * n + 1))
-        if k is not None and k.sum() <= 2 * n:
+        k = _powers_reaching(vals, lr, cut, np.full(vals.size, 2 * n + 1))
+        if k.sum() <= 2 * n:
             row, j = _candidates(k)
             v = vals[row] + (j - 1) * lr
             keep = np.flatnonzero(v >= cut)  # rounding can overcount a row
@@ -332,7 +340,7 @@ def _top_log_eigenvalues(shape: ShapeSequence, d: int, n: int):
         else:
             src, j, vals = _tie_step(keys, depth, vals, lr, cut, n, l + 1)
         keys, depth = _extend_keys(keys, depth, src, j, l + 1)
-    final = _key_order(keys, np.isneginf(vals), -vals)[:n]
+    final = _key_order(keys, -vals)[:n]
     keys = keys[final]
     codes = keys[keys != 0]  # row by row, positions ascending
     pos, j = codes // _KEY_SHIFT + 1, _KEY_SHIFT - codes % _KEY_SHIFT
@@ -350,45 +358,30 @@ def _top_log_values(base, log_ratio, n):
     as make n.  Prefixes with bit-equal values extend to bit-equal values,
     so which of the tied prefixes is kept does not matter, and the values
     are bit-equal to those of :func:`_top_log_eigenvalues`.
+
+    A candidate is row i of ``rows`` (descending, 1-based) with power j.
+    The candidates (k, j') with k <= i and j' <= j are worth at least as
+    much, so row i needs at most ceil(n / i) powers.  The first r rows
+    with powers up to ceil(n / r) are at least n candidates, each worth at
+    least rows_r + floor((n - 1) / r) lr, as rounding is monotone; so n
+    candidates reach the largest of these floors, and none below it counts.
     """
     vals = np.array([base])
     for lr in log_ratio:
         if vals.size == n and vals.max() + lr < vals.min():
             continue  # no power above 1 reaches the n-th value: nothing moves
-        v, theta = _coordinate_candidates(-np.sort(-vals), lr, n)
+        if np.isneginf(lr):  # every power above 1 is a zero eigenvalue
+            vals = np.concatenate((vals, np.full(n - vals.size, -np.inf)))
+            continue
+        rows = -np.sort(-vals)
+        r = np.arange(1, rows.size + 1)
+        floor = np.max(rows + ((n - 1) // r) * lr)
+        row, j = _candidates(_powers_reaching(rows, lr, floor, (n - 1) // r + 1))
+        v = rows[row] + (j - 1) * lr  # j = 1 adds -0.0, which changes no value
+        theta = -np.partition(-v, n - 1)[n - 1]
         above = v[v > theta]
         vals = np.concatenate((above, np.full(n - above.size, theta)))
     return -np.sort(-vals)
-
-
-def _coordinate_candidates(rows, lr, n):
-    """Candidate values of one coordinate of the values pass, and the n-th.
-
-    Candidates are prefix i (``rows`` by descending value) with power j.
-    The candidates (k, j') with k <= i and j' <= j are worth at least as
-    much, so row i needs at most ceil(n / (i + 1)) powers, and only those
-    that reach a floor value which n candidates are known to reach
-    (:func:`_value_floor`).  Returns ``(v, theta)``: the value of each
-    candidate and the n-th largest value.
-    """
-    R = rows.size
-    cap = (n + np.arange(R)) // np.arange(1, R + 1)
-    if np.isneginf(lr):
-        row, j = _candidates(cap)
-        v = np.where(j > 1, -np.inf, rows[row])  # j = 1 must not meet 0 * -inf
-    else:
-        floor = _value_floor(rows, lr, n)
-        if floor is not None:
-            short = _powers_reaching(rows, lr, floor, cap)
-            row, j = _candidates(short)
-            # j = 1 adds -0.0, which changes no value
-            v = rows[row] + (j - 1) * lr
-            if np.count_nonzero(v >= floor) < n:
-                floor = None  # rounding left fewer than n values at the floor
-        if floor is None:
-            row, j = _candidates(cap)
-            v = rows[row] + (j - 1) * lr
-    return v, -np.partition(-v, n - 1)[n - 1]
 
 
 def _tie_step(keys, depth, vals, lr, cut, n, pos):
@@ -404,35 +397,27 @@ def _tie_step(keys, depth, vals, lr, cut, n, pos):
     them all.  Returns the prefix indices, powers and values of the kept.
     """
     one = np.ones(vals.size, dtype=np.int64)
-    zero = np.isneginf(cut)
-    if zero:
-        # every log ratio is -inf: a finite prefix has only power 1 above
-        # the cut, and every power from 2 on ties, walked up
-        above = np.isfinite(vals).astype(np.int64)
-        first, run = one + 1, np.full(vals.size, n)
-    else:
-        # the key prefers the larger power, so a run is walked down from
-        # the last power at the cut
-        above = np.zeros(vals.size, dtype=np.int64)
-        up = np.flatnonzero(vals > cut)
-        above[up] = _last_power(vals[up], lr, one[up], np.nextafter(cut, np.inf))
-        first = _last_power(vals, lr, one, cut)
-        run = first - np.maximum(above, 1)
+    above = np.zeros(vals.size, dtype=np.int64)
+    up = np.flatnonzero(vals > cut)
+    above[up] = _last_power(vals[up], lr, one[up], np.nextafter(cut, np.inf))
+    # the key prefers the larger power, so a run is walked down from the
+    # last power at the cut
+    first = _last_power(vals, lr, one, cut)
+    run = first - np.maximum(above, 1)
     row, j = _candidates(above)
-    # with a zero cut the powers above it are 1 and lr is -inf: no 0 * -inf
-    v = vals[row] if zero else vals[row] + (j - 1) * lr
+    v = vals[row] + (j - 1) * lr
     tied = np.flatnonzero(above == 0)  # power 1 at the cut
     ext = np.flatnonzero(run > 0)
     src = np.concatenate((tied, ext))
     start = np.concatenate((one[tied], first[ext]))
     size = np.concatenate((one[tied], run[ext]))
     tk, _ = _extend_keys(keys, depth, src, start, pos)
-    order = _key_order(tk, zero)
+    order = _key_order(tk)
     src, start, size = src[order], start[order], size[order]
     take = n - row.size
     q = np.clip(take - (np.cumsum(size) - size), 0, size)  # blocks in key order
     k = np.arange(q.sum()) - np.repeat(np.cumsum(q) - q, q)
-    tie_j = np.repeat(start, q) + (k if zero else -k)
+    tie_j = np.repeat(start, q) - k
     return (
         np.concatenate((row, np.repeat(src, q))),
         np.concatenate((j, tie_j)),
@@ -447,28 +432,11 @@ def _candidates(cap):
     return row, j
 
 
-def _value_floor(rows, lr, n):
-    """A value that at least n candidates reach, or None.
-
-    Row i (values rows, descending) reaches t with floor((rows_i - t) / |lr|)
-    + 1 powers, which is at least (rows_i - t) / |lr|.  So for any P rows,
-    t = (sum of their rows - n |lr|) / P leaves n candidates at or above t,
-    up to rounding, which the caller checks.  The largest such t is taken.
-    """
-    finite = rows[np.isfinite(rows)]
-    if not finite.size:
-        return None
-    u = (finite - finite[0]) / -lr
-    P = np.arange(1, u.size + 1)
-    tau = (np.cumsum(u) - n) / P
-    return finite[0] + tau.max() * -lr
-
-
 def _powers_reaching(rows, lr, floor, cap):
     """Per row, the powers j <= cap with rows + (j - 1) lr >= floor.
 
     Counted from the quotient (rows - floor) / |lr|, which rounding can
-    leave one too high; the caller drops values below the floor.
+    leave one too high, with a value below the floor.
     """
     k = np.clip(np.floor((rows - floor) / -lr) + 1, 0, cap).astype(np.int64)
     # rounding can leave the next power at or above the floor
@@ -545,12 +513,5 @@ def top_n_tensor_eigenvalues(shape: ShapeSequence, d: int, n: int) -> TensorEige
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    logs = np.empty(n)
-    idxs = []
-    stream = stream_tensor_eigenvalues(shape, d, limit=n)
-    for i, (logval, idx) in enumerate(stream):
-        logs[i] = logval
-        idxs.append(idx)
-        if i + 1 == n:
-            break
-    return TensorEigenList(d=d, log_values=logs, indices=idxs)
+    logs, idxs = zip(*islice(stream_tensor_eigenvalues(shape, d, limit=n), n))
+    return TensorEigenList(d=d, log_values=np.array(logs), indices=list(idxs))

@@ -108,6 +108,11 @@ class TestMinimalErrorAll:
         with pytest.raises(ValueError):
             minimal_error_all(ShapeSequence.isotropic(1.0), 1, -1)
 
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_dimension_below_one(self, n):
+        with pytest.raises(ValueError):
+            minimal_error_all(ShapeSequence.isotropic(1.0), 0, n)
+
 
 class TestSpline:
     def test_interpolates(self):

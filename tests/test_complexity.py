@@ -65,11 +65,29 @@ class TestDecayRate:
 
 
 class TestErrorSequence:
-    def test_matches_minimal_error(self):
-        shape = ShapeSequence.power_law(1.0, 1.0)
-        seq = error_sequence_all(shape, 2, 20)
+    @pytest.mark.parametrize(
+        "shape, d",
+        [
+            (ShapeSequence.power_law(1.0, 1.0), 2),
+            # log ratios absorbed in rounding: runs of powers tie
+            (ShapeSequence.isotropic(1e15), 3),
+            # one ratio underflowed (log ratio -inf), one did not
+            (ShapeSequence.explicit([1.0, 1e-200]), 2),
+            # every ratio underflowed: the leading eigenvalue, then zeros
+            (ShapeSequence.explicit([1e-200] * 3), 3),
+        ],
+    )
+    def test_matches_minimal_error(self, shape, d):
+        seq = error_sequence_all(shape, d, 20)
         for n in (0, 1, 5, 20):
-            assert seq.values[n] == pytest.approx(minimal_error_all(shape, 2, n))
+            assert seq.values[n] == minimal_error_all(shape, d, n)
+
+    def test_minimal_error_guard(self, monkeypatch):
+        shape = ShapeSequence.isotropic(1.0)
+        monkeypatch.setenv("GRKHS_MAX_EIGS", "10")
+        with pytest.raises(ResourceLimitError):
+            minimal_error_all(shape, 2, 10)
+        assert minimal_error_all(shape, 2, 9) == error_sequence_all(shape, 2, 9).values[9]
 
     def test_nonincreasing(self):
         seq = error_sequence_all(ShapeSequence.isotropic(1.0), 3, 500)

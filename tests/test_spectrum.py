@@ -501,6 +501,43 @@ class TestUnderflowedRatio:
         assert np.isneginf(tail.log_values[1:]).all()
         assert [i.dense() for i in tail.indices] == [(1,), (2,), (3,)]
 
+    # every ratio underflowed, past the exhaustive box (d <= 4): the
+    # leading eigenvalue, then zeros in ascending (position, j) order
+    ALL_ZERO_D8 = [
+        "1;1;1;1;1;1;1;1", "2;1;1;1;1;1;1;1", "2;2;1;1;1;1;1;1",
+        "2;2;2;1;1;1;1;1", "2;2;2;2;1;1;1;1", "2;2;2;2;2;1;1;1",
+        "2;2;2;2;2;2;1;1", "2;2;2;2;2;2;2;1", "2;2;2;2;2;2;2;2",
+        "2;2;2;2;2;2;2;3", "2;2;2;2;2;2;2;4", "2;2;2;2;2;2;2;5",
+        "2;2;2;2;2;2;2;6", "2;2;2;2;2;2;2;7", "2;2;2;2;2;2;2;8",
+        "2;2;2;2;2;2;2;9", "2;2;2;2;2;2;2;10", "2;2;2;2;2;2;2;11",
+        "2;2;2;2;2;2;2;12", "2;2;2;2;2;2;2;13", "2;2;2;2;2;2;2;14",
+        "2;2;2;2;2;2;2;15", "2;2;2;2;2;2;2;16", "2;2;2;2;2;2;2;17",
+        "2;2;2;2;2;2;2;18", "2;2;2;2;2;2;2;19", "2;2;2;2;2;2;2;20",
+        "2;2;2;2;2;2;2;21", "2;2;2;2;2;2;2;22", "2;2;2;2;2;2;2;23",
+    ]
+    # d = 50: the rows at ranks 1, 2, 50, 51 and 57
+    ALL_ZERO_D50 = {
+        1: ";".join(["1"] * 50),
+        2: ";".join(["2"] + ["1"] * 49),
+        50: ";".join(["2"] * 49 + ["1"]),
+        51: ";".join(["2"] * 50),
+        57: ";".join(["2"] * 49 + ["8"]),
+    }
+
+    @pytest.mark.parametrize("d, n", [(8, 30)] + [(50, n) for n in (1, 2, 50, 51, 57)])
+    def test_all_underflow_beyond_exhaustive_box(self, d, n):
+        shape = ShapeSequence.explicit([1e-200] * d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            top = top_n_tensor_eigenvalues(shape, d, n)
+        rows = [";".join(map(str, i.dense())) for i in top.indices]
+        want = dict(enumerate(self.ALL_ZERO_D8, 1)) if d == 8 else self.ALL_ZERO_D50
+        want = {rank: row for rank, row in want.items() if rank <= n}
+        assert {rank: rows[rank - 1] for rank in want} == want
+        assert len(rows) == n
+        assert top.log_values[0] == tensor_log_eigenvalue(shape, d, [1] * d)
+        assert np.isneginf(top.log_values[1:]).all()
+
     def test_log_eigenvalue(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
