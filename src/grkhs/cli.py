@@ -108,10 +108,13 @@ def cmd_eigs(cfg):
     d, n = int(cfg["d"]), int(cfg["n"])
     top = top_n_tensor_eigenvalues(shape, d, n)
     lines = _header(cfg) + ["rank,value,index"]
+    ones = ["1"] * d
     # repr of a Python float is _num's form, one tolist() per column
     for rank, (value, idx) in enumerate(zip(top.values.tolist(), top.indices), start=1):
-        dense = ";".join(str(v) for v in idx.dense())
-        lines.append(f"{rank},{value!r},{dense}")
+        dense = ones.copy()
+        for pos, j in idx.entries:
+            dense[pos - 1] = str(j)
+        lines.append(f"{rank},{value!r},{';'.join(dense)}")
     _emit(cfg.get("out"), lines)
     return 0
 

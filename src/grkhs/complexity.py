@@ -93,73 +93,68 @@ def error_sequence_all(shape: ShapeSequence, d: int, N: int) -> ErrorSequence:
 
 
 def _half_sums(groups, limit: float, guard: int, dtype):
-    """Partial sums below ``limit`` of one half of the cost groups.
+    """Partial sums below ``limit`` of one half of the cost groups, ascending.
 
     Returns ``(sums, weights, complete)``: every lattice point of the
-    half with sum k_l * costs_l < limit, the number of full lattice
-    vectors it stands for (a group of multiplicity g at excess s stands
-    for binomial(s + g - 1, g - 1) of them) and whether the enumeration
-    finished.  ``weights`` is None when every group of the half has
-    multiplicity 1, so every point stands for one vector.  The half holds
-    at most ``guard`` entries; when the next shift of a group would pass
-    that, the points enumerated so far are returned with ``complete``
-    False.  Each of them is a counted lattice point with the remaining
-    coordinates at zero.
+    half with sum k_l * costs_l < limit in ascending order of that sum,
+    the number of full lattice vectors it stands for (a group of
+    multiplicity g at excess s stands for binomial(s + g - 1, g - 1) of
+    them) and whether the enumeration finished.  ``weights`` is None when
+    every group of the half has multiplicity 1, so every point stands for
+    one vector.  The half holds at most ``guard`` entries; when the next
+    shift of a group would pass that, the points enumerated so far are
+    returned, ascending, with ``complete`` False.  Each of them is a
+    counted lattice point with the remaining coordinates at zero.
     """
     sums = np.zeros(1)
     weights = None if all(g == 1 for _, g in groups) else np.ones(1, dtype=dtype)
     for c, g in groups:
-        parts, wparts, size = [], [], 0
-        base, wbase = sums, weights
-        s = 0
-        # shifts s*c grow with s, so the points that stay below the limit
-        # at shift s+1 are a subset of those at shift s
-        while base.size:
-            shifted = base + s * c
-            keep = shifted < limit
-            base, shifted = base[keep], shifted[keep]
-            if size + shifted.size > guard:
-                wsums = None if weights is None else np.concatenate(wparts)
-                return np.concatenate(parts), wsums, False
-            size += shifted.size
-            parts.append(shifted)
+        runs, wruns, size, k, s = [sums], [weights], sums.size, sums.size, 1
+        # adding s*c keeps the order under rounding and grows with s, so
+        # the points below the limit at shift s are a prefix of those at s-1
+        while True:
+            shifted = sums[:k] + s * c
+            k = np.searchsorted(shifted, limit)
+            if not k or size + k > guard:
+                break
+            runs.append(shifted[:k])
             if weights is not None:
-                wbase = wbase[keep]
-                wparts.append(wbase * math.comb(s + g - 1, g - 1))
-            s += 1
-        sums = np.concatenate(parts)
-        weights = None if weights is None else np.concatenate(wparts)
+                wruns.append(weights[:k] * math.comb(s + g - 1, g - 1))
+            size, s = size + k, s + 1
+        if s > 1:
+            # a stable sort (timsort) merges the ascending runs
+            sums = np.concatenate(runs)
+            if weights is None:
+                sums.sort(kind="stable")
+            else:
+                weights = np.concatenate(wruns)
+                # freed before the sort, which then holds four arrays of the half
+                runs = wruns = None
+                order = sums.argsort(kind="stable")
+                sums = sums[order]
+                weights = weights[order]
+        if k:
+            return sums, weights, False
     return sums, weights, True
 
 
-def _below(sums, weights, limit: float):
-    """The entries of a half below ``limit``; no copy when all are."""
-    keep = sums < limit
-    if keep.all():
-        return sums, weights
-    return sums[keep], None if weights is None else weights[keep]
-
-
 def _pairs_below(left, wleft, right, wright, limit: float, dtype) -> int:
-    """Weighted number of pairs, one partial sum from each half, below ``limit``.
+    """Weighted number of pairs below ``limit``, one sum from each ascending half.
 
-    Entries at or above the limit pair with nothing and are dropped first,
-    so the halves of a larger limit give the count of a smaller one.  The
-    smaller half (the right one on a tie) is sorted and searched with the
-    other: a pair counts when right < limit - left.  With unit weights the
-    number of right entries below that is the searchsorted index itself.
+    Each half is first cut at the limit, since its entries at or above it
+    pair with nothing, so the halves of a larger limit give the count of a
+    smaller one.  The smaller half (the right one on a tie) is searched
+    with the other: a pair counts when right < limit - left.  With unit
+    weights the number of right entries below that is the searchsorted
+    index itself, otherwise it indexes the cumulative weights.
     """
-    left, wleft = _below(left, wleft, limit)
-    right, wright = _below(right, wright, limit)
-    if right.size > left.size:
-        left, wleft, right, wright = right, wright, left, wleft
-    if wright is None:
-        below = np.searchsorted(np.sort(right), limit - left, side="left")
-    else:
-        order = np.argsort(right)
-        cum = np.concatenate((np.zeros(1, dtype=dtype), np.cumsum(wright[order])))
-        below = cum[np.searchsorted(right[order], limit - left, side="left")]
-    return int(np.sum(below if wleft is None else wleft * below, dtype=dtype))
+    nl, nr = np.searchsorted(left, limit), np.searchsorted(right, limit)
+    if nr > nl:
+        left, wleft, nl, right, wright, nr = right, wright, nr, left, wleft, nl
+    below = np.searchsorted(right[:nr], limit - left[:nl], side="left")
+    if wright is not None:
+        below = np.concatenate((np.zeros(1, dtype=dtype), np.cumsum(wright[:nr])))[below]
+    return int(np.sum(below if wleft is None else wleft[:nl] * below, dtype=dtype))
 
 
 def _count_below_budget(costs: np.ndarray, budgets, guard: int) -> list:
@@ -170,11 +165,12 @@ def _count_below_budget(costs: np.ndarray, budgets, guard: int) -> list:
     isotropic shapes are counted in closed form.  Groups whose cost
     reaches the largest budget only take s = 0 and drop out.  The rest are
     split into two halves (alternating by descending cost), each half's
-    partial sums below the largest budget are enumerated once with their
-    weights, and for every budget the pairs below it are counted by
-    sorting one half and searching it with the other (meet in the middle;
-    Horowitz and Sahni, JACM 1974).  Sums within 1e-12 of a budget count
-    as reaching it.  Each result is an exact int at any size.
+    partial sums below the largest budget are enumerated once, in
+    ascending order, with their weights, and for every budget the pairs
+    below it are counted by cutting both halves at it and searching the
+    smaller with the other (meet in the middle; Horowitz and Sahni, JACM
+    1974).  Sums within 1e-12 of a budget count as reaching it.  Each
+    result is an exact int at any size.
 
     Every budget gets the count a list of that budget alone would get.  A
     group that a smaller budget drops comes first in its half, so at s = 0
@@ -213,8 +209,9 @@ def _count_from_halves(groups, largest: float, limits, guard: int):
     """Counts below every limit of ``limits`` from the halves built for ``largest``.
 
     Returns ``{limit: count}``, or the ``ResourceLimitError`` of ``largest``
-    when its halves trip the guard.  The halves are freed on return, so a
-    retry never holds two pairs of them.
+    when its halves trip the guard.  Both halves are ascending, so each
+    limit only cuts them, with no sort per limit.  The halves are freed on
+    return, so a retry never holds two pairs of them.
     """
     kept = [(c, g) for c, g in groups if c < largest]
     # top bounds the weight of one lattice point, so the half totals and

@@ -114,23 +114,17 @@ def _nystrom_eigs_factored(
     g2 = 2.0 * gamma * gamma
     ks = np.arange(terms)
     log_coef = 0.5 * (ks * log(g2) - np.array([lgamma(k + 1.0) for k in ks]))
+    zero = t == 0.0
     # a weight that underflowed to 0 (large m) gives a zero row of B
     with np.errstate(divide="ignore"):
-        log_abs_t = np.where(t == 0.0, -np.inf, np.log(np.abs(t)))
-        log_w = np.log(w)
-    log_B = (
-        0.5 * log_w[:, None]
-        - (gamma * t[:, None]) ** 2
-        + log_coef[None, :]
-        + ks[None, :] * log_abs_t[:, None]
-    )
+        log_B = np.add.outer(0.5 * np.log(w) - (gamma * t) ** 2, log_coef)
+    # log|t| is left at 0 for a node at 0 (odd m), whose row is written below
+    log_abs_t = np.log(np.abs(t), out=np.zeros_like(t), where=~zero)
+    log_B += np.multiply.outer(log_abs_t, ks)
+    B = np.exp(log_B, out=log_B)
     # t = 0 contributes only through the constant term
-    zero = t == 0.0
-    if np.any(zero):
-        log_B[zero, 0] = 0.5 * log_w[zero] + log_coef[0]
-        log_B[zero, 1:] = -np.inf
-    signs = np.where(t[:, None] < 0, np.where(ks[None, :] % 2 == 1, -1.0, 1.0), 1.0)
-    B = signs * np.exp(log_B)
+    B[zero, 1:] = 0.0
+    B[t < 0, 1::2] *= -1.0
     sv = np.linalg.svd(B, compute_uv=False)
     m = t.size
     lam = np.zeros(m)

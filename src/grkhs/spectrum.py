@@ -89,15 +89,6 @@ class UnivariateSpectrum:
             raise ValueError("eigenvalue index must be >= 1")
         return (1.0 - self.omega) * self.omega ** (j - 1)
 
-    def log_eigenvalue(self, j):
-        """log lambda_j, vectorized over j >= 1; -inf where lambda_j is 0."""
-        j = np.asarray(j)
-        if np.any(j < 1):
-            raise ValueError("eigenvalue index must be >= 1")
-        if self.omega == 0.0:  # the ratio underflowed: only lambda_1 = 1 is nonzero
-            return np.log1p(-self.omega) + np.where(j > 1, -np.inf, 0.0)
-        return np.log1p(-self.omega) + (j - 1) * np.log(self.omega)
-
     def eigenfunction(self, j: int, x):
         """Evaluate the j-th orthonormal eigenfunction at x (scalar or array).
 
@@ -170,6 +161,11 @@ class MultiIndex:
             raise ValueError("multi-index entries must be >= 1")
         ent = tuple((i + 1, v) for i, v in enumerate(values) if v > 1)
         return cls(len(values), ent)
+
+    @property
+    def entries(self) -> tuple:
+        """The ((position, value), ...) pairs of the coordinates above 1, by position."""
+        return self._entries
 
     def dense(self) -> tuple:
         out = [1] * self.d

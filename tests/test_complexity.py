@@ -18,7 +18,7 @@ from grkhs import (
     quasipoly_exponent,
     tractability_probe,
 )
-from grkhs.complexity import _count_below_budget
+from grkhs.complexity import _count_below_budget, _half_sums, _pairs_below
 from grkhs.errors import ResourceLimitError
 from grkhs.kernel import _log_spectrum
 
@@ -45,6 +45,40 @@ def _reference_count(costs, budget):
         return total
 
     return rec(0, budget)
+
+
+def _reference_half_sums(groups, limit, guard, dtype):
+    """Half-set enumeration shift by shift, unsorted: each shift s of a
+    group adds s * c to the points shift s - 1 kept and keeps those below
+    the limit.  The reference for the ascending ``_half_sums``."""
+    sums = np.zeros(1)
+    weights = None if all(g == 1 for _, g in groups) else np.ones(1, dtype=dtype)
+    for c, g in groups:
+        parts, wparts, size = [], [], 0
+        base, wbase = sums, weights
+        s = 0
+        while base.size:
+            shifted = base + s * c
+            keep = shifted < limit
+            base, shifted = base[keep], shifted[keep]
+            if size + shifted.size > guard:
+                wsums = None if weights is None else np.concatenate(wparts)
+                return np.concatenate(parts), wsums, False
+            size += shifted.size
+            parts.append(shifted)
+            if weights is not None:
+                wbase = wbase[keep]
+                wparts.append(wbase * math.comb(s + g - 1, g - 1))
+            s += 1
+        sums = np.concatenate(parts)
+        weights = None if weights is None else np.concatenate(wparts)
+    return sums, weights, True
+
+
+def _weighted_points(sums, weights):
+    """The (sum, weight) pairs of a half as a sorted list: its multiset."""
+    w = [1] * sums.size if weights is None else weights.tolist()
+    return sorted(zip(sums.tolist(), w))
 
 
 def _budget(shape, d, eps, criterion):
@@ -215,6 +249,75 @@ class TestInfoComplexity:
         finally:
             tracemalloc.stop()
         assert 1 <= info.value.partial <= 80826051
+        assert peak < 4 * 2**20
+
+
+class TestHalfSums:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        costs=st.lists(st.floats(0.25, 3.0), max_size=5, unique=True),
+        limit=st.floats(0.1, 4.0),
+        guard=st.sampled_from([1, 10, 100, 10**7]),
+        dtype=st.sampled_from([np.int64, object]),
+        data=st.data(),
+    )
+    def test_ascending_and_matches_reference(self, costs, limit, guard, dtype, data):
+        groups = [(c, data.draw(st.integers(1, 3))) for c in costs]
+        sums, weights, complete = _half_sums(groups, limit, guard, dtype)
+        ref_sums, ref_weights, ref_complete = _reference_half_sums(
+            groups, limit, guard, dtype
+        )
+        assert np.all(sums[1:] >= sums[:-1])
+        assert complete == ref_complete
+        assert (weights is None) == (ref_weights is None)
+        if weights is not None:
+            assert weights.dtype == np.dtype(dtype)
+        assert _weighted_points(sums, weights) == _weighted_points(ref_sums, ref_weights)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        left=st.lists(st.tuples(st.integers(0, 20), st.integers(1, 4)), max_size=30),
+        right=st.lists(st.tuples(st.integers(0, 20), st.integers(1, 4)), max_size=30),
+        weighted=st.tuples(st.booleans(), st.booleans()),
+        limit=st.floats(0.0, 6.0),
+        dtype=st.sampled_from([np.int64, object]),
+    )
+    def test_pairs_below_matches_brute(self, left, right, weighted, limit, dtype):
+        # sums on a grid of 0.3 tie within and across the halves
+        halves = []
+        for points, has_weights in zip((left, right), weighted):
+            points = sorted((0.3 * k, w if has_weights else 1) for k, w in points)
+            sums = np.array([x for x, _ in points], dtype=float)
+            weights = np.array([w for _, w in points], dtype=dtype)
+            halves.append((sums, weights if has_weights else None, points))
+        (ls, lw, lpoints), (rs, rw, rpoints) = halves
+        count = _pairs_below(ls, lw, rs, rw, limit, dtype)
+        # every pair in turn, with the orientation of the count: the half
+        # with fewer entries below the limit (the right one on a tie) is
+        # the one compared with limit - other
+        lpoints = [(x, w) for x, w in lpoints if x < limit]
+        rpoints = [(x, w) for x, w in rpoints if x < limit]
+        if len(rpoints) > len(lpoints):
+            lpoints, rpoints = rpoints, lpoints
+        brute = sum(wl * wr for x, wl in lpoints for y, wr in rpoints if y < limit - x)
+        assert type(count) is int
+        assert count == brute
+
+    def test_weighted_trip_memory(self):
+        # two pairs of equal gammas make groups of multiplicity 2 in the
+        # first half, which carries int64 weights and trips at 84,785
+        # entries; the unsorted enumeration peaked at 4.95 MiB here
+        gammas = [l**-0.5 for l in range(1, 65)]
+        gammas[1], gammas[3] = gammas[0], gammas[2]
+        costs, budget = _budget(ShapeSequence.explicit(gammas), 64, 1e-4, "normalized")
+        tracemalloc.start()
+        try:
+            (trip,) = _count_below_budget(costs, [budget], 10**5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(trip, ResourceLimitError)
+        assert trip.partial == 84785
         assert peak < 4 * 2**20
 
 

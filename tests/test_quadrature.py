@@ -82,6 +82,15 @@ class TestNystromEigs:
             approx = nystrom_eigs(1.0, 512, 10)
         assert np.max(np.abs(approx - lam) / lam) < 1e-10
 
+    def test_odd_rule_without_warnings(self):
+        # odd m puts a node at 0, where log|t| is -inf
+        assert np.count_nonzero(gauss_hermite(201).nodes == 0.0) == 1
+        lam = univariate_spectrum(1.0).eigenvalue(np.arange(1, 6))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            approx = nystrom_eigs(1.0, 201, 5)
+        assert np.max(np.abs(approx - lam) / lam) < 1e-10
+
     def test_scaled_rule_resolves_large_gamma(self):
         lam = univariate_spectrum(10.0).eigenvalue(np.arange(1, 11))
         approx = nystrom_eigs(10.0, 200, 10, scale=0.3)
