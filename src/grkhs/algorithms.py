@@ -16,8 +16,8 @@ from .errors import ResourceLimitError
 from .kernel import ShapeSequence, _as_points, _log_spectrum, cross_kernel, gram_matrix
 from .quadrature import _nystrom_matrix, gauss_hermite, tensor_rule
 from .spectrum import (
-    MultiIndex,
     TensorEigenList,
+    _dense_index,
     _top_log_values,
     max_enumeration,
     top_n_tensor_eigenvalues,
@@ -88,7 +88,7 @@ def eigen_projection(shape: ShapeSequence, d: int, n: int, f, m: int = 64) -> Ei
     ``ResourceLimitError`` (d = 4 needs m <= 56, while d = 5 runs at m = 8).
     Or ``f`` is a mapping from dense multi-index tuples to
     eigen-coefficients, in which case they are read off exactly and any d
-    is allowed; a key that is not d entries, each >= 1, raises
+    is allowed; a key that is not d integer entries, each >= 1, raises
     ``ValueError``.
     """
     basis = top_n_tensor_eigenvalues(shape, d, n)
@@ -98,14 +98,7 @@ def eigen_projection(shape: ShapeSequence, d: int, n: int, f, m: int = 64) -> Ei
         vals = np.asarray(f(pts), dtype=float)
         coef = funcs @ (w * vals)
     else:
-        table = {}
-        for key, val in f.items():
-            idx = MultiIndex.from_dense(key)  # rejects entries below 1
-            if idx.d != d:
-                raise ValueError(
-                    f"multi-index {idx.dense()} has {idx.d} entries, need d = {d}"
-                )
-            table[idx] = float(val)
+        table = {_dense_index(d, key): float(val) for key, val in f.items()}
         coef = np.array([table.get(idx, 0.0) for idx in basis.indices])
     return EigenProjector(shape=shape, d=d, basis=basis, coefficients=coef)
 
@@ -191,6 +184,9 @@ _gram_memo = _OneEntryMemo()
 _site_memo = _OneEntryMemo()
 # the univariate Nystrom factors (A_1, ..., A_d) of the most recent grid
 _grid_memo = _OneEntryMemo()
+# the rank-0 factors (U, inv) of a design with no sites, read-only
+_U0, _INV0 = np.zeros((0, 0)), np.zeros(0)
+_U0.flags.writeable = _INV0.flags.writeable = False
 
 
 def _site_kernel(shape, d, points, sites):
@@ -217,8 +213,12 @@ def _gram_pinv_factors(shape, d, design):
     The factors of the most recent design are kept, keyed by the exact bytes
     of d, the shape parameters and the design, so a second solve on the same
     design (a fit followed by its power function) costs no eigendecomposition.
-    The arrays are shared between callers and therefore read-only.
+    The arrays are shared between callers and therefore read-only.  A design
+    with no sites gets the rank-0 factors, (0, 0) U, empty inv and tau 0.0,
+    before the memo is consulted, so it neither builds nor evicts an entry.
     """
+    if design.shape[0] == 0:
+        return _U0, _INV0, 0.0
 
     def build():
         ev, U = np.linalg.eigh(gram_matrix(shape, d, design))
@@ -300,20 +300,20 @@ def power_function(shape: ShapeSequence, d: int, design, x) -> np.ndarray:
     whose inv is nonzero.  Both one-entry memos of ``spline_fit`` apply: after
     a fit on the same design the Gram matrix is not factored again, and after
     the model's call at the same points their kernel is not computed again.
+    The empty design takes the same route with the rank-0 factors, so its
+    (N, 0) kernel replaces the site memo's entry.
     """
     pts = _as_points(design, d)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     xb = _as_points(x[None, :] if x.ndim == 1 and x.size == d else x, d)
-    if pts.shape[0] == 0:
-        return np.ones(xb.shape[0])
     return _power_from_kernel(shape, d, pts, _site_kernel(shape, d, xb, pts))
 
 
 def _power_from_kernel(shape, d, design, K):
     """:func:`power_function` at the rows of K, the points-by-sites kernel.
 
-    The design is validated and nonempty; K may come from the site memo or,
-    for a kernel used once, straight from :func:`cross_kernel`.
+    The design is validated; K may come from the site memo or, for a kernel
+    used once, straight from :func:`cross_kernel`.
     """
     U, inv, _ = _gram_pinv_factors(shape, d, design)
     # eigh sorts the eigenvalues ascending, so the clip zeroes a leading
@@ -349,39 +349,35 @@ def spline_worst_case_error(
     grid axis and the rank-n correction, costing O(m^d (sum_l m + n))
     time and O(m^d n) memory.  For N <= 64 the matrix is formed from the
     same factors and solved densely.  The A_l of the most recent grid are
-    kept in a one-entry memo, one per distinct gamma_l.
+    kept in a one-entry memo, one per distinct gamma_l.  For the empty
+    design C is N x 0 (rank-0 factors) and the correction is exactly zero,
+    though each Lanczos step still pays its two zero-column products.
 
     With ``method="trace"`` the cheap trace upper bound
-    sqrt(integral of G(t, t)) is returned instead.
+    sqrt(integral of G(t, t)) = sqrt(W . P^2), P the power function on the
+    grid, is returned instead.
     """
     if method not in ("spectral", "trace"):
         raise ValueError(f"unknown method {method!r}")
     pts = _as_points(design, d)
-    n = pts.shape[0]
     grid, w = tensor_rule(d, m)
     if method == "trace":
         # the grid-by-design kernel is used once, so it bypasses the site memo
-        diag = np.ones(w.size)
-        if n:
-            K = cross_kernel(shape, d, grid, pts)
-            diag = _power_from_kernel(shape, d, pts, K) ** 2
-        return float(np.sqrt(max(0.0, np.dot(w, diag))))
+        P = _power_from_kernel(shape, d, pts, cross_kernel(shape, d, grid, pts))
+        return float(np.sqrt(max(0.0, np.dot(w, P**2))))
     factors = _grid_factors(shape, d, m)
     N = w.size
-    if n:
-        U, inv, _ = _gram_pinv_factors(shape, d, pts)
-        # all n columns of U are kept, clipped ones included, so that the WCE
-        # bytes stay as they were: inv reaches 1/(CLIP_FACTOR lambda_max) and
-        # amplifies any change in the rounding of K(grid, design) U to ~1e-11
-        C = np.sqrt(w)[:, None] * (cross_kernel(shape, d, grid, pts) @ U)
-    # with no design the correction is exactly +0.0, and x - 0.0 = x bit for
-    # bit, so the Kronecker product alone is the operator
+    U, inv, _ = _gram_pinv_factors(shape, d, pts)
+    # all n columns of U are kept, clipped ones included, so that the WCE
+    # bytes stay as they were: inv reaches 1/(CLIP_FACTOR lambda_max) and
+    # amplifies any change in the rounding of K(grid, design) U to ~1e-11;
+    # with no sites the correction is exactly +0.0, and x - 0.0 = x
+    C = np.sqrt(w)[:, None] * (cross_kernel(shape, d, grid, pts) @ U)
     if N <= 64:
         B = factors[0]
         for A in factors[1:]:
             B = np.kron(B, A)
-        if n:
-            B = B - (C * inv[None, :]) @ C.T
+        B = B - (C * inv[None, :]) @ C.T
         lam = float(np.linalg.eigvalsh(0.5 * (B + B.T))[-1])
     else:
         # imported here, so that importing grkhs loads no scipy; eigsh is
@@ -389,14 +385,10 @@ def spline_worst_case_error(
         import scipy.sparse.linalg
 
         kron = _kron_matvec(factors)
-        if n:
-            Ct = C.T
+        Ct = C.T
 
-            def matvec(v):
-                return kron(v) - C @ (inv * (Ct @ v))
-
-        else:
-            matvec = kron
+        def matvec(v):
+            return kron(v) - C @ (inv * (Ct @ v))
 
         op = scipy.sparse.linalg.LinearOperator((N, N), matvec=matvec, dtype=float)
         # fixed start vector keeps the Lanczos iteration deterministic

@@ -169,8 +169,9 @@ def _count_below_budget(costs: np.ndarray, budgets, guard: int) -> list:
     ascending order, with their weights, and for every budget the pairs
     below it are counted by cutting both halves at it and searching the
     smaller with the other (meet in the middle; Horowitz and Sahni, JACM
-    1974).  Sums within 1e-12 of a budget count as reaching it.  Each
-    result is an exact int at any size.
+    1974).  Sums within 1e-12 of a budget count as reaching it, so a
+    budget <= 0 counts 0: its limit is negative, and both halves (at least
+    [0.]) are cut empty there.  Each result is an exact int at any size.
 
     Every budget gets the count a list of that budget alone would get.  A
     group that a smaller budget drops comes first in its half, so at s = 0
@@ -264,9 +265,7 @@ def info_complexity_row(
     if criterion == "absolute":
         # CRI = 1, threshold 2 log eps; offset moves to budget
         budgets = [b + offset for b in budgets]
-    counted = [b for b in budgets if b > 0]
-    counts = iter(_count_below_budget(-log_ratio, counted, max_enumeration()))
-    return [next(counts) if b > 0 else 0 for b in budgets]
+    return _count_below_budget(-log_ratio, budgets, max_enumeration())
 
 
 def info_complexity(shape: ShapeSequence, d: int, eps: float, criterion: str) -> int:

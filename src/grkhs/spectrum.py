@@ -64,22 +64,18 @@ class UnivariateSpectrum:
         Shape parameter.
     omega : float
         Eigenvalue ratio in (0, 1); lambda_j = (1 - omega) omega^(j-1).
-    delta_sq : float
-        Exponent shift of the eigenfunctions, (sqrt(1 + 4 gamma^2) - 1) / 2.
     beta : float
         Argument scale of the eigenfunctions, (1 + 4 gamma^2)^(1/4).
     """
 
     gamma: float
     omega: float = field(init=False)
-    delta_sq: float = field(init=False)
     beta: float = field(init=False)
 
     def __post_init__(self):
         # eigenvalue_ratio validates gamma, before gamma^2 can overflow below
         object.__setattr__(self, "omega", eigenvalue_ratio(self.gamma))
         s = np.sqrt(1.0 + 4.0 * self.gamma**2)
-        object.__setattr__(self, "delta_sq", (s - 1.0) / 2.0)
         object.__setattr__(self, "beta", float(s**0.5))
 
     def eigenvalue(self, j):
@@ -89,10 +85,14 @@ class UnivariateSpectrum:
             raise ValueError("eigenvalue index must be >= 1")
         return (1.0 - self.omega) * self.omega ** (j - 1)
 
-    def eigenfunction(self, j: int, x):
-        """Evaluate the j-th orthonormal eigenfunction at x (scalar or array).
+    def eigenfunctions(self, J: int, x) -> np.ndarray:
+        """Rows phi_1 .. phi_J of the orthonormal eigenfunctions at x.
 
-        phi_j(x) = sqrt(beta / (2^(j-1) (j-1)!)) e^(-delta_sq x^2) H_{j-1}(beta x),
+        x is a scalar or an array, and the result has shape (J,) + shape(x).
+        With delta^2 = (beta^2 - 1) / 2,
+
+            phi_j(x) = sqrt(beta / (2^(j-1) (j-1)!)) e^(-delta^2 x^2) H_{j-1}(beta x),
+
         computed through the bounded Hermite-function recurrence as
 
             phi_j(x) = sqrt(beta) pi^(1/4) psi_{j-1}(beta x) e^(x^2 / 2),
@@ -100,10 +100,6 @@ class UnivariateSpectrum:
         which is stable for any index; only the final e^(x^2/2) envelope can
         overflow, at |x| > 37.6.
         """
-        return self.eigenfunctions(j, x)[-1]
-
-    def eigenfunctions(self, J: int, x) -> np.ndarray:
-        """Rows phi_1 .. phi_J evaluated at x; shape (J,) + shape(x)."""
         if J < 1:
             raise ValueError(f"need J >= 1, got {J}")
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -156,7 +152,10 @@ class MultiIndex:
 
     @classmethod
     def from_dense(cls, values) -> "MultiIndex":
-        values = tuple(int(v) for v in values)
+        raw = tuple(values)
+        values = tuple(int(v) for v in raw)
+        if values != raw:
+            raise ValueError(f"multi-index entries must be integers, got {raw}")
         if any(v < 1 for v in values):
             raise ValueError("multi-index entries must be >= 1")
         ent = tuple((i + 1, v) for i, v in enumerate(values) if v > 1)
@@ -172,14 +171,6 @@ class MultiIndex:
         for pos, j in self._entries:
             out[pos - 1] = j
         return tuple(out)
-
-    def __getitem__(self, l: int) -> int:
-        if not 1 <= l <= self.d:
-            raise IndexError(l)
-        for pos, j in self._entries:
-            if pos == l:
-                return j
-        return 1
 
     def __eq__(self, other):
         return (
@@ -214,6 +205,14 @@ class TensorEigenList:
         return iter(zip(self.values, self.indices))
 
 
+def _dense_index(d: int, values) -> MultiIndex:
+    """The :class:`MultiIndex` of a dense index; ``ValueError`` unless d integers >= 1."""
+    idx = MultiIndex.from_dense(values)  # rejects entries that are not integers >= 1
+    if idx.d != d:
+        raise ValueError(f"multi-index {idx.dense()} has {idx.d} entries, need d = {d}")
+    return idx
+
+
 def _log_product(base: float, log_ratio: np.ndarray, entries) -> float:
     # fixed accumulation order so equal indices give bit-equal values
     v = base
@@ -226,13 +225,11 @@ def tensor_log_eigenvalue(shape: ShapeSequence, d: int, dense_index) -> float:
     """log of the tensor eigenvalue at a dense multi-index.
 
     Uses the same accumulation order as the enumeration, so values agree
-    bit-for-bit with those in a :class:`TensorEigenList`.
+    bit-for-bit with those in a :class:`TensorEigenList`.  An index that is
+    not d integer entries, each >= 1, raises ``ValueError``.
     """
     base, log_ratio = _log_spectrum(shape, d)
-    entries = tuple(
-        (pos, int(j)) for pos, j in enumerate(dense_index, start=1) if j > 1
-    )
-    return _log_product(base, log_ratio, entries)
+    return _log_product(base, log_ratio, _dense_index(d, dense_index).entries)
 
 
 # a raised entry (pos, j) is stored as pos * 2**31 - j; powers are int32, so
@@ -486,6 +483,8 @@ def stream_tensor_eigenvalues(shape: ShapeSequence, d: int, limit: int):
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
+    if limit < 0:
+        raise ValueError(f"need limit >= 0, got {limit}")
     guard = max_enumeration()
     if limit > guard:
         raise ResourceLimitError(f"requested {limit} eigenvalues, guard is {guard}")

@@ -8,7 +8,7 @@ quantities so a red test is directly diagnosable.
 
 import pytest
 
-from grkhs.verify import render_report, run_checks
+from grkhs.verify import check_quasipoly, render_report, run_checks
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +77,15 @@ def test_08_isotropic_absolute_complexity_exponent(suite):
 def test_09_quasipoly_consistency_normalized(suite):
     """t-hat <= 1.15 x quasipoly exponent; n(1/2, d) strictly increasing."""
     _assert_check(suite[0], "09")
+
+
+def test_09_guard_trip_fails_the_check(monkeypatch):
+    """A half-set guard trip fails check 09 and is named in its detail."""
+    # an isotropic shape is one cost group, so only a tiny guard trips
+    monkeypatch.setenv("GRKHS_MAX_EIGS", "3")
+    res = check_quasipoly()
+    assert not res.passed
+    assert res.detail.endswith(", half-set guard hit: counts are lower bounds")
 
 
 def test_10_spline_vs_optimal_ordering(suite):

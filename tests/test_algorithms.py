@@ -18,6 +18,7 @@ from grkhs import (
     power_function,
     spline_fit,
     spline_worst_case_error,
+    tensor_rule,
     univariate_spectrum,
 )
 from grkhs.algorithms import (
@@ -37,13 +38,13 @@ class TestEigenProjection:
         shape = ShapeSequence.isotropic(1.0)
         spec = univariate_spectrum(1.0)
         proj = eigen_projection(
-            shape, 1, 5, lambda p: spec.eigenfunction(2, p[:, 0]), m=64
+            shape, 1, 5, lambda p: spec.eigenfunctions(2, p[:, 0])[-1], m=64
         )
         expected = np.zeros(5)
         expected[1] = 1.0
         assert np.allclose(proj.coefficients, expected, atol=1e-10)
         x = np.linspace(-1.5, 1.5, 9)[:, None]
-        assert np.allclose(proj(x), spec.eigenfunction(2, x[:, 0]), atol=1e-10)
+        assert np.allclose(proj(x), spec.eigenfunctions(2, x[:, 0])[-1], atol=1e-10)
 
     def test_mapping_input_any_d(self):
         shape = ShapeSequence.isotropic(1.0)
@@ -58,6 +59,7 @@ class TestEigenProjection:
             ((1, 1, 1), r"has 3 entries, need d = 2"),
             ((0, 1), "multi-index entries must be >= 1"),
             ((2, -1), "multi-index entries must be >= 1"),
+            ((1.0, 2.5), "multi-index entries must be integers"),
         ],
     )
     def test_mapping_rejects_malformed_keys(self, key, message):
@@ -343,6 +345,24 @@ class TestGramMemo:
             U[0, 0] = 0.0
         with pytest.raises(ValueError):
             inv[0] = 0.0
+
+    def test_empty_design_leaves_the_entry_in_place(self, eigh_calls):
+        shape = ShapeSequence.isotropic(1.0)
+        rng = np.random.default_rng(10)
+        X = rng.standard_normal((6, 2))
+        spline_fit(shape, 2, X, rng.standard_normal(6))
+        entry = algorithms._gram_memo.entry
+        empty = np.empty((0, 2))
+        U, inv, tau = _gram_pinv_factors(shape, 2, empty)
+        assert (U.shape, inv.shape, tau) == ((0, 0), (0,), 0.0)
+        assert not U.flags.writeable and not inv.flags.writeable
+        power_function(shape, 2, empty, rng.standard_normal((4, 2)))
+        spline_worst_case_error(shape, 2, empty, 8)  # dense solve
+        spline_worst_case_error(shape, 2, empty, 9)  # Lanczos
+        spline_worst_case_error(shape, 2, empty, 9, method="trace")
+        # the rank-0 factors neither replace the entry nor factor anything
+        assert algorithms._gram_memo.entry is entry
+        assert eigh_calls == [True]
 
     def test_holds_one_entry(self, eigh_calls):
         shape = ShapeSequence.isotropic(1.0)
@@ -686,7 +706,7 @@ class TestGridOperator:
             assert matvec(v).tobytes() == _tensordot_matvec(factors, v).tobytes()
 
     def test_empty_correction_is_exact_zero(self):
-        # the empty design skips C diag(inv) C^T v, which is +0.0 everywhere
+        # the empty design's C diag(inv) C^T v is +0.0 everywhere
         rng = np.random.default_rng(3)
         factors = _grid_factors(ShapeSequence.isotropic(1.0), 2, 9)
         C, inv = np.empty((81, 0)), np.empty(0)
@@ -694,6 +714,37 @@ class TestGridOperator:
             v = rng.standard_normal(81)
             kron = _kron_matvec(factors)(v)
             assert (kron - C @ (inv * (C.T @ v))).tobytes() == kron.tobytes()
+
+    @pytest.mark.parametrize(
+        "gammas,m", [([1.0], 1), ([1.0, 0.5], 8), ([1.0], 200), ([1.0, 0.5], 9)]
+    )
+    def test_empty_design_is_the_kronecker_product_alone(self, gammas, m):
+        # N = m^d on both sides of 64: the dense and the Lanczos solve
+        import scipy.sparse.linalg
+
+        shape, d = ShapeSequence.explicit(gammas), len(gammas)
+        factors = _grid_factors(shape, d, m)
+        N = m**d
+        if N <= 64:
+            B = factors[0]
+            for A in factors[1:]:
+                B = np.kron(B, A)
+            lam = np.linalg.eigvalsh(0.5 * (B + B.T))[-1]
+        else:
+            op = scipy.sparse.linalg.LinearOperator(
+                (N, N), matvec=_kron_matvec(factors), dtype=float
+            )
+            v0 = np.full(N, N**-0.5)
+            lam = scipy.sparse.linalg.eigsh(op, k=1, which="LA", tol=1e-12, v0=v0)[0][0]
+        wce = spline_worst_case_error(shape, d, np.empty((0, d)), m)
+        assert float(wce).hex() == float(np.sqrt(max(0.0, lam))).hex()
+
+    @pytest.mark.parametrize("d,m", [(1, 1), (1, 50), (2, 9), (3, 5)])
+    def test_empty_design_trace_bound_is_the_weight_sum(self, d, m):
+        shape = ShapeSequence.isotropic(1.0)
+        _, w = tensor_rule(d, m)
+        trace = spline_worst_case_error(shape, d, np.empty((0, d)), m, method="trace")
+        assert float(trace).hex() == float(np.sqrt(np.dot(w, np.ones(w.size)))).hex()
 
     @pytest.fixture
     def factor_calls(self, monkeypatch):
@@ -762,5 +813,5 @@ def test_tensor_eigenfunctions_product_structure():
     pts = np.array([[0.2, -0.3], [1.0, 0.5]])
     idx = [MultiIndex.from_dense((2, 3))]
     vals = tensor_eigenfunctions(shape, 2, idx, pts)
-    expected = s1.eigenfunction(2, pts[:, 0]) * s2.eigenfunction(3, pts[:, 1])
+    expected = s1.eigenfunctions(2, pts[:, 0])[-1] * s2.eigenfunctions(3, pts[:, 1])[-1]
     assert np.allclose(vals[0], expected)

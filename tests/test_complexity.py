@@ -350,14 +350,38 @@ class TestInfoComplexityRow:
         for e, n in zip(eps_list, row):
             assert type(n) is int
             costs, budget = _budget(shape, d, e, criterion)
-            assert n == (_reference_count(costs, budget) if budget > 0 else 0)
+            assert n == _reference_count(costs, budget)
 
-    def test_budgets_at_or_below_zero_count_zero(self):
-        shape = ShapeSequence.isotropic(1.0)
-        # the initial error at d = 4 is 0.38, so eps above it needs no data
-        row = info_complexity_row(shape, 4, [0.9, 0.1, 0.5, 0.9], "absolute")
-        assert row[0] == row[2] == row[3] == 0
-        assert row[1] == info_complexity(shape, 4, 0.1, "absolute") > 0
+    @pytest.mark.parametrize("guard", [None, 30])
+    def test_budgets_at_or_below_zero_count_zero(self, monkeypatch, guard):
+        # iso:3.0 at d = 2 has initial error 0.28, so eps 0.9 and 0.5 need no
+        # data: their budgets are <= 0, and the count itself gives 0; guard 30
+        # trips at eps = 0.001 and counts the rest again from the next halves
+        if guard is not None:
+            monkeypatch.setenv("GRKHS_MAX_EIGS", str(guard))
+        shape = ShapeSequence.isotropic(3.0)
+        eps_list = [0.9, 0.1, 0.01, 0.5, 0.001]
+        budgets = [_budget(shape, 2, e, "absolute")[1] for e in eps_list]
+        assert [b <= 0 for b in budgets] == [True, False, False, True, False]
+        row = info_complexity_row(shape, 2, eps_list, "absolute")
+        cells = [_cell(shape, 2, e, "absolute") for e in eps_list]
+        assert [isinstance(n, ResourceLimitError) for n in row] == [
+            False, False, False, False, guard is not None
+        ]
+        for n, c in zip(row, cells):
+            if isinstance(c, ResourceLimitError):
+                assert (n.partial, str(n)) == (c.partial, str(c))
+            else:
+                assert n == c
+        assert row[0] == row[3] == 0 and row[1:3] == [28, 231]
+
+    def test_count_is_zero_below_nonpositive_budgets(self):
+        costs = -_log_spectrum(ShapeSequence.explicit([1.0, 0.5, 2.0]), 3)[1]
+        budgets = [-1.0, 0.0, 1e-13, 6.0, -0.5]
+        counts = _count_below_budget(costs, budgets, 10**7)
+        assert counts == [0, 0, 0, _reference_count(costs, 6.0), 0]
+        assert counts[3] > 0
+        assert _count_below_budget(costs, [0.0, -2.0], 1) == [0, 0]
 
     @pytest.mark.parametrize("guard,d", [(300, 16), (1000, 16), (3000, 16), (300, 8)])
     def test_trips_match_cells(self, monkeypatch, guard, d):

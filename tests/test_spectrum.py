@@ -153,8 +153,8 @@ class TestUnivariateSpectrum:
     def test_first_eigenfunction_at_zero(self):
         spec = univariate_spectrum(1.0)
         # phi_1(0) = sqrt(beta) = 5^(1/8)
-        assert spec.eigenfunction(1, 0.0)[0] == pytest.approx(5.0**0.125)
-        assert spec.eigenfunction(1, 0.0)[0] == pytest.approx(1.2228445, abs=1e-7)
+        assert spec.eigenfunctions(1, 0.0)[-1][0] == pytest.approx(5.0**0.125)
+        assert spec.eigenfunctions(1, 0.0)[-1][0] == pytest.approx(1.2228445, abs=1e-7)
 
     def test_orthonormality(self):
         rule = gauss_hermite(200)
@@ -174,7 +174,7 @@ class TestUnivariateSpectrum:
     def test_overflow_guard(self):
         spec = univariate_spectrum(1.0)
         with pytest.raises(EvaluationOverflowError):
-            spec.eigenfunction(1, 40.0)
+            spec.eigenfunctions(1, 40.0)
 
     @pytest.mark.parametrize(
         "gamma, message",
@@ -201,13 +201,11 @@ class TestMultiIndex:
     def test_dense_roundtrip(self):
         idx = MultiIndex.from_dense((1, 3, 1, 2))
         assert idx.dense() == (1, 3, 1, 2)
-        assert idx[2] == 3
-        assert idx[1] == 1
 
     def test_sparse_storage(self):
         idx = MultiIndex.from_dense([1] * 1000 + [5])
         assert idx.d == 1001
-        assert idx[1001] == 5
+        assert idx.dense()[-1] == 5
         assert idx.entries == ((1001, 5),)
         with pytest.raises(AttributeError):
             idx.entries = ()
@@ -217,6 +215,25 @@ class TestMultiIndex:
         b = MultiIndex.from_dense((2, 1))
         assert a == b and hash(a) == hash(b)
         assert a != MultiIndex.from_dense((1, 2))
+
+
+class TestDenseIndexValidation:
+    @pytest.mark.parametrize(
+        "index, message",
+        [
+            # these three used to return the value of (1, 1), (1, 1), (2, 1)
+            ((1, 0), "multi-index entries must be >= 1"),
+            ((1, -3), "multi-index entries must be >= 1"),
+            ((2,), r"multi-index \(2,\) has 1 entries, need d = 2"),
+            # and this one raised IndexError
+            ((1, 2, 3), r"has 3 entries, need d = 2"),
+            # truncated to (1, 1) before
+            ((1.5, 1), r"must be integers, got \(1.5, 1\)"),
+        ],
+    )
+    def test_tensor_log_eigenvalue_rejects(self, index, message):
+        with pytest.raises(ValueError, match=message):
+            tensor_log_eigenvalue(ShapeSequence.isotropic(1.0), 2, index)
 
 
 class TestTensorEnumeration:
@@ -554,6 +571,12 @@ class TestStream:
     def test_limit_is_required(self):
         with pytest.raises(TypeError):
             stream_tensor_eigenvalues(ShapeSequence.isotropic(1.0), 3)
+
+    def test_negative_limit(self):
+        # it used to raise "enumeration exceeded limit of -1"
+        stream = stream_tensor_eigenvalues(ShapeSequence.isotropic(1.0), 2, -1)
+        with pytest.raises(ValueError, match="need limit >= 0, got -1"):
+            next(stream)
 
     def test_limit(self, monkeypatch):
         shape = ShapeSequence.isotropic(1.0)
