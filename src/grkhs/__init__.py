@@ -3,100 +3,27 @@
 Kernel and Gram machinery, the closed-form spectrum of the Gaussian
 integral operator, tensor eigenvalue enumeration by a pruned merge,
 optimal and spline algorithms with worst-case error evaluators, and
-information complexity / tractability diagnostics.  The ``grkhs`` console script
-exposes the experiment drivers.
+information complexity / tractability diagnostics.  The ``grkhs``
+console script exposes the experiment drivers.  The package exports
+each module's ``__all__``, the one list of that module's public names.
 """
 
 __version__ = "0.1.0"
 
-from .errors import EvaluationOverflowError, ResourceLimitError
-from .kernel import (
-    ShapeSequence,
-    cross_kernel,
-    eigenvalue_ratio,
-    gaussian_weight,
-    gram_matrix,
-    initial_error,
-    kernel_eval,
-)
-from .quadrature import QuadratureRule, gauss_hermite, integrate, nystrom_eigs, tensor_rule
-from .spectrum import (
-    MultiIndex,
-    TensorEigenList,
-    UnivariateSpectrum,
-    max_enumeration,
-    mercer_check,
-    stream_tensor_eigenvalues,
-    tensor_log_eigenvalue,
-    top_n_tensor_eigenvalues,
-    univariate_spectrum,
-)
-from .algorithms import (
-    EigenProjector,
-    SplineModel,
-    eigen_projection,
-    minimal_error_all,
-    power_function,
-    spline_fit,
-    spline_worst_case_error,
-    tensor_eigenfunctions,
-)
-from .complexity import (
-    ComplexityReport,
-    DecayRate,
-    ErrorSequence,
-    RateFit,
-    decay_rate_r,
-    error_sequence_all,
-    estimate_rate,
-    info_complexity,
-    info_complexity_row,
-    quasipoly_exponent,
-    tractability_probe,
-)
+from . import errors, kernel, quadrature, spectrum, algorithms, complexity
+from .errors import *
+from .kernel import *
+from .quadrature import *
+from .spectrum import *
+from .algorithms import *
+from .complexity import *
 
 __all__ = [
     "__version__",
-    "EvaluationOverflowError",
-    "ResourceLimitError",
-    "ShapeSequence",
-    "cross_kernel",
-    "eigenvalue_ratio",
-    "gaussian_weight",
-    "gram_matrix",
-    "initial_error",
-    "kernel_eval",
-    "QuadratureRule",
-    "gauss_hermite",
-    "integrate",
-    "nystrom_eigs",
-    "tensor_rule",
-    "MultiIndex",
-    "TensorEigenList",
-    "UnivariateSpectrum",
-    "max_enumeration",
-    "mercer_check",
-    "stream_tensor_eigenvalues",
-    "tensor_log_eigenvalue",
-    "top_n_tensor_eigenvalues",
-    "univariate_spectrum",
-    "EigenProjector",
-    "SplineModel",
-    "eigen_projection",
-    "minimal_error_all",
-    "power_function",
-    "spline_fit",
-    "spline_worst_case_error",
-    "tensor_eigenfunctions",
-    "ComplexityReport",
-    "DecayRate",
-    "ErrorSequence",
-    "RateFit",
-    "decay_rate_r",
-    "error_sequence_all",
-    "estimate_rate",
-    "info_complexity",
-    "info_complexity_row",
-    "quasipoly_exponent",
-    "tractability_probe",
+    *errors.__all__,
+    *kernel.__all__,
+    *quadrature.__all__,
+    *spectrum.__all__,
+    *algorithms.__all__,
+    *complexity.__all__,
 ]

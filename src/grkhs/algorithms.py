@@ -12,14 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceLimitError
 from .kernel import ShapeSequence, _as_points, _log_spectrum, cross_kernel, gram_matrix
 from .quadrature import _nystrom_matrix, gauss_hermite, tensor_rule
 from .spectrum import (
     TensorEigenList,
     _dense_index,
+    _merge_size,
     _top_log_values,
-    max_enumeration,
     top_n_tensor_eigenvalues,
     univariate_spectrum,
 )
@@ -32,6 +31,7 @@ __all__ = [
     "spline_fit",
     "power_function",
     "spline_worst_case_error",
+    "tensor_eigenfunctions",
 ]
 
 CLIP_FACTOR = 1e-12  # relative spectral clipping threshold for Gram solves
@@ -108,14 +108,12 @@ def minimal_error_all(shape: ShapeSequence, d: int, n: int) -> float:
 
     Equals the square root of the (n+1)-st largest tensor eigenvalue; for
     n = 0 this is the initial error (the norm of the embedding).  Read
-    from the values pass of the merge, with no multi-indices built.
+    from the values pass of the merge, with no multi-indices built.  n is
+    an integer >= 0, and n + 1 above the enumeration guard raises.
     """
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    base, log_ratio = _log_spectrum(shape, d)  # rejects d < 1
-    if n + 1 > max_enumeration():
-        raise ResourceLimitError(f"n+1 = {n + 1} exceeds guard {max_enumeration()}")
-    return float(np.exp(0.5 * _top_log_values(base, log_ratio, n + 1)[-1]))
+    k = _merge_size("n", n, 0, extra=1)
+    base, log_ratio = _log_spectrum(shape, d)
+    return float(np.exp(0.5 * _top_log_values(base, log_ratio, k)[-1]))
 
 
 @dataclass

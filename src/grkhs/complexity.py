@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
 from .errors import ResourceLimitError
 from .kernel import ShapeSequence, _log_spectrum, eigenvalue_ratio
-from .spectrum import max_enumeration, stream_tensor_eigenvalues
+from .spectrum import _merge_size, max_enumeration, stream_tensor_eigenvalues
 
 __all__ = [
     "DecayRate",
@@ -81,14 +80,11 @@ def error_sequence_all(shape: ShapeSequence, d: int, N: int) -> ErrorSequence:
     """Exact minimal errors e(n), n = 0..N, for arbitrary-functional data.
 
     e(n) is the square root of the (n+1)-st largest tensor eigenvalue,
-    read from one merge of N + 1 eigenvalues.
+    read from one merge of N + 1 eigenvalues.  N is an integer >= 0, and
+    N + 1 above the enumeration guard raises.
     """
-    if N < 0:
-        raise ValueError(f"need N >= 0, got {N}")
-    if N + 1 > max_enumeration():
-        raise ResourceLimitError(f"N+1 = {N + 1} exceeds guard {max_enumeration()}")
-    stream = stream_tensor_eigenvalues(shape, d, limit=N + 1)
-    logs = np.array([logval for logval, _ in islice(stream, N + 1)])
+    stream = stream_tensor_eigenvalues(shape, d, limit=_merge_size("N", N, 0, extra=1))
+    logs = np.array([logval for logval, _ in stream])
     return ErrorSequence(values=np.exp(0.5 * logs))
 
 

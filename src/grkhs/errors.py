@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["EvaluationOverflowError", "ResourceLimitError"]
+
 
 class ResourceLimitError(RuntimeError):
     """Raised when a computation would exceed a configured size guard.

@@ -12,6 +12,7 @@ so the same object can serve experiments that sweep the dimension.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -22,6 +23,7 @@ __all__ = [
     "cross_kernel",
     "gram_matrix",
     "initial_error",
+    "eigenvalue_ratio",
 ]
 
 
@@ -88,8 +90,7 @@ class ShapeSequence:
 
     def gammas(self, d: int) -> np.ndarray:
         """First ``d`` shape parameters as an array."""
-        if d < 1:
-            raise ValueError(f"dimension must be >= 1, got {d}")
+        d = _at_least("dimension", d, 1)
         if self.kind == "isotropic":
             return np.full(d, self.params["gamma"])
         if self.kind == "explicit":
@@ -109,6 +110,15 @@ class ShapeSequence:
         if self.kind == "geometric":
             return f"ShapeSequence.geometric({self.params['q']!r})"
         return f"ShapeSequence.explicit({self.params['values'].tolist()!r})"
+
+
+def _at_least(name: str, value, least: int) -> int:
+    """``value`` as an int; ``ValueError`` unless an integer (a bool is not) >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"need {name} >= {least}, got {value}")
+    return int(value)
 
 
 def gaussian_weight(points: np.ndarray) -> np.ndarray:

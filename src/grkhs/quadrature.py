@@ -13,6 +13,7 @@ from math import lgamma, log
 import numpy as np
 
 from .errors import ResourceLimitError
+from .kernel import _at_least
 
 __all__ = ["QuadratureRule", "gauss_hermite", "nystrom_eigs", "integrate", "tensor_rule"]
 
@@ -30,9 +31,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-
-    def __len__(self):
-        return self.nodes.size
 
 
 @functools.lru_cache(maxsize=None)
@@ -178,12 +176,8 @@ def integrate(d: int, m: int, g) -> float:
 
     ``g`` is called once with the (N, d) array of grid points and must
     return an array of shape (N,); any other shape raises ``ValueError``.
-    Limited to d <= 4 and grids of at most 10^7 nodes.
+    The grid of m^d nodes is limited to 10^7, as in :func:`tensor_rule`.
     """
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    if d > 4:
-        raise ResourceLimitError(f"tensor quadrature limited to d <= 4, got d={d}")
     pts, w = tensor_rule(d, m)
     vals = np.asarray(g(pts), dtype=float)
     if vals.shape != w.shape:
@@ -192,9 +186,8 @@ def integrate(d: int, m: int, g) -> float:
 
 
 def tensor_rule(d: int, m: int):
-    """Tensor grid points (N, d) and normalized weights (N,) for rho_d."""
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    """Tensor grid points (N, d) and normalized weights (N,) for rho_d, m^d <= 10^7."""
+    d = _at_least("dimension", d, 1)
     if m**d > MAX_GRID_SIZE:
         raise ResourceLimitError(f"tensor grid m^d = {m**d} exceeds {MAX_GRID_SIZE}")
     rule = gauss_hermite(m)

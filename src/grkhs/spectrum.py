@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
 from .errors import EvaluationOverflowError, ResourceLimitError
-from .kernel import ShapeSequence, _log_spectrum, eigenvalue_ratio
+from .kernel import ShapeSequence, _at_least, _log_spectrum, eigenvalue_ratio
 
 __all__ = [
     "UnivariateSpectrum",
@@ -52,6 +51,19 @@ def max_enumeration() -> int:
     if val < 1:
         raise ValueError(f"GRKHS_MAX_EIGS must be >= 1, got {val}")
     return val
+
+
+def _merge_size(name: str, n, least: int, extra: int = 0) -> int:
+    """The n + ``extra`` eigenvalues a request of size n reads, checked before any work.
+
+    ``ValueError`` unless n is an integer >= ``least``, and
+    :class:`ResourceLimitError` when n + ``extra`` passes :func:`max_enumeration`.
+    """
+    k = _at_least(name, n, least) + extra
+    guard = max_enumeration()
+    if k > guard:
+        raise ResourceLimitError(f"requested {k} eigenvalues, guard is {guard}")
+    return k
 
 
 @dataclass(frozen=True)
@@ -200,9 +212,6 @@ class TensorEigenList:
 
     def __len__(self):
         return self.log_values.size
-
-    def __iter__(self):
-        return iter(zip(self.values, self.indices))
 
 
 def _dense_index(d: int, values) -> MultiIndex:
@@ -477,22 +486,16 @@ def stream_tensor_eigenvalues(shape: ShapeSequence, d: int, limit: int):
     precedes (2, 2, 1) when tied; zero eigenvalues (log value -inf, a
     ratio that underflowed) come in ascending (position, j) order.
 
-    One merge of exactly ``limit`` items runs; asking for more raises
-    :class:`ResourceLimitError`.  A limit above the enumeration guard
-    raises before any work.
+    One merge of exactly ``limit`` items runs, and the stream ends after
+    them.  ``limit`` is an integer >= 0; one above the enumeration guard
+    raises :class:`ResourceLimitError` before any work.
     """
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    if limit < 0:
-        raise ValueError(f"need limit >= 0, got {limit}")
-    guard = max_enumeration()
-    if limit > guard:
-        raise ResourceLimitError(f"requested {limit} eigenvalues, guard is {guard}")
-    if limit > 0:
+    d = _at_least("dimension", d, 1)
+    limit = _merge_size("limit", limit, 0)
+    if limit:
         logs, entries = _top_log_eigenvalues(shape, d, limit)
         for logval, ent in zip(logs.tolist(), entries):
             yield logval, MultiIndex(d, ent)
-    raise ResourceLimitError(f"tensor eigenvalue enumeration exceeded limit of {limit}")
 
 
 def top_n_tensor_eigenvalues(shape: ShapeSequence, d: int, n: int) -> TensorEigenList:
@@ -501,12 +504,11 @@ def top_n_tensor_eigenvalues(shape: ShapeSequence, d: int, n: int) -> TensorEige
     Values are products of univariate eigenvalues, accumulated in log
     space so that large d cannot underflow.  Exact value ties are ordered
     by the ascending (position, -j) key of the raised entries, as in
-    :func:`stream_tensor_eigenvalues`.  An n above the enumeration guard
-    raises :class:`ResourceLimitError` before any work.  While the list is
-    built the merge holds at most 2 n indices, about 16 n w bytes, w <= d
-    the most coordinates above 1 in one index.
+    :func:`stream_tensor_eigenvalues`.  n is an integer >= 1; one above the
+    enumeration guard raises :class:`ResourceLimitError` before any work.
+    While the list is built the merge holds at most 2 n indices, about
+    16 n w bytes, w <= d the most coordinates above 1 in one index.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    logs, idxs = zip(*islice(stream_tensor_eigenvalues(shape, d, limit=n), n))
+    n = _merge_size("n", n, 1)
+    logs, idxs = zip(*stream_tensor_eigenvalues(shape, d, limit=n))
     return TensorEigenList(d=d, log_values=np.array(logs), indices=list(idxs))

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import grkhs
 from grkhs import (
     ShapeSequence,
     cross_kernel,
@@ -89,6 +91,22 @@ class TestShapeSequence:
         s = ShapeSequence.explicit(vals)
         assert s.gammas(3).tolist() == [1.0, 4.0, 7.0]
         assert s.gammas(3).flags.c_contiguous
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            ShapeSequence.isotropic(1.0),
+            ShapeSequence.power_law(1.0, 2.0),
+            ShapeSequence.geometric(0.5),
+            ShapeSequence.explicit([1.0, 0.5, 0.25]),
+        ],
+    )
+    @pytest.mark.parametrize("bad", [2.5, True, np.float64(2.0)])
+    def test_rejects_non_integer_dimension(self, shape, bad):
+        message = f"dimension must be an integer, got {bad!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            shape.gammas(bad)
+        assert shape.gammas(np.int64(2)).tobytes() == shape.gammas(2).tobytes()
 
     @pytest.mark.parametrize("huge", [1e17, 1e200])
     def test_rejects_ratio_rounding_to_one(self, huge):
@@ -332,3 +350,23 @@ def test_initial_error_values():
     assert initial_error(iso, 3) == pytest.approx((1.0 - omega) ** 1.5)
     # initial error decreases with dimension
     assert initial_error(iso, 5) < initial_error(iso, 2) < initial_error(iso, 1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda d: initial_error(ShapeSequence.isotropic(1.0), d),
+        lambda d: grkhs.top_n_tensor_eigenvalues(ShapeSequence.isotropic(1.0), d, 3),
+        lambda d: grkhs.minimal_error_all(ShapeSequence.power_law(1.0, 2.0), d, 3),
+        lambda d: grkhs.error_sequence_all(ShapeSequence.isotropic(1.0), d, 3),
+        lambda d: grkhs.info_complexity(ShapeSequence.isotropic(1.0), d, 0.1, "absolute"),
+        lambda d: next(grkhs.stream_tensor_eigenvalues(ShapeSequence.isotropic(1.0), d, 0)),
+        lambda d: grkhs.tensor_rule(d, 3),
+    ],
+    ids=["initial_error", "top_n", "minimal_error_all", "error_sequence_all",
+         "info_complexity", "stream", "tensor_rule"],
+)
+def test_non_integer_dimension_rejected(call):
+    # each used to fail later with another error, most of them inside numpy
+    with pytest.raises(ValueError, match="dimension must be an integer, got 2.5"):
+        call(2.5)

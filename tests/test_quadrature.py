@@ -133,8 +133,10 @@ class TestIntegrate:
         assert val == pytest.approx(0.25)
 
     def test_dimension_guard(self):
+        # the grid size is the only limit: d = 5 runs at 4^5 nodes
+        assert integrate(5, 4, lambda p: np.ones(p.shape[0])) == pytest.approx(1.0, abs=1e-15)
         with pytest.raises(ResourceLimitError):
-            integrate(5, 4, lambda p: np.ones(p.shape[0]))
+            integrate(5, 40, lambda p: np.ones(p.shape[0]))
 
 
 def test_tensor_rule_weights():
@@ -156,3 +158,6 @@ def test_tensor_rule_weights_survive_repeat_calls():
 def test_tensor_rule_grid_guard():
     with pytest.raises(ResourceLimitError):
         tensor_rule(4, 100)
+    # a numpy dimension: 16**16 wraps to 0 in int64 arithmetic
+    with pytest.raises(ResourceLimitError):
+        tensor_rule(np.int64(16), 16)

@@ -1,5 +1,6 @@
 import heapq
 import itertools
+import re
 import tracemalloc
 import warnings
 
@@ -579,14 +580,65 @@ class TestStream:
             next(stream)
 
     def test_limit(self, monkeypatch):
+        # the stream ends after its limit
         shape = ShapeSequence.isotropic(1.0)
-        stream = stream_tensor_eigenvalues(shape, 2, limit=5)
-        assert len(list(itertools.islice(stream, 5))) == 5
-        with pytest.raises(ResourceLimitError):
-            next(stream)
+        assert len(list(stream_tensor_eigenvalues(shape, 2, limit=5))) == 5
+        assert list(stream_tensor_eigenvalues(shape, 2, limit=0)) == []
+        with pytest.raises(ValueError, match="need dimension >= 1, got 0"):
+            next(stream_tensor_eigenvalues(shape, 0, limit=0))
         monkeypatch.setenv("GRKHS_MAX_EIGS", "10")
         with pytest.raises(ResourceLimitError):
             next(stream_tensor_eigenvalues(shape, 2, limit=11))
+
+
+ISO = ShapeSequence.isotropic(1.0)
+
+
+class TestSizeGate:
+    """One rule for the size of every enumeration request."""
+
+    # (entry point at iso:1.0, d = 2; its size's name; a size k reads k + extra eigenvalues)
+    ENTRY_POINTS = [
+        (lambda k: list(stream_tensor_eigenvalues(ISO, 2, limit=k)), "limit", 0),
+        (lambda k: top_n_tensor_eigenvalues(ISO, 2, k), "n", 0),
+        (lambda k: error_sequence_all(ISO, 2, k), "N", 1),
+        (lambda k: grkhs.minimal_error_all(ISO, 2, k), "n", 1),
+    ]
+    IDS = ["stream", "top_n", "error_sequence_all", "minimal_error_all"]
+
+    @pytest.mark.parametrize("call, name, extra", ENTRY_POINTS, ids=IDS)
+    @pytest.mark.parametrize("bad", [2.5, True, np.float64(3.0)])
+    def test_non_integer_size(self, call, name, extra, bad):
+        message = f"{name} must be an integer, got {bad!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(bad)
+
+    @pytest.mark.parametrize("call, name, extra", ENTRY_POINTS, ids=IDS)
+    def test_numpy_integer_size_bit_identical(self, call, name, extra):
+        def flat(res):
+            if isinstance(res, float):
+                return res.hex()
+            if isinstance(res, list):  # the stream's items
+                return [(v.hex(), idx) for v, idx in res]
+            if isinstance(res, grkhs.ErrorSequence):
+                return res.values.tobytes()
+            return res.log_values.tobytes(), res.indices
+
+        assert flat(call(np.int64(7))) == flat(call(7))
+
+    @pytest.mark.parametrize("call, name, extra", ENTRY_POINTS, ids=IDS)
+    def test_guard_message(self, monkeypatch, call, name, extra):
+        monkeypatch.setenv("GRKHS_MAX_EIGS", "10")
+        call(10 - extra)
+        with pytest.raises(ResourceLimitError) as trip:
+            call(11 - extra)
+        assert str(trip.value) == "requested 11 eigenvalues, guard is 10"
+
+    def test_guard_before_dimension_check(self, monkeypatch):
+        # no work, not even the shape, before the size is checked
+        monkeypatch.setenv("GRKHS_MAX_EIGS", "10")
+        with pytest.raises(ResourceLimitError):
+            grkhs.minimal_error_all(ISO, 0, 10)
 
 
 @pytest.mark.parametrize("shape, d", CHECK05_CASES)
