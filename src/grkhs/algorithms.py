@@ -37,6 +37,15 @@ __all__ = [
 CLIP_FACTOR = 1e-12  # relative spectral clipping threshold for Gram solves
 
 
+# Rows per block of the basis-by-grid product in eigen_projection.  With
+# OpenBLAS the row blocks of a matrix-vector product give the full product's
+# bits only when every block starts at a multiple of 4 rows (its kernel takes
+# 4 rows at a time, the remainder apart) and no block is a single row (numpy
+# sends a one-row product down another path), so the size is a multiple of 4
+# and a one-row tail joins the block before it.
+_PROJECTION_BLOCK = 64
+
+
 def tensor_eigenfunctions(shape: ShapeSequence, d: int, indices, points) -> np.ndarray:
     """Evaluate product eigenfunctions at points.
 
@@ -50,15 +59,31 @@ def tensor_eigenfunctions(shape: ShapeSequence, d: int, indices, points) -> np.n
     ndarray, shape (len(indices), N)
     """
     pts = _as_points(points, d)
-    specs = [univariate_spectrum(g) for g in shape.gammas(d)]
     dense = [idx.dense() for idx in indices]
-    max_j = [max(row[l] for row in dense) for l in range(d)] if dense else [1] * d
-    per_coord = [specs[l].eigenfunctions(max_j[l], pts[:, l]) for l in range(d)]
-    out = np.ones((len(dense), pts.shape[0]))
-    for r, row in enumerate(dense):
-        for l in range(d):
-            out[r] *= per_coord[l][row[l] - 1]
+    out = np.empty((len(dense), pts.shape[0]))
+    _product_rows(out, dense, _coordinate_factors(shape, d, dense, pts))
     return out
+
+
+def _coordinate_factors(shape, d, dense, pts):
+    """Per coordinate l, the rows phi_1 .. phi_J of gamma_l at pts[:, l], J the largest index."""
+    specs = [univariate_spectrum(g) for g in shape.gammas(d)]
+    max_j = [max(row[l] for row in dense) for l in range(d)] if dense else [1] * d
+    return [specs[l].eigenfunctions(max_j[l], pts[:, l]) for l in range(d)]
+
+
+def _product_rows(out, dense, per_coord):
+    """Write into out[r] the product over l of the factor rows per_coord[l][dense[r][l] - 1].
+
+    The first factor is copied, which is bit-equal to multiplying it into a
+    row of ones; a loop over rows beats a gather of whole factor blocks.
+    """
+    first, rest = per_coord[0], per_coord[1:]
+    for r, row in enumerate(dense):
+        out_r = out[r]
+        out_r[...] = first[row[0] - 1]
+        for l, factor in enumerate(rest, start=1):
+            out_r *= factor[row[l] - 1]
 
 
 @dataclass
@@ -86,6 +111,9 @@ def eigen_projection(shape: ShapeSequence, d: int, n: int, f, m: int = 64) -> Ei
     coefficients are computed by the tensor Gauss-Hermite rule with m^d
     points; past 10^7 points :func:`tensor_rule` raises
     ``ResourceLimitError`` (d = 4 needs m <= 56, while d = 5 runs at m = 8).
+    The basis functions at the grid nodes are formed 64 rows at a time in
+    one buffer, so the working set is 64 rows of m^d values plus the
+    per-coordinate eigenfunction factors, never the n x m^d matrix.
     Or ``f`` is a mapping from dense multi-index tuples to
     eigen-coefficients, in which case they are read off exactly and any d
     is allowed; a key that is not d integer entries, each >= 1, raises
@@ -94,9 +122,19 @@ def eigen_projection(shape: ShapeSequence, d: int, n: int, f, m: int = 64) -> Ei
     basis = top_n_tensor_eigenvalues(shape, d, n)
     if callable(f):
         pts, w = tensor_rule(d, m)
-        funcs = tensor_eigenfunctions(shape, d, basis.indices, pts)
-        vals = np.asarray(f(pts), dtype=float)
-        coef = funcs @ (w * vals)
+        dense = [idx.dense() for idx in basis.indices]
+        per_coord = _coordinate_factors(shape, d, dense, pts)
+        wv = w * np.asarray(f(pts), dtype=float)
+        rows = len(dense)
+        coef = np.empty(rows)
+        block = np.empty((min(rows, _PROJECTION_BLOCK + 1), pts.shape[0]))
+        a = 0
+        while a < rows:
+            # a one-row tail joins this block
+            b = a + _PROJECTION_BLOCK if rows - a > _PROJECTION_BLOCK + 1 else rows
+            _product_rows(block, dense[a:b], per_coord)
+            coef[a:b] = block[: b - a] @ wv
+            a = b
     else:
         table = {_dense_index(d, key): float(val) for key, val in f.items()}
         coef = np.array([table.get(idx, 0.0) for idx in basis.indices])

@@ -33,7 +33,6 @@ class QuadratureRule:
     weights: np.ndarray
 
 
-@functools.lru_cache(maxsize=None)
 def gauss_hermite(m: int) -> QuadratureRule:
     """m-point Gauss-Hermite rule for the weight pi^(-1/2) exp(-t^2).
 
@@ -43,10 +42,18 @@ def gauss_hermite(m: int) -> QuadratureRule:
     The rule is exact on polynomials of degree <= 2m-1.
 
     Rules are built once per m and shared: a repeat call returns the same
-    arrays, which are read-only.
+    arrays, which are read-only.  m must be an integer (a bool is not) in
+    [1, 512], checked before the cache is consulted.
     """
-    if not 1 <= m <= MAX_RULE_SIZE:
+    m = _at_least("rule size", m, 1)
+    if m > MAX_RULE_SIZE:
         raise ValueError(f"rule size must be in [1, {MAX_RULE_SIZE}], got {m}")
+    return _gauss_hermite(m)
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_hermite(m: int) -> QuadratureRule:
+    """:func:`gauss_hermite` for a validated int m, built once per m."""
     # imported here, so that importing grkhs loads no scipy
     from scipy.special import roots_hermite
 
@@ -158,7 +165,9 @@ def nystrom_eigs(gamma: float, m: int, k: int, scale: float = 1.0) -> np.ndarray
     """
     if not (np.isfinite(gamma) and gamma > 0):
         raise ValueError(f"shape parameter must be positive and finite, got {gamma}")
-    if not 1 <= k <= m:
+    m = _at_least("rule size", m, 1)
+    k = _at_least("k", k, 1)
+    if k > m:
         raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
     if not (np.isfinite(scale) and scale > 0):
         raise ValueError(f"rule scale must be positive and finite, got {scale}")
@@ -188,6 +197,8 @@ def integrate(d: int, m: int, g) -> float:
 def tensor_rule(d: int, m: int):
     """Tensor grid points (N, d) and normalized weights (N,) for rho_d, m^d <= 10^7."""
     d = _at_least("dimension", d, 1)
+    # as a Python int, so that m**d cannot wrap as a numpy integer would
+    m = _at_least("rule size", m, 1)
     if m**d > MAX_GRID_SIZE:
         raise ResourceLimitError(f"tensor grid m^d = {m**d} exceeds {MAX_GRID_SIZE}")
     rule = gauss_hermite(m)

@@ -112,8 +112,7 @@ class UnivariateSpectrum:
         which is stable for any index; only the final e^(x^2/2) envelope can
         overflow, at |x| > 37.6.
         """
-        if J < 1:
-            raise ValueError(f"need J >= 1, got {J}")
+        J = _at_least("J", J, 1)
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if np.any(np.abs(x) > _X_OVERFLOW):
             raise EvaluationOverflowError(
@@ -126,7 +125,11 @@ class UnivariateSpectrum:
             psi[1] = np.sqrt(2.0) * u * psi[0]
         for k in range(2, J):
             psi[k] = np.sqrt(2.0 / k) * u * psi[k - 1] - np.sqrt((k - 1.0) / k) * psi[k - 2]
-        return np.sqrt(self.beta) * np.pi**0.25 * psi * np.exp(0.5 * x * x)
+        # in place, the same products in the same order as
+        # sqrt(beta) * pi^(1/4) * psi * e^(x^2/2)
+        psi *= np.sqrt(self.beta) * np.pi**0.25
+        psi *= np.exp(0.5 * x * x)
+        return psi
 
 
 def univariate_spectrum(gamma: float) -> UnivariateSpectrum:
@@ -140,8 +143,7 @@ def mercer_check(spec: UnivariateSpectrum, x: float, t: float, J: int) -> float:
     Converges to the kernel value as J grows; used to validate the
     closed-form eigenpairs against direct kernel evaluation.
     """
-    if J < 1:
-        raise ValueError(f"need J >= 1, got {J}")
+    J = _at_least("J", J, 1)
     js = np.arange(1, J + 1)
     lam = spec.eigenvalue(js)
     px = spec.eigenfunctions(J, np.array([float(x)]))[:, 0]

@@ -1,11 +1,18 @@
+import json
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import grkhs
 import grkhs.algorithms as algorithms
 from grkhs import (
     ResourceLimitError,
@@ -76,6 +83,61 @@ class TestEigenProjection:
         assert proj.coefficients.shape == (3,) and proj.coefficients[0] > 0.0
         with pytest.raises(ResourceLimitError):
             eigen_projection(shape, 4, 3, f)
+
+    def test_coefficients_bit_equal_to_full_product(self):
+        # the row blocks give the bits of the full (n, m^d) product, one-row
+        # tails (n = 65, 129) included.  One BLAS thread, as in the benchmark:
+        # a threaded product splits its rows between threads, so the full
+        # product's own bits follow the thread count.
+        code = textwrap.dedent(
+            """
+            import json
+            import numpy as np
+            import grkhs
+            from grkhs.algorithms import tensor_eigenfunctions
+
+            shape = grkhs.ShapeSequence.isotropic(1.0)
+            rng = np.random.default_rng(19)
+            compared, differ = 0, []
+            for d, m in [(1, 100), (2, 64), (3, 16)]:
+                a, b = rng.uniform(0.2, 1.0, d), rng.uniform(0.0, np.pi, d)
+                f = lambda p: np.prod(np.cos(p * a + b), axis=1)
+                pts, w = grkhs.tensor_rule(d, m)
+                for n in (1, 2, 63, 64, 65, 128, 129, 500):
+                    proj = grkhs.eigen_projection(shape, d, n, f, m)
+                    funcs = tensor_eigenfunctions(shape, d, proj.basis.indices, pts)
+                    full = funcs @ (w * f(pts))
+                    hexes = [[c.hex() for c in x.tolist()] for x in (proj.coefficients, full)]
+                    compared += 1
+                    if hexes[0] != hexes[1]:
+                        differ.append([d, m, n])
+            print(json.dumps([compared, differ]))
+            """
+        )
+        src = str(Path(grkhs.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        threads = {k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        env = dict(os.environ, PYTHONPATH=path, **threads)
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == [24, []]
+
+    def test_memory_follows_the_block(self):
+        # the (500, 4096) basis-by-grid matrix alone is 15.6 MiB; the
+        # projection holds 64 of its rows and the per-coordinate factors
+        shape = ShapeSequence.isotropic(1.0)
+        f = lambda p: np.prod(np.cos(p * [0.5, 0.7] + [0.3, 1.1]), axis=1)
+        tracemalloc.start()
+        try:
+            proj = eigen_projection(shape, 2, 500, f, 64)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert proj.coefficients.shape == (500,)
+        assert peak < 8 * 2**20
+        assert retained < 2**20
 
     def test_parseval(self):
         # quadrature norm of the projection equals the coefficient norm

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -161,3 +162,25 @@ def test_tensor_rule_grid_guard():
     # a numpy dimension: 16**16 wraps to 0 in int64 arithmetic
     with pytest.raises(ResourceLimitError):
         tensor_rule(np.int64(16), 16)
+    # and numpy rule sizes: 16**16 and 256**8 wrap to 0, and both grids are
+    # larger than any numpy array, so they could never be allocated
+    for d, m in [(16, 16), (8, 256)]:
+        with pytest.raises(ResourceLimitError):
+            tensor_rule(d, np.int64(m))
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda v: gauss_hermite(v), "rule size"),
+        (lambda v: nystrom_eigs(1.0, v, 1), "rule size"),
+        (lambda v: nystrom_eigs(1.0, 10, v), "k"),
+        (lambda v: tensor_rule(2, v), "rule size"),
+    ],
+    ids=["gauss_hermite", "nystrom_eigs_m", "nystrom_eigs_k", "tensor_rule"],
+)
+@pytest.mark.parametrize("bad", [2.5, True, np.float64(3.0)])
+def test_non_integer_size_rejected(call, name, bad):
+    # each used to fail inside numpy or scipy, or to take True for 1
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {bad!r}")):
+        call(bad)

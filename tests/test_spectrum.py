@@ -177,6 +177,11 @@ class TestUnivariateSpectrum:
         with pytest.raises(EvaluationOverflowError):
             spec.eigenfunctions(1, 40.0)
 
+    @pytest.mark.parametrize("bad", [2.5, True, np.float64(3.0)])
+    def test_non_integer_count_rejected(self, bad):
+        with pytest.raises(ValueError, match=re.escape(f"J must be an integer, got {bad!r}")):
+            univariate_spectrum(1.0).eigenfunctions(bad, [0.0, 0.5])
+
     @pytest.mark.parametrize(
         "gamma, message",
         [
