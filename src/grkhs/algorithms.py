@@ -158,16 +158,14 @@ def minimal_error_all(shape: ShapeSequence, d: int, n: int) -> float:
 class SplineModel:
     """Fitted minimal-norm kernel interpolant.
 
-    ``design`` is a read-only copy of the (n, d) sites, ``clip`` the
-    eigenvalue threshold of the Gram solve and ``rank`` the number of Gram
-    eigendirections kept, so ``n - rank`` were clipped.
+    ``design`` is a read-only copy of the (n, d) sites and ``rank`` the
+    number of Gram eigendirections kept, so ``n - rank`` were clipped.
     """
 
     shape: ShapeSequence
     d: int
     design: np.ndarray
     coefficients: np.ndarray
-    clip: float
     rank: int
 
     def __call__(self, points) -> np.ndarray:
@@ -214,7 +212,7 @@ class _OneEntryMemo:
         return value
 
 
-# the clipped Gram factors (U, inv, tau) of the most recent design
+# the clipped Gram factors (U, inv) of the most recent design
 _gram_memo = _OneEntryMemo()
 # the kernel K of the most recent points and sites
 _site_memo = _OneEntryMemo()
@@ -241,26 +239,26 @@ def _site_kernel(shape, d, points, sites):
 def _gram_pinv_factors(shape, d, design):
     """Eigendecomposition of the Gram matrix with small eigenvalues clipped.
 
-    Returns (U, inv, tau) with pseudo-inverse U diag(inv) U^T; eigenvalues
-    at or below tau = CLIP_FACTOR times the largest are treated as exact
-    zeros, which is the minimal-Euclidean-norm convention for rank-deficient
+    Returns (U, inv) with pseudo-inverse U diag(inv) U^T; eigenvalues at
+    or below CLIP_FACTOR times the largest are treated as exact zeros,
+    which is the minimal-Euclidean-norm convention for rank-deficient
     systems.
 
     The factors of the most recent design are kept, keyed by the exact bytes
     of d, the shape parameters and the design, so a second solve on the same
     design (a fit followed by its power function) costs no eigendecomposition.
     The arrays are shared between callers and therefore read-only.  A design
-    with no sites gets the rank-0 factors, (0, 0) U, empty inv and tau 0.0,
-    before the memo is consulted, so it neither builds nor evicts an entry.
+    with no sites gets the rank-0 factors, (0, 0) U and empty inv, before
+    the memo is consulted, so it neither builds nor evicts an entry.
     """
     if design.shape[0] == 0:
-        return _U0, _INV0, 0.0
+        return _U0, _INV0
 
     def build():
         ev, U = np.linalg.eigh(gram_matrix(shape, d, design))
         tau = CLIP_FACTOR * ev[-1]
         inv = np.where(ev > tau, 1.0 / np.where(ev > tau, ev, 1.0), 0.0)
-        return U, inv, tau
+        return U, inv
 
     return _gram_memo.get(_memo_key(shape, d, design), build)
 
@@ -271,21 +269,20 @@ def _grid_factors(shape, d, m):
     A_l = diag(sqrt(w)) K_l diag(sqrt(w)) depends on gamma_l alone, so it is
     built once per distinct gamma_l and shared by the coordinates with that
     value.  The factors of the most recent grid are kept, keyed by the exact
-    bytes of m and the first d shape parameters, so repeated error
-    evaluations on one grid build none.  The arrays are shared between
-    callers and therefore read-only.
+    bytes of d, the shape parameters and m, so repeated error evaluations on
+    one grid build none.  The arrays are shared between callers and
+    therefore read-only.
     """
-    gammas = shape.gammas(d)
 
     def build():
         rule = gauss_hermite(m)
+        gammas = shape.gammas(d).tolist()
         by_gamma = {
-            g: _nystrom_matrix(g, rule.nodes, rule.weights)
-            for g in dict.fromkeys(gammas.tolist())
+            g: _nystrom_matrix(g, rule.nodes, rule.weights) for g in dict.fromkeys(gammas)
         }
-        return tuple(by_gamma[g] for g in gammas.tolist())
+        return tuple(by_gamma[g] for g in gammas)
 
-    return _grid_memo.get(np.int64(m).tobytes() + gammas.tobytes(), build)
+    return _grid_memo.get(_memo_key(shape, d, np.int64(m)), build)
 
 
 def spline_fit(shape: ShapeSequence, d: int, design, y) -> SplineModel:
@@ -310,17 +307,12 @@ def spline_fit(shape: ShapeSequence, d: int, design, y) -> SplineModel:
         raise ValueError("design must be nonempty")
     if y.shape != (pts.shape[0],):
         raise ValueError(f"data must have shape ({pts.shape[0]},), got {y.shape}")
-    U, inv, tau = _gram_pinv_factors(shape, d, pts)
+    U, inv = _gram_pinv_factors(shape, d, pts)
     c = U @ (inv * (U.T @ y))
     sites = pts.copy()
     sites.flags.writeable = False
     return SplineModel(
-        shape=shape,
-        d=d,
-        design=sites,
-        coefficients=c,
-        clip=tau,
-        rank=int(np.count_nonzero(inv)),
+        shape=shape, d=d, design=sites, coefficients=c, rank=int(np.count_nonzero(inv))
     )
 
 
@@ -351,7 +343,7 @@ def _power_from_kernel(shape, d, design, K):
     The design is validated; K may come from the site memo or, for a kernel
     used once, straight from :func:`cross_kernel`.
     """
-    U, inv, _ = _gram_pinv_factors(shape, d, design)
+    U, inv = _gram_pinv_factors(shape, d, design)
     # eigh sorts the eigenvalues ascending, so the clip zeroes a leading
     # block of inv and the kept directions are the trailing rank columns
     kept = slice(inv.size - np.count_nonzero(inv), None)
@@ -403,7 +395,7 @@ def spline_worst_case_error(
         return float(np.sqrt(max(0.0, np.dot(w, P**2))))
     factors = _grid_factors(shape, d, m)
     N = w.size
-    U, inv, _ = _gram_pinv_factors(shape, d, pts)
+    U, inv = _gram_pinv_factors(shape, d, pts)
     # all n columns of U are kept, clipped ones included, so that the WCE
     # bytes stay as they were: inv reaches 1/(CLIP_FACTOR lambda_max) and
     # amplifies any change in the rounding of K(grid, design) U to ~1e-11;

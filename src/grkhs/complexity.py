@@ -317,9 +317,8 @@ def estimate_rate(seq: ErrorSequence, window) -> RateFit:
         return RateFit(rate=0.0, superpolynomial=False, degenerate=True)
 
     def slope(nn, ee):
-        x, y = np.log(nn), -np.log(ee)
-        A = np.column_stack([np.ones_like(x), x])
-        return float(np.linalg.lstsq(A, y, rcond=None)[0][1])
+        x = np.log(nn)
+        return float(_ols(np.column_stack([np.ones_like(x), x]), -np.log(ee))[1])
 
     full = slope(n, e)
     half = (lo + hi) // 2

@@ -11,7 +11,6 @@ so the same object can serve experiments that sweep the dimension.
 
 from __future__ import annotations
 
-import math
 import numbers
 
 import numpy as np
@@ -75,32 +74,30 @@ class ShapeSequence:
 
     def gamma(self, l: int) -> float:
         """Shape parameter of coordinate ``l`` (1-based)."""
-        if l < 1:
-            raise ValueError(f"coordinate index must be >= 1, got {l}")
-        if self.kind == "isotropic":
-            return self.params["gamma"]
-        if self.kind == "power-law":
-            return self.params["c"] * float(l) ** (-self.params["alpha"])
-        if self.kind == "geometric":
-            return self.params["q"] ** l
-        vals = self.params["values"]
-        if l > vals.size:
-            raise ValueError(f"explicit shape has {vals.size} entries, asked for {l}")
-        return float(vals[l - 1])
+        l = _at_least("coordinate index", l, 1)
+        return float(self._span(l, l, l)[0])
 
     def gammas(self, d: int) -> np.ndarray:
         """First ``d`` shape parameters as an array."""
         d = _at_least("dimension", d, 1)
+        return self._span(1, d, f"d={d}")
+
+    def _span(self, lo: int, hi: int, asked) -> np.ndarray:
+        """gamma_lo .. gamma_hi as a fresh array; ``asked`` names hi in the explicit message."""
         if self.kind == "isotropic":
-            return np.full(d, self.params["gamma"])
+            return np.full(hi - lo + 1, self.params["gamma"])
         if self.kind == "explicit":
             vals = self.params["values"]
-            if d > vals.size:
-                raise ValueError(f"explicit shape has {vals.size} entries, asked for d={d}")
-            return vals[:d].copy()
+            if hi > vals.size:
+                raise ValueError(f"explicit shape has {vals.size} entries, asked for {asked}")
+            return vals[lo - 1 : hi].copy()
         # numpy's vectorized power may round differently from the scalar
-        # pow of gamma(l) (it does on AVX-512 machines), so these stay scalar
-        return np.array([self.gamma(l) for l in range(1, d + 1)])
+        # pow (it does on AVX-512 machines), so these stay scalar
+        if self.kind == "power-law":
+            c, alpha = self.params["c"], self.params["alpha"]
+            return np.array([c * float(l) ** -alpha for l in range(lo, hi + 1)])
+        q = self.params["q"]
+        return np.array([q**l for l in range(lo, hi + 1)])
 
     def __repr__(self):
         if self.kind == "isotropic":
@@ -218,32 +215,30 @@ def eigenvalue_ratio(gamma: float) -> float:
     """Common ratio omega of the geometric univariate eigenvalue sequence.
 
     omega = 2 gamma^2 / (1 + 2 gamma^2 + sqrt(1 + 4 gamma^2)), strictly
-    increasing in gamma with values in (0, 1).
+    increasing in gamma with values in (0, 1); the one entry of
+    :func:`_eigenvalue_ratios`.
     """
-    if not 0 < gamma < np.inf:
-        raise ValueError(f"shape parameter must be positive, got {gamma}")
-    g2 = float(gamma) * float(gamma)  # Python floats overflow to inf silently
-    omega = 2.0 * g2 / (1.0 + 2.0 * g2 + math.sqrt(1.0 + 4.0 * g2))
-    if not omega < 1.0:  # rounds to 1 past gamma ~ 1e16, NaN once gamma^2 overflows
-        raise ValueError(f"shape parameter {gamma} too large for double precision")
-    return np.float64(omega)
+    return _eigenvalue_ratios(np.array([gamma], dtype=float))[0]
 
 
 def _eigenvalue_ratios(gammas: np.ndarray) -> np.ndarray:
     """:func:`eigenvalue_ratio` of every entry, as one array.
 
-    The same IEEE operations in the same order (sqrt is correctly rounded
-    in both), so each entry is bit-equal to the scalar.  The first entry
-    the scalar rejects raises the scalar's ValueError.
+    The gate on shape parameters: the first entry that is not positive and
+    finite, or whose ratio rounds to 1 (past gamma ~ 1e16) or is NaN (once
+    gamma^2 overflows), raises ``ValueError``.
     """
     g = np.asarray(gammas, dtype=float)
-    # like the scalar, let gamma^2 overflow to inf and inf / inf give NaN
+    # let gamma^2 overflow to inf and inf / inf give NaN, which the gate rejects
     with np.errstate(over="ignore", invalid="ignore"):
         g2 = g * g
         omega = 2.0 * g2 / (1.0 + 2.0 * g2 + np.sqrt(1.0 + 4.0 * g2))
     ok = (g > 0) & (g < np.inf) & (omega < 1.0)
     if not ok.all():
-        eigenvalue_ratio(g[np.argmin(ok)])  # raises for that entry
+        bad = g[np.argmin(ok)]
+        if not 0 < bad < np.inf:
+            raise ValueError(f"shape parameter must be positive, got {bad}")
+        raise ValueError(f"shape parameter {bad} too large for double precision")
     return omega
 
 

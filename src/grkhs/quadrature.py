@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from math import lgamma, log
+from math import inf, lgamma, log
 
 import numpy as np
 
 from .errors import ResourceLimitError
-from .kernel import _at_least
+from .kernel import _at_least, eigenvalue_ratio
 
 __all__ = ["QuadratureRule", "gauss_hermite", "nystrom_eigs", "integrate", "tensor_rule"]
 
@@ -94,12 +94,13 @@ def _nystrom_matrix(gamma: float, t: np.ndarray, w: np.ndarray) -> np.ndarray:
 _MAX_FACTOR_TERMS = 3000
 
 
-def _factor_terms(gamma: float) -> int:
+def _factor_terms(gamma: float):
     g2 = gamma * gamma
     rho = 2.0 * g2 / (1.0 + 2.0 * g2)
+    if not rho < 1.0:  # 2 g^2 past 2^53 (gamma ~ 6.7e7): no finite length
+        return inf
     # aim at a truncation below 1e-30 absolute
-    needed = int(np.ceil(2.0 * 30.0 * np.log(10.0) / -np.log(rho))) + 32
-    return needed
+    return int(np.ceil(2.0 * 30.0 * np.log(10.0) / -np.log(rho))) + 32
 
 
 def _nystrom_eigs_factored(
@@ -161,10 +162,11 @@ def nystrom_eigs(gamma: float, m: int, k: int, scale: float = 1.0) -> np.ndarray
     gamma the eigenvalues are obtained from a factored SVD (high relative
     accuracy down to the underflow floor); for large gamma, where the
     kernel Taylor factor would need too many terms, a dense symmetric
-    eigensolve is used instead.  The route depends on gamma alone.
+    eigensolve is used instead.  The route depends on gamma alone, which
+    passes the shape-parameter gate of :func:`eigenvalue_ratio` (its value
+    is not used).
     """
-    if not (np.isfinite(gamma) and gamma > 0):
-        raise ValueError(f"shape parameter must be positive and finite, got {gamma}")
+    eigenvalue_ratio(gamma)
     m = _at_least("rule size", m, 1)
     k = _at_least("k", k, 1)
     if k > m:

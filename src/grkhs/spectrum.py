@@ -249,24 +249,19 @@ def tensor_log_eigenvalue(shape: ShapeSequence, d: int, dense_index) -> float:
 _KEY_SHIFT = 2**31
 
 
-def _key_order(keys, first=None):
-    """Stable ascending order of tie keys, after ``first`` if given.
+def _key_order(keys):
+    """Stable ascending order of tie keys.
 
     ``keys`` holds the coded raised entries of each index, position
     ascending and zero-padded.
     """
-    order = np.arange(keys.shape[0])
-    if keys.shape[1]:
-        # the codes are non-negative, so their big-endian bytes compare
-        # like the rows, one memcmp per comparison however wide the key
-        raw = np.ascontiguousarray(keys, dtype=">i8")
-        raw = raw.view(np.dtype((np.void, 8 * keys.shape[1]))).ravel()
-        order = np.argsort(raw, kind="stable")
-    if first is None:
-        return order
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return np.lexsort((rank, first))
+    if not keys.shape[1]:
+        return np.arange(keys.shape[0])
+    # the codes are non-negative, so their big-endian bytes compare like
+    # the rows, one memcmp per comparison however wide the key
+    raw = np.ascontiguousarray(keys, dtype=">i8")
+    raw = raw.view(np.dtype((np.void, 8 * keys.shape[1]))).ravel()
+    return np.argsort(raw, kind="stable")
 
 
 def _extend_keys(keys, depth, src, j, pos):
@@ -344,7 +339,9 @@ def _top_log_eigenvalues(shape: ShapeSequence, d: int, n: int):
         else:
             src, j, vals = _tie_step(keys, depth, vals, lr, cut, n, l + 1)
         keys, depth = _extend_keys(keys, depth, src, j, l + 1)
-    final = _key_order(keys, -vals)[:n]
+    # descending value, exact ties in key order
+    order = _key_order(keys)
+    final = order[np.argsort(-vals[order], kind="stable")[:n]]
     keys = keys[final]
     codes = keys[keys != 0]  # row by row, positions ascending
     pos, j = codes // _KEY_SHIFT + 1, _KEY_SHIFT - codes % _KEY_SHIFT
@@ -371,12 +368,11 @@ def _top_log_values(base, log_ratio, n):
     candidates reach the largest of these floors, and none below it counts.
     """
     vals = np.array([base])
-    for lr in log_ratio:
+    # an underflowed ratio adds only zero eigenvalues, and the powers 1..n
+    # of one finite ratio outrank them all
+    for lr in log_ratio[np.isfinite(log_ratio)]:
         if vals.size == n and vals.max() + lr < vals.min():
             continue  # no power above 1 reaches the n-th value: nothing moves
-        if np.isneginf(lr):  # every power above 1 is a zero eigenvalue
-            vals = np.concatenate((vals, np.full(n - vals.size, -np.inf)))
-            continue
         rows = -np.sort(-vals)
         r = np.arange(1, rows.size + 1)
         floor = np.max(rows + ((n - 1) // r) * lr)
@@ -385,6 +381,7 @@ def _top_log_values(base, log_ratio, n):
         theta = -np.partition(-v, n - 1)[n - 1]
         above = v[v > theta]
         vals = np.concatenate((above, np.full(n - above.size, theta)))
+    vals = np.concatenate((vals, np.full(n - vals.size, -np.inf)))
     return -np.sort(-vals)
 
 
@@ -420,10 +417,10 @@ def _tie_step(keys, depth, vals, lr, cut, n, pos):
     src, start, size = src[order], start[order], size[order]
     take = n - row.size
     q = np.clip(take - (np.cumsum(size) - size), 0, size)  # blocks in key order
-    k = np.arange(q.sum()) - np.repeat(np.cumsum(q) - q, q)
-    tie_j = np.repeat(start, q) - k
+    block, step = _candidates(q)
+    tie_j = start[block] - step + 1
     return (
-        np.concatenate((row, np.repeat(src, q))),
+        np.concatenate((row, src[block])),
         np.concatenate((j, tie_j)),
         np.concatenate((v, np.full(tie_j.size, cut))),
     )

@@ -25,7 +25,7 @@ from .kernel import ShapeSequence, eigenvalue_ratio, initial_error, kernel_eval
 from .quadrature import gauss_hermite, nystrom_eigs
 from .spectrum import top_n_tensor_eigenvalues, univariate_spectrum
 
-__all__ = ["CheckResult", "run_checks", "render_report", "DETERMINISM_CHECK_NAME"]
+__all__ = ["CheckResult", "run_checks", "render_report", "run_full"]
 
 DETERMINISM_CHECK_NAME = "12 determinism"
 

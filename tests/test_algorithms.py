@@ -232,6 +232,9 @@ class TestPowerFunction:
     def test_empty_design(self):
         p = power_function(ShapeSequence.isotropic(1.0), 2, np.empty((0, 2)), [[0.0, 0.0]])
         assert p[0] == 1.0
+        # an empty list is the empty design in any dimension
+        x = np.random.default_rng(1).standard_normal((4, 3))
+        assert power_function(ShapeSequence.isotropic(1.0), 3, [], x).tolist() == [1.0] * 4
 
     def test_bounded_by_one(self):
         shape = ShapeSequence.power_law(1.0, 1.0)
@@ -402,7 +405,7 @@ class TestGramMemo:
         assert fresh[0] is not hit[0]
         for a, b in zip(hit, fresh):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
-        U, inv, _ = hit
+        U, inv = hit
         with pytest.raises(ValueError):
             U[0, 0] = 0.0
         with pytest.raises(ValueError):
@@ -415,8 +418,8 @@ class TestGramMemo:
         spline_fit(shape, 2, X, rng.standard_normal(6))
         entry = algorithms._gram_memo.entry
         empty = np.empty((0, 2))
-        U, inv, tau = _gram_pinv_factors(shape, 2, empty)
-        assert (U.shape, inv.shape, tau) == ((0, 0), (0,), 0.0)
+        U, inv = _gram_pinv_factors(shape, 2, empty)
+        assert (U.shape, inv.shape) == ((0, 0), (0,))
         assert not U.flags.writeable and not inv.flags.writeable
         power_function(shape, 2, empty, rng.standard_normal((4, 2)))
         spline_worst_case_error(shape, 2, empty, 8)  # dense solve
@@ -533,7 +536,7 @@ def _power_function_all_columns(shape, d, design, x):
     ``power_function`` keeps only the trailing rank columns of U; here the
     clipped directions enter too, with weight inv = 0.
     """
-    U, inv, _ = _gram_pinv_factors(shape, d, design)
+    U, inv = _gram_pinv_factors(shape, d, design)
     proj = cross_kernel(shape, d, x, design) @ U
     quad = np.sum(proj * proj * inv[None, :], axis=1)
     return np.sqrt(np.maximum(0.0, 1.0 - quad))
@@ -567,7 +570,7 @@ class TestPowerFunctionKeptDirections:
     @given(_clipped_design())
     def test_matches_all_columns_reference(self, case):
         shape, d, sites, x, duplicates = case
-        U, inv, _ = _gram_pinv_factors(shape, d, sites)
+        U, inv = _gram_pinv_factors(shape, d, sites)
         n, rank = inv.size, np.count_nonzero(inv)
         # the zeros of inv form a leading block, so the kept directions are
         # the trailing rank columns of U
@@ -586,7 +589,7 @@ class TestPowerFunctionMemory:
         base = rng.standard_normal((30, 2))
         sites = np.vstack([base, base[:5]])  # duplicates, so the clip fires
         x = rng.standard_normal((50, 2))
-        U, inv, _ = _gram_pinv_factors(shape, 2, sites)
+        U, inv = _gram_pinv_factors(shape, 2, sites)
         kept = slice(inv.size - np.count_nonzero(inv), None)
         assert kept.start >= 5
         proj = cross_kernel(shape, 2, x, sites) @ U[:, kept]

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import grkhs
-from grkhs import ShapeSequence, cli
+from grkhs import ShapeSequence, cli, verify
 from grkhs.cli import main, parse_shape
 
 
@@ -52,6 +52,11 @@ class TestSubcommands:
         assert len(lines) == 6
         first = lines[3].split(",")
         assert float(first[1]) == pytest.approx(0.6180340, abs=1e-6)
+
+    def test_spectrum_past_taylor_range(self, capsys):
+        # gamma = 1e8 takes the oracle's dense solve
+        code, out = run_cli(capsys, "spectrum", "--gamma", "1e8", "--k", "3")
+        assert code == 0 and len(out.strip().split("\n")) == 6
 
     def test_eigs(self, capsys):
         code, out = run_cli(capsys, "eigs", "--shape", "iso:1.0", "--d", "2", "--n", "3")
@@ -190,6 +195,32 @@ class TestExitCodes:
 
     def test_missing_config_file(self, capsys):
         assert main(["spectrum", "--gamma", "1.0", "--config", "/nonexistent.json"]) == 1
+
+    def test_config_must_be_an_object(self, capsys, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(["gamma", 1.0]))
+        assert main(["spectrum", "--config", str(cfg)]) == 1
+        assert capsys.readouterr() == ("", "error: config file must hold a JSON object\n")
+
+    def test_decay_many_dimensions_need_out(self, capsys):
+        assert main(["decay", "--shape", "iso:1.0", "--d", "1,2", "--N", "5"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: multiple dimensions need --out (one file per d)\n"
+
+
+class TestVerify:
+    @pytest.mark.parametrize("passed, code", [(True, 0), (False, 3)])
+    def test_exit_code_and_out_file(self, capsys, monkeypatch, tmp_path, passed, code):
+        results = [
+            verify.CheckResult("01 first", True, "fine"),
+            verify.CheckResult("02 second", passed, "detail"),
+        ]
+        monkeypatch.setattr(verify, "run_full", lambda: results)
+        out = tmp_path / "report.txt"
+        assert main(["verify", "--out", str(out)]) == code
+        stdout = capsys.readouterr().out
+        assert stdout == verify.render_report(results)
+        assert out.read_bytes() == stdout.encode()
 
 
 class TestParserReuse:

@@ -444,9 +444,23 @@ class TestEstimateRate:
             estimate_rate(seq, (10, 60))
         with pytest.raises(ValueError):
             estimate_rate(seq, (0, 40))
+        with pytest.raises(ValueError, match="rate fit needs strictly positive errors"):
+            estimate_rate(ErrorSequence(np.array([1.0, 0.5, 0.0, 0.0])), (1, 3))
 
 
 class TestTractabilityProbe:
+    def test_empty_grid(self):
+        with pytest.raises(ValueError, match="grids must be nonempty"):
+            tractability_probe(ShapeSequence.isotropic(1.0), [], [1], "absolute")
+
+    def test_one_cell_has_no_fit(self):
+        # one envelope point fits no line: NaN exponents, inconclusive
+        report = tractability_probe(ShapeSequence.isotropic(1.0), [0.1], [1], "absolute")
+        assert report.table == [(1, 0.1, 5)]
+        assert math.isnan(report.p_hat) and math.isnan(report.q_hat)
+        assert report.envelope_residual == math.inf
+        assert report.classification == "inconclusive"
+        assert report.t_hat == pytest.approx(math.log(5) / (1.0 + math.log(10.0)))
     def test_isotropic_absolute_strong_poly(self):
         report = tractability_probe(
             ShapeSequence.isotropic(1.0),

@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 
@@ -39,8 +40,37 @@ class TestShapeSequence:
     def test_explicit(self):
         s = ShapeSequence.explicit([1.0, 0.5])
         assert s.gammas(2).tolist() == [1.0, 0.5]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("has 2 entries, asked for d=3")):
             s.gammas(3)
+        with pytest.raises(ValueError, match="explicit shape needs a nonempty 1-d list"):
+            ShapeSequence.explicit([])
+
+    @pytest.mark.parametrize(
+        "shape, l, message",
+        [
+            (ShapeSequence.isotropic(1.0), 0, "need coordinate index >= 1, got 0"),
+            (ShapeSequence.explicit([1.0, 0.5, 0.25]), 4, "explicit shape has 3 entries, asked for 4"),
+            (ShapeSequence.power_law(1.0, 2.0), 2.5, "coordinate index must be an integer, got 2.5"),
+        ],
+    )
+    def test_gamma_index_checks(self, shape, l, message):
+        with pytest.raises(ValueError) as exc:
+            shape.gamma(l)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            ShapeSequence.isotropic(1.5),
+            ShapeSequence.power_law(3.7, 0.61),
+            ShapeSequence.geometric(0.93),
+            ShapeSequence.explicit([0.7, 1e-200, 2.0**-40]),
+        ],
+    )
+    def test_repr_round_trips(self, shape):
+        back = eval(repr(shape), {"ShapeSequence": ShapeSequence})
+        assert back.kind == shape.kind and repr(back) == repr(shape)
+        assert back.gammas(3).tobytes() == shape.gammas(3).tobytes()
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -78,10 +108,20 @@ class TestShapeSequence:
         ],
     )
     def test_gammas_bit_equal_to_scalar_gamma(self, shape):
-        d = 5
+        # the scalar formulas written out: numpy's vectorized pow may round
+        # differently, so neither gammas nor gamma(l) may use it
+        p = shape.params
+        scalar = {
+            "isotropic": lambda l: p["gamma"],
+            "power-law": lambda l: p["c"] * float(l) ** -p["alpha"],
+            "geometric": lambda l: p["q"] ** l,
+            "explicit": lambda l: float(p["values"][l - 1]),
+        }[shape.kind]
+        d = 5 if shape.kind == "explicit" else 2000
         g = shape.gammas(d)
         assert g.dtype == np.float64 and g.shape == (d,)
-        assert g.tobytes() == np.array([shape.gamma(l) for l in range(1, d + 1)]).tobytes()
+        assert g.tobytes() == np.array([scalar(l) for l in range(1, d + 1)]).tobytes()
+        assert [shape.gamma(l) for l in (1, 2, d)] == [scalar(l) for l in (1, 2, d)]
         # a fresh array each call: writing to it leaves the shape unchanged
         g[0] = 0.0
         assert shape.gammas(d)[0] == shape.gamma(1)
@@ -294,10 +334,18 @@ def test_gaussian_weight():
 
 
 def test_eigenvalue_ratios_bit_equal_to_scalar():
+    # the closed form in Python floats, whose sqrt is correctly rounded as
+    # numpy's is; Python floats let gamma^2 overflow to inf silently
+    def omega(x):
+        g2 = x * x
+        return 2.0 * g2 / (1.0 + 2.0 * g2 + math.sqrt(1.0 + 4.0 * g2))
+
     rng = np.random.default_rng(20261018)
     g = np.concatenate((10.0 ** rng.uniform(-150.0, 15.0, 20000), [1e-162, 1e-200, 1.0]))
-    ref = np.array([eigenvalue_ratio(x) for x in g])
+    ref = np.array([omega(x) for x in g.tolist()])
     assert _eigenvalue_ratios(g).tobytes() == ref.tobytes()
+    scalar = np.array([eigenvalue_ratio(x) for x in g[:500].tolist()])
+    assert scalar.tobytes() == ref[:500].tobytes()
 
 
 @pytest.mark.parametrize("bad", [1e17, 1e200, np.inf, 0.0, -1.0, np.nan])

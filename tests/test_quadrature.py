@@ -12,7 +12,7 @@ from grkhs import (
     tensor_rule,
     univariate_spectrum,
 )
-from grkhs.quadrature import _scaled_rule
+from grkhs.quadrature import _nystrom_matrix, _scaled_rule
 
 
 class TestGaussHermite:
@@ -64,6 +64,18 @@ class TestNystromEigs:
     def test_gamma_validation(self, gamma):
         with pytest.raises(ValueError, match="shape parameter"):
             nystrom_eigs(gamma, 50, 5)
+
+    def test_gamma_too_large_for_double_precision(self):
+        # the gate of eigenvalue_ratio, where omega rounds to 1
+        message = "shape parameter 1e+17 too large for double precision"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            nystrom_eigs(1e17, 10, 3)
+
+    def test_gamma_past_taylor_range_takes_dense_solve(self):
+        # 2 g^2 / (1 + 2 g^2) rounds to 1 at gamma = 1e8: no finite Taylor length
+        rule = gauss_hermite(10)
+        dense = np.linalg.eigvalsh(_nystrom_matrix(1e8, rule.nodes, rule.weights))[::-1][:3]
+        assert nystrom_eigs(1e8, 10, 3).tobytes() == dense.tobytes()
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -143,6 +143,8 @@ class TestUnivariateSpectrum:
         assert lam[0] == pytest.approx(0.6180340, abs=1e-7)
         assert lam[5] == pytest.approx(0.0050250, abs=1e-6)
         assert np.allclose(lam[1:] / lam[:-1], spec.omega)
+        with pytest.raises(ValueError, match="eigenvalue index must be >= 1"):
+            spec.eigenvalue([1, 0])
 
     def test_trace_one(self):
         for gamma in (0.3, 1.0, 4.0):
@@ -207,6 +209,7 @@ class TestMultiIndex:
     def test_dense_roundtrip(self):
         idx = MultiIndex.from_dense((1, 3, 1, 2))
         assert idx.dense() == (1, 3, 1, 2)
+        assert repr(idx) == "MultiIndex(1, 3, 1, 2)"
 
     def test_sparse_storage(self):
         idx = MultiIndex.from_dense([1] * 1000 + [5])
@@ -295,7 +298,10 @@ class TestTensorEnumeration:
 
     def test_guard_env_var_validation(self, monkeypatch):
         monkeypatch.setenv("GRKHS_MAX_EIGS", "zero")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="GRKHS_MAX_EIGS must be an integer, got 'zero'"):
+            top_n_tensor_eigenvalues(ShapeSequence.isotropic(1.0), 2, 5)
+        monkeypatch.setenv("GRKHS_MAX_EIGS", "0")
+        with pytest.raises(ValueError, match="GRKHS_MAX_EIGS must be >= 1, got 0"):
             top_n_tensor_eigenvalues(ShapeSequence.isotropic(1.0), 2, 5)
 
 
