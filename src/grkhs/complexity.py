@@ -110,7 +110,8 @@ def _half_sums(groups, limit: float, guard: int, dtype):
         # the points below the limit at shift s are a prefix of those at s-1
         while True:
             shifted = sums[:k] + s * c
-            k = np.searchsorted(shifted, limit)
+            # Python ints and ndarray methods: no numpy-scalar dispatch per step
+            k = int(shifted.searchsorted(limit))
             if not k or size + k > guard:
                 break
             runs.append(shifted[:k])
@@ -144,13 +145,13 @@ def _pairs_below(left, wleft, right, wright, limit: float, dtype) -> int:
     weights the number of right entries below that is the searchsorted
     index itself, otherwise it indexes the cumulative weights.
     """
-    nl, nr = np.searchsorted(left, limit), np.searchsorted(right, limit)
+    nl, nr = int(left.searchsorted(limit)), int(right.searchsorted(limit))
     if nr > nl:
         left, wleft, nl, right, wright, nr = right, wright, nr, left, wleft, nl
-    below = np.searchsorted(right[:nr], limit - left[:nl], side="left")
+    below = right[:nr].searchsorted(limit - left[:nl], side="left")
     if wright is not None:
-        below = np.concatenate((np.zeros(1, dtype=dtype), np.cumsum(wright[:nr])))[below]
-    return int(np.sum(below if wleft is None else wleft[:nl] * below, dtype=dtype))
+        below = np.concatenate((np.zeros(1, dtype=dtype), wright[:nr].cumsum()))[below]
+    return int((below if wleft is None else wleft[:nl] * below).sum(dtype=dtype))
 
 
 def _count_below_budget(costs: np.ndarray, budgets, guard: int) -> list:
@@ -184,8 +185,9 @@ def _count_below_budget(costs: np.ndarray, budgets, guard: int) -> list:
     """
     groups = []  # (cost, multiplicity), descending cost
     # an infinite cost always reaches the budget; skipping it keeps inf - inf
-    # out of the grouping
-    for c in sorted(costs[np.isfinite(costs)], reverse=True):
+    # out of the grouping.  Python floats: the same IEEE arithmetic here and
+    # in the shift loop, without numpy-scalar dispatch
+    for c in sorted(costs[np.isfinite(costs)].tolist(), reverse=True):
         if groups and abs(groups[-1][0] - c) < 1e-14 * c:
             groups[-1][1] += 1
         else:

@@ -37,6 +37,13 @@ class ShapeSequence:
     - ``explicit(values)``: a finite list, which fixes the dimension
 
     ``power_law`` with alpha = 0 coincides with ``isotropic(c)``.
+
+    The constructors accept any positive finite gamma, and the kernel
+    (``kernel_eval``, ``cross_kernel``, ``gram_matrix``) works on every such
+    shape.  The spectral routes (the closed-form spectrum and merge, the
+    n(eps, d) count and the Nystrom oracle) go through the eigenvalue-ratio
+    gate, which rejects a gamma past about 1e16, where omega rounds to 1
+    ("shape parameter 1e+17 too large for double precision").
     """
 
     def __init__(self, kind, params):
@@ -164,6 +171,11 @@ def _as_points(points, d: int) -> np.ndarray:
     return pts
 
 
+# Bytes per row block of cross_kernel's elementwise pass: its one temporary
+# (the norm sums of a block) stays this small.
+_KERNEL_BLOCK_BYTES = 256 * 1024
+
+
 def cross_kernel(shape: ShapeSequence, d: int, a, b) -> np.ndarray:
     """Kernel matrix K[i, j] = K_d(a_i, b_j) between two point sets.
 
@@ -177,15 +189,18 @@ def cross_kernel(shape: ShapeSequence, d: int, a, b) -> np.ndarray:
     g = shape.gammas(d)
     sa = _as_points(a, d) * g
     sb = sa if b is a else _as_points(b, d) * g
-    d2 = (
-        np.sum(sa * sa, axis=1)[:, None]
-        + np.sum(sb * sb, axis=1)[None, :]
-        - 2.0 * sa @ sb.T
-    )
-    np.maximum(d2, 0.0, out=d2)
-    # in place: no second and third (n_a, n_b) array
-    np.negative(d2, out=d2)
-    return np.exp(d2, out=d2)
+    na, nb = np.sum(sa * sa, axis=1), np.sum(sb * sb, axis=1)
+    # one product over all rows (row blocks of it move bits); the rest runs
+    # in place, a row block at a time, so only the output is (n_a, n_b)
+    K = 2.0 * sa @ sb.T
+    rows = max(1, _KERNEL_BLOCK_BYTES // (K.itemsize * max(1, nb.size)))
+    for i in range(0, K.shape[0], rows):
+        d2 = K[i : i + rows]
+        np.subtract(na[i : i + rows, None] + nb, d2, out=d2)
+        np.maximum(d2, 0.0, out=d2)
+        np.negative(d2, out=d2)
+        np.exp(d2, out=d2)
+    return K
 
 
 def gram_matrix(shape: ShapeSequence, d: int, points) -> np.ndarray:

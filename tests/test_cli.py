@@ -193,6 +193,14 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: eps must lie in (0, 1)")
 
+    def test_shape_past_spectral_gate(self, capsys):
+        # the parser takes any positive finite gamma; the spectral routes
+        # reject one past about 1e16
+        assert main(["eigs", "--shape", "iso:1e17", "--d", "2", "--n", "3"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: shape parameter 1e+17 too large for double precision\n"
+
     def test_missing_config_file(self, capsys):
         assert main(["spectrum", "--gamma", "1.0", "--config", "/nonexistent.json"]) == 1
 

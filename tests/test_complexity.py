@@ -352,6 +352,39 @@ class TestInfoComplexityRow:
             costs, budget = _budget(shape, d, e, criterion)
             assert n == _reference_count(costs, budget)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        isotropic=st.booleans(),
+        gamma=st.floats(0.5, 2.0),
+        alpha=st.floats(0.0, 2.0),
+        d=st.integers(1, 8),
+        log_eps=st.lists(st.floats(-8.0, -0.01), min_size=1, max_size=4),
+        criterion=st.sampled_from(["absolute", "normalized"]),
+    )
+    def test_counts_lie_in_lattice_bracket(self, isotropic, gamma, alpha, d, log_eps, criterion):
+        # the counted points' unit cubes cover the simplex sum x_l c_l < B and
+        # lie in sum x_l c_l < B + sum c_l, over the k costs c_l below the
+        # limit B (the budget less 1e-12); a relative slack of 1e-9 on B
+        # absorbs the rounding of the sums and of the bounds
+        slack = 1e-9
+        if isotropic:
+            shape = ShapeSequence.isotropic(gamma)
+        else:
+            shape = ShapeSequence.power_law(gamma, alpha)
+        eps_list = [10.0**e for e in log_eps]
+        row = info_complexity_row(shape, d, eps_list, criterion)
+        for eps, n in zip(eps_list, row):
+            costs, budget = _budget(shape, d, eps, criterion)
+            limit = budget - 1e-12
+            if limit <= 0:  # an empty simplex: not even the origin counts
+                assert n == 0
+                continue
+            below = costs[costs < limit].tolist()
+            volume = math.factorial(len(below)) * math.prod(below)
+            lower = (limit * (1 - slack)) ** len(below) / volume
+            upper = (limit * (1 + slack) + math.fsum(below)) ** len(below) / volume
+            assert lower <= n <= upper
+
     @pytest.mark.parametrize("guard", [None, 30])
     def test_budgets_at_or_below_zero_count_zero(self, monkeypatch, guard):
         # iso:3.0 at d = 2 has initial error 0.28, so eps 0.9 and 0.5 need no

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -299,6 +300,22 @@ def test_cross_kernel_matches_kernel_eval():
     assert K.shape == (6, 4)
     ref = [[kernel_eval(s, 3, x, t) for t in b] for x in a]
     assert np.allclose(K, ref, rtol=1e-12, atol=0.0)
+
+
+def test_cross_kernel_holds_one_output_array():
+    # 600 columns take many row blocks of the elementwise pass; each gives
+    # the reference's bits, and no second (n_a, n_b) array is held
+    s = ShapeSequence.power_law(1.5, 0.5)
+    rng = np.random.default_rng(4)
+    a, b = rng.standard_normal((2000, 2)), rng.standard_normal((600, 2))
+    tracemalloc.start()
+    try:
+        K = cross_kernel(s, 2, a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= K.nbytes + 2**20
+    assert np.array_equal(K, _cross_reference(s, 2, a, b))
 
 
 def test_cross_kernel_shapes():
