@@ -180,12 +180,12 @@ def cmd_spline_bench(cfg):
     ds = _int_list(cfg["d"])
     sizes = _int_list(cfg.get("sizes", "1,2,5,10,20"))
     seed = int(cfg.get("seed", 0))
-    m = int(cfg.get("m", 0))
+    m = cfg.get("m")
     rng = np.random.default_rng(seed)
     lines = _header({**cfg, "seed": seed}) + ["d,n,e_spline,e_all"]
     for d in ds:
         seq = error_sequence_all(shape, d, max(sizes))
-        rule_m = m if m else (200 if d == 1 else 32)
+        rule_m = (200 if d == 1 else 32) if m is None else int(m)
         for n in sizes:
             design = rng.standard_normal((n, d))
             wce = spline_worst_case_error(shape, d, design, rule_m)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceLimitError
-from .kernel import ShapeSequence, _log_spectrum, eigenvalue_ratio
+from .kernel import ShapeSequence, _at_least, _log_spectrum, eigenvalue_ratio
 from .spectrum import _merge_size, max_enumeration, stream_tensor_eigenvalues
 
 __all__ = [
@@ -302,14 +302,16 @@ class RateFit:
 def estimate_rate(seq: ErrorSequence, window) -> RateFit:
     """Fit -log e(n) against log n by ordinary least squares over a window.
 
-    ``window`` is an inclusive (lo, hi) index range with lo >= 1.  Super-
+    ``window`` is an inclusive (lo, hi) index range of integers with
+    1 <= lo < hi < len(seq); a bound that is not an integer raises
+    ``ValueError``, as does a window outside that range.  Super-
     polynomial decay (the log-log points curve away from any line) is
     flagged when either the fitted slope exceeds 5 or the second-half
     slope exceeds 1.5 times the first-half slope.  A constant window is
     flagged degenerate with rate 0.
     """
-    lo, hi = int(window[0]), int(window[1])
-    if not 1 <= lo < hi or hi >= len(seq):
+    lo, hi = (_at_least("window bound", w, 1) for w in window[:2])
+    if not lo < hi < len(seq):
         raise ValueError(f"window {window} not inside sequence of length {len(seq)}")
     e = seq.values[lo : hi + 1]
     if np.any(e <= 0):
@@ -371,10 +373,11 @@ def tractability_probe(
 
     Cells whose count trips the half-set guard are recorded as the
     certified lower bound the count reports and degrade the
-    classification to inconclusive.
+    classification to inconclusive.  Every d must be an integer >= 1;
+    the whole grid is checked before any counting.
     """
     eps_grid = [float(e) for e in eps_grid]
-    d_grid = [int(d) for d in d_grid]
+    d_grid = [_at_least("dimension", d, 1) for d in d_grid]
     if not eps_grid or not d_grid:
         raise ValueError("grids must be nonempty")
     table = []

@@ -243,9 +243,9 @@ def tensor_log_eigenvalue(shape: ShapeSequence, d: int, dense_index) -> float:
     return _log_product(base, log_ratio, _dense_index(d, dense_index).entries)
 
 
-# a raised entry (pos, j) is stored as pos * 2**31 - j; powers are int32, so
-# the codes are positive, order the entries like the (position, -j) pairs of
-# the tie key, and a pad of 0 sorts first
+# a raised entry (pos, j) is stored as pos * 2**31 - j; the merge counts
+# powers up to 2**31 - 1, so the codes are positive, order the entries like
+# the (position, -j) pairs of the tie key, and a pad of 0 sorts first
 _KEY_SHIFT = 2**31
 
 
@@ -255,8 +255,6 @@ def _key_order(keys):
     ``keys`` holds the coded raised entries of each index, position
     ascending and zero-padded.
     """
-    if not keys.shape[1]:
-        return np.arange(keys.shape[0])
     # the codes are non-negative, so their big-endian bytes compare like
     # the rows, one memcmp per comparison however wide the key
     raw = np.ascontiguousarray(keys, dtype=">i8")
@@ -271,8 +269,7 @@ def _extend_keys(keys, depth, src, j, pos):
     up = np.flatnonzero(j > 1)
     if up.size and dep[up].max() == new.shape[1]:
         # widen by doubling; trailing zero pads do not change the order
-        pad = np.zeros((new.shape[0], max(new.shape[1], 1)), dtype=np.int64)
-        new = np.hstack((new, pad))
+        new = np.hstack((new, np.zeros_like(new)))
     new[up, dep[up]] = pos * _KEY_SHIFT - j[up]
     dep[up] += 1
     return new, dep
@@ -294,11 +291,12 @@ def _top_log_eigenvalues(shape: ShapeSequence, d: int, n: int):
     - a prefix with n better ones is never needed.
 
     After coordinate l the merge keeps every extension of the kept
-    prefixes that reaches the cut, all ties included, and orders the
-    survivors once at the end.  Where more than 2 n would reach it (a log
-    ratio absorbed in rounding ties runs of powers at the cut), that
-    coordinate keeps those above the cut and the key-first of those at
-    it, n in all (:func:`_tie_step`).
+    prefixes that reaches the cut, all ties included, counted exactly by
+    :func:`_powers_reaching`, and orders the survivors once at the end.
+    Where more than 2 n would reach it (a log ratio absorbed in rounding
+    ties runs of powers at the cut), that coordinate keeps those above
+    the cut and the key-first of those at it, n in all
+    (:func:`_tie_step`).
 
     One finite log ratio gives infinitely many nonzero eigenvalues, so the
     cut is finite unless every ratio underflowed.  Then every eigenvalue
@@ -324,20 +322,18 @@ def _top_log_eigenvalues(shape: ShapeSequence, d: int, n: int):
         return np.concatenate(([base], np.full(n - 1, -np.inf))), entries
     cut = _top_log_values(base, log_ratio, n)[-1]
     vals = np.array([base])
-    keys = np.zeros((1, 0), dtype=np.int64)
+    keys = np.zeros((1, 1), dtype=np.int64)
     depth = np.zeros(1, dtype=np.int64)
     for l in range(d):
         lr = log_ratio[l]
         if vals.max() + lr < cut:
             continue  # no power above 1 reaches the cut: nothing moves
-        k = _powers_reaching(vals, lr, cut, np.full(vals.size, 2 * n + 1))
-        if k.sum() <= 2 * n:
-            row, j = _candidates(k)
-            v = vals[row] + (j - 1) * lr
-            keep = np.flatnonzero(v >= cut)  # rounding can overcount a row
-            src, j, vals = row[keep], j[keep], v[keep]
+        first = _powers_reaching(vals, lr, cut, _KEY_SHIFT - 1)
+        if first.sum() <= 2 * n:
+            src, j = _candidates(first)
+            vals = vals[src] + (j - 1) * lr
         else:
-            src, j, vals = _tie_step(keys, depth, vals, lr, cut, n, l + 1)
+            src, j, vals = _tie_step(keys, depth, vals, lr, cut, n, l + 1, first)
         keys, depth = _extend_keys(keys, depth, src, j, l + 1)
     # descending value, exact ties in key order
     order = _key_order(keys)
@@ -366,6 +362,7 @@ def _top_log_values(base, log_ratio, n):
     with powers up to ceil(n / r) are at least n candidates, each worth at
     least rows_r + floor((n - 1) / r) lr, as rounding is monotone; so n
     candidates reach the largest of these floors, and none below it counts.
+    :func:`_powers_reaching` counts each row's candidates at the floor.
     """
     vals = np.array([base])
     # an underflowed ratio adds only zero eigenvalues, and the powers 1..n
@@ -385,11 +382,12 @@ def _top_log_values(base, log_ratio, n):
     return -np.sort(-vals)
 
 
-def _tie_step(keys, depth, vals, lr, cut, n, pos):
+def _tie_step(keys, depth, vals, lr, cut, n, pos, first):
     """The n best extensions of the prefixes ``vals`` at coordinate ``pos``.
 
-    Fewer than n candidates lie above the cut: each, extended by ones, is
-    a distinct final value above the n-th.  So all of them are kept, and
+    ``first`` holds each row's count of powers at or above the cut.  Fewer
+    than n candidates lie above the cut: each, extended by ones, is a
+    distinct final value above the n-th.  So all of them are kept, and
     the key-first ``take`` of those at the cut make up n.  A row's tied
     powers above 1 form one run whose keys differ only in the last code,
     at ``pos``, which is larger than every code of a prefix, so no other
@@ -397,21 +395,18 @@ def _tie_step(keys, depth, vals, lr, cut, n, pos):
     ties and one block per run, keyed by the run's first power, orders
     them all.  Returns the prefix indices, powers and values of the kept.
     """
-    one = np.ones(vals.size, dtype=np.int64)
-    above = np.zeros(vals.size, dtype=np.int64)
-    up = np.flatnonzero(vals > cut)
-    above[up] = _last_power(vals[up], lr, one[up], np.nextafter(cut, np.inf))
+    above = _powers_reaching(vals, lr, np.nextafter(cut, np.inf), first)
     # the key prefers the larger power, so a run is walked down from the
     # last power at the cut
-    first = _last_power(vals, lr, one, cut)
     run = first - np.maximum(above, 1)
     row, j = _candidates(above)
     v = vals[row] + (j - 1) * lr
     tied = np.flatnonzero(above == 0)  # power 1 at the cut
     ext = np.flatnonzero(run > 0)
     src = np.concatenate((tied, ext))
-    start = np.concatenate((one[tied], first[ext]))
-    size = np.concatenate((one[tied], run[ext]))
+    ones = np.ones_like(tied)
+    start = np.concatenate((ones, first[ext]))
+    size = np.concatenate((ones, run[ext]))
     tk, _ = _extend_keys(keys, depth, src, start, pos)
     order = _key_order(tk)
     src, start, size = src[order], start[order], size[order]
@@ -433,48 +428,46 @@ def _candidates(cap):
     return row, j
 
 
-def _powers_reaching(rows, lr, floor, cap):
-    """Per row, the powers j <= cap with rows + (j - 1) lr >= floor.
+def _powers_reaching(rows, lr, t, cap):
+    """Per row, the exact number of powers j <= cap with rows + (j - 1) lr >= t.
 
-    Counted from the quotient (rows - floor) / |lr|, which rounding can
-    leave one too high, with a value below the floor.
+    ``lr`` is a finite log ratio < 0.  The values do not rise with j and
+    rounding is monotone, so the powers that reach t are 1..k for one k
+    per row.  The quotient (rows - t) / |lr| gives a first guess.
+    Rounding can leave it past k, so the guess steps down while its power
+    misses t; then it is at most k.  It falls short of k where |lr| is
+    absorbed in rounding, and there an exponential then a binary search,
+    bounded by ``cap``, climbs from it.  ``cap`` is a scalar or one bound
+    per row; the merge passes 2**31 - 1, the largest power the int32
+    codes of the tie key hold.
     """
-    k = np.clip(np.floor((rows - floor) / -lr) + 1, 0, cap).astype(np.int64)
-    # rounding can leave the next power at or above the floor
-    short = np.flatnonzero(k < cap)
-    short = short[rows[short] + k[short] * lr >= floor]
-    k[short] = _last_power(rows[short], lr, k[short] + 1, floor, cap[short])
-    return k
-
-
-def _last_power(rows, lr, start, t, stop=None):
-    """Largest power j >= start with rows + (j - 1) lr >= t, per row.
-
-    The value at ``start`` reaches t and the values do not increase with
-    j, so an exponential then a binary search finds the last one, also
-    when |lr| is absorbed in rounding for many powers.  With ``stop``
-    the search ends there: the answer is the largest such j <= stop.
-    """
-    lo = start.copy()
-    step = np.ones_like(lo)
-    end = None if stop is None else stop + 1  # the first power not searched
+    k = np.clip(np.floor((rows - t) / -lr) + 1, 0, cap).astype(np.int64)
+    # step down the rows whose guess misses t
+    over = np.flatnonzero((k > 0) & (rows + (k - 1) * lr < t))
+    while over.size:
+        k[over] -= 1
+        over = over[(k[over] > 0) & (rows[over] + (k[over] - 1) * lr < t)]
+    # climb on the rows whose next power reaches t too
+    up = np.flatnonzero((k < cap) & (rows + k * lr >= t))
+    if not up.size:
+        return k
+    # power lo reaches t; end, one past the cap, bounds the search
+    r, lo, end = rows[up], k[up] + 1, np.broadcast_to(cap, k.shape)[up] + 1
+    step = 1
     while True:
-        hi = lo + step if end is None else np.minimum(lo + step, end)
-        up = rows + (hi - 1) * lr >= t
-        if end is not None:
-            up &= hi < end
-        if not up.any():
+        hi = np.minimum(lo + step, end)
+        grow = (hi < end) & (r + (hi - 1) * lr >= t)
+        if not grow.any():
             break
-        lo = np.where(up, hi, lo)
-        step = np.where(up, 2 * step, step)
-    while True:
-        gap = hi - lo > 1
-        if not gap.any():
-            return lo
+        lo = np.where(grow, hi, lo)
+        step *= 2
+    # now power hi misses t or lies past the cap
+    while (hi - lo > 1).any():
         mid = (lo + hi) // 2
-        up = gap & (rows + (mid - 1) * lr >= t)
-        lo = np.where(up, mid, lo)
-        hi = np.where(gap & ~up, mid, hi)
+        reach = r + (mid - 1) * lr >= t
+        lo, hi = np.where(reach, mid, lo), np.where(reach, hi, mid)
+    k[up] = lo
+    return k
 
 
 def stream_tensor_eigenvalues(shape: ShapeSequence, d: int, limit: int):

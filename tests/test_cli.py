@@ -162,6 +162,12 @@ class TestExitCodes:
     def test_usage_error_remapped(self, capsys):
         assert main(["not-a-command"]) == 1
 
+    def test_spline_bench_rule_size_zero(self, capsys):
+        # only an absent --m means the default rule; a given one is gated
+        argv = ["spline-bench", "--shape", "iso:1.0", "--d", "1", "--sizes", "1", "--m", "0"]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", "error: need rule size >= 1, got 0\n")
+
     def test_resource_limit(self, capsys, monkeypatch):
         monkeypatch.setenv("GRKHS_MAX_EIGS", "5")
         assert main(["eigs", "--shape", "iso:1.0", "--d", "2", "--n", "50"]) == 2

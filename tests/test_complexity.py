@@ -480,11 +480,27 @@ class TestEstimateRate:
         with pytest.raises(ValueError, match="rate fit needs strictly positive errors"):
             estimate_rate(ErrorSequence(np.array([1.0, 0.5, 0.0, 0.0])), (1, 3))
 
+    @pytest.mark.parametrize("window", [(10.5, 40), (10, 39.9), (True, 40), (10.0, 40)])
+    def test_window_bounds_must_be_integers(self, window):
+        seq = ErrorSequence(np.linspace(1.0, 0.1, 50))
+        with pytest.raises(ValueError, match="window bound must be an integer"):
+            estimate_rate(seq, window)
+
 
 class TestTractabilityProbe:
     def test_empty_grid(self):
         with pytest.raises(ValueError, match="grids must be nonempty"):
             tractability_probe(ShapeSequence.isotropic(1.0), [], [1], "absolute")
+
+    @pytest.mark.parametrize("bad", [2.5, 3.9, True, 0])
+    def test_validates_every_d_before_counting(self, monkeypatch, bad):
+        def no_count(*args):
+            raise AssertionError("counted before the d grid was checked")
+
+        monkeypatch.setattr("grkhs.complexity.info_complexity_row", no_count)
+        message = "dimension must be an integer" if bad != 0 else "need dimension >= 1"
+        with pytest.raises(ValueError, match=message):
+            tractability_probe(ShapeSequence.isotropic(1.0), [0.1], [1, bad], "absolute")
 
     def test_one_cell_has_no_fit(self):
         # one envelope point fits no line: NaN exponents, inconclusive

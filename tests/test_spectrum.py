@@ -25,7 +25,7 @@ from grkhs import (
     univariate_spectrum,
 )
 from grkhs.kernel import _log_spectrum
-from grkhs.spectrum import _last_power, _log_product, _top_log_values
+from grkhs.spectrum import _KEY_SHIFT, _log_product, _powers_reaching, _top_log_values
 from grkhs.verify import _brute_force_top
 
 
@@ -488,16 +488,54 @@ class TestMergeAgainstHeap:
         assert top.log_values.view(np.int64).tolist() == want.view(np.int64).tolist()
         assert [i.dense() for i in top.indices] == dense
 
+    @settings(max_examples=300, deadline=None)
     @given(
-        st.floats(-2000.0, 0.0), st.floats(1e-16, 1.0), st.integers(1, 50), st.integers(0, 200)
+        st.lists(
+            st.tuples(st.booleans(), st.floats(-8.0, 3.3), st.integers(1, 3000)),
+            min_size=1,
+            max_size=4,
+        ),
+        st.floats(-16.0, 0.5),
+        st.booleans(),
+        st.lists(
+            st.tuples(
+                st.integers(0, 3), st.sampled_from(["grid", "ulp above", "off"]), st.floats(0, 1)
+            ),
+            min_size=1,
+            max_size=16,
+        ),
     )
-    def test_last_power_stop(self, row, mag, start, extra):
-        # |lr| down to 1e-16 is absorbed by |row| up to 2000 for many powers
-        rows, lr, first = np.array([row]), -mag, np.array([start])
-        t = row + (start - 1) * lr
-        full = _last_power(rows, lr, first, t)
-        stopped = _last_power(rows, lr, first, t, first + extra)
-        assert stopped.tolist() == np.minimum(full, start + extra).tolist()
+    def test_powers_reaching_matches_scan(self, row_specs, lr_exp, scalar_cap, targets):
+        # |rows| from 1e-8 to 2000 and |lr| from 1e-16 to 3: a threshold
+        # one ulp above a value on the grid can round the quotient up past
+        # the last power, and for |rows| >> |lr| the log ratio is absorbed
+        # in rounding for many powers
+        rows = np.array([(-1.0) ** neg * 10.0**e for neg, e, _ in row_specs])
+        caps = [c for *_, c in row_specs]
+        cap = caps[0] if scalar_cap else np.array(caps)
+        lr = -(10.0**lr_exp)
+        for i, kind, frac in targets:
+            # t from row i at a fraction of its cap; the merge passes numpy
+            # scalars, a value or the next one up
+            i %= rows.size
+            x = frac * caps[i]
+            t = rows[i] + (x if kind == "off" else np.float64(int(x))) * lr
+            if kind == "ulp above":
+                t = np.nextafter(t, np.inf)
+            got = _powers_reaching(rows, lr, t, cap)
+            want = [
+                int(np.sum(r + np.arange(c) * lr >= t))
+                for r, c in zip(rows, np.broadcast_to(cap, rows.shape))
+            ]
+            assert got.tolist() == want
+
+    def test_powers_reaching_cap(self):
+        # both rows reach t for more powers than the tie key's codes hold:
+        # 0.5 by the quotient, -4e9 because |lr| is absorbed in rounding
+        # for about 2.4e9 powers
+        rows, t = np.array([0.5, -4e9]), np.float64(-4e9)
+        got = _powers_reaching(rows, -1e-16, t, _KEY_SHIFT - 1)
+        assert got.tolist() == [_KEY_SHIFT - 1] * 2
 
     def test_error_sequence_memory(self):
         shape = ShapeSequence.isotropic(1.0)
