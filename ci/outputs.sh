@@ -41,6 +41,11 @@ g rates --shape powerlaw:1:2 --d 16 --N 10000 --window 100,10000 > rates.txt
 # the enumeration guard's message
 GRKHS_MAX_EIGS=100 g eigs --shape iso:1.0 --d 3 --n 101 > guard_eigs.txt 2>&1
 g spline-bench --shape iso:1.0 --d 1,2 --sizes 1,5,10,20 --seed 7 > spline.txt
+# d = 3 through Lanczos on a 12^3 grid
+g spline-bench --shape iso:1.0 --d 3 --sizes 5,20 --m 12 --seed 3 > spline_d3.txt
+# --config entries read as flags, one of them overridden on the command line
+echo '{"shape": "powerlaw:1:2", "d": "4", "N": "200"}' > decay_config.json
+g decay --config decay_config.json --N 50 > decay_config.txt
 # empty designs through the dense solver (N = 6, 36) and Lanczos (N = 216)
 gw spline-bench --shape iso:1.0 --d 1,2,3 --sizes 0,1,3 --m 6 --seed 3 \
   > spline_empty.txt 2>&1

@@ -1,11 +1,13 @@
 """Command-line driver emitting deterministic CSV artifacts.
 
 Subcommands: ``spectrum``, ``eigs``, ``decay``, ``complexity``, ``rates``,
-``spline-bench`` and ``verify``.  Options may come from flags or from a
-JSON document passed with ``--config``; flags override file values.  Every
-CSV starts with comment lines echoing the version, the effective
-configuration and the seed, so identical configurations reproduce
-byte-identical files.
+``spline-bench`` and ``verify``.  Options come from flags and from a JSON
+object passed with ``--config``, whose entries are read as the flags
+``--key value`` placed before the command line's own: a flag overrides an
+entry, an unknown key is a usage error, abbreviations follow the flag rules
+and a ``null`` entry is absent.  Every CSV starts with comment lines echoing
+the version, the effective configuration and the seed, so identical
+configurations, from a file or from flags, reproduce byte-identical files.
 
 Exit codes: 0 success, 1 validation failure, 2 resource limit exceeded,
 3 verification failure.
@@ -57,11 +59,11 @@ def parse_shape(token: str) -> ShapeSequence:
 
 
 def _int_list(text):
-    return [int(v) for v in str(text).split(",")]
+    return [int(v) for v in text.split(",")]
 
 
 def _float_list(text):
-    return [float(v) for v in str(text).split(",")]
+    return [float(v) for v in text.split(",")]
 
 
 def _num(x) -> str:
@@ -237,41 +239,34 @@ def _build_parser():
     return parser
 
 
-def _merged_config(args) -> dict:
-    cfg = {}
-    if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
-            loaded = json.load(fh)
-        if not isinstance(loaded, dict):
-            raise ValueError("config file must hold a JSON object")
-        cfg.update(loaded)
-    for key, value in vars(args).items():
-        if key in ("command", "config"):
-            continue
-        if value is not None:
-            cfg[key] = value
-    required = _COMMANDS[args.command][1]
-    missing = [k for k in required if k not in cfg or cfg[k] is None]
-    if missing:
-        raise ValueError(f"missing required options: {', '.join(missing)}")
-    return cfg
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config is not None:
+            with open(args.config, encoding="utf-8") as fh:
+                entries = json.load(fh)
+            if not isinstance(entries, dict):
+                raise ValueError("config file must hold a JSON object")
+            # each entry as the flag --key value, after the subcommand (the
+            # top-level parser has no options) and before the given flags
+            argv = sys.argv[1:] if argv is None else list(argv)
+            flags = [t for k, v in entries.items() if v is not None for t in (f"--{k}", str(v))]
+            args = parser.parse_args(argv[:1] + flags + argv[1:])
+        skip = ("command", "config")
+        cfg = {k: v for k, v in vars(args).items() if v is not None and k not in skip}
+        missing = [k for k in _COMMANDS[args.command][1] if k not in cfg]
+        if missing:
+            raise ValueError(f"missing required options: {', '.join(missing)}")
+        return _COMMANDS[args.command][0](cfg)
     except SystemExit as exc:
         # argparse uses status 2 for usage errors; 2 is reserved for
         # resource limits here, so remap (help/0 passes through)
         return 1 if exc.code else 0
-    try:
-        cfg = _merged_config(args)
-        return _COMMANDS[args.command][0](cfg)
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

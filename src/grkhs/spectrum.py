@@ -13,6 +13,7 @@ that reach it.
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -91,8 +92,10 @@ class UnivariateSpectrum:
         object.__setattr__(self, "beta", float(s**0.5))
 
     def eigenvalue(self, j):
-        """lambda_j = (1 - omega) omega^(j-1), vectorized over j >= 1."""
+        """lambda_j = (1 - omega) omega^(j-1), vectorized over integer j >= 1."""
         j = np.asarray(j)
+        if j.dtype.kind not in "iu":
+            raise ValueError(f"eigenvalue index must be an integer array, got dtype {j.dtype}")
         if np.any(j < 1):
             raise ValueError("eigenvalue index must be >= 1")
         return (1.0 - self.omega) * self.omega ** (j - 1)
@@ -167,9 +170,9 @@ class MultiIndex:
     @classmethod
     def from_dense(cls, values) -> "MultiIndex":
         raw = tuple(values)
-        values = tuple(int(v) for v in raw)
-        if values != raw:
+        if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in raw):
             raise ValueError(f"multi-index entries must be integers, got {raw}")
+        values = tuple(int(v) for v in raw)
         if any(v < 1 for v in values):
             raise ValueError("multi-index entries must be >= 1")
         ent = tuple((i + 1, v) for i, v in enumerate(values) if v > 1)

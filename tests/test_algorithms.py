@@ -67,6 +67,9 @@ class TestEigenProjection:
             ((0, 1), "multi-index entries must be >= 1"),
             ((2, -1), "multi-index entries must be >= 1"),
             ((1.0, 2.5), "multi-index entries must be integers"),
+            # integral floats and bools used to set the coefficient of (2, 1)
+            ((2.0, True), r"must be integers, got \(2.0, True\)"),
+            ((2.0, 1), "multi-index entries must be integers"),
         ],
     )
     def test_mapping_rejects_malformed_keys(self, key, message):

@@ -134,6 +134,52 @@ class TestConfigAndDeterminism:
         code, out = run_cli(capsys, "eigs", "--config", str(cfg), "--n", "4")
         assert code == 0 and len(out.strip().split("\n")) == 7
 
+    EIGS_FLAGS = ["eigs", "--shape", "iso:1.0", "--d", "2", "--n", "3"]
+
+    @pytest.mark.parametrize(
+        "entries, argv",
+        [
+            # typed JSON values used to be echoed as "d": 2 against "d": "2"
+            ({"shape": "iso:1.0", "d": 2, "n": 3}, []),
+            # a flag overrides an entry, wherever it stands
+            ({"shape": "iso:1.0", "d": "2", "n": "5"}, ["--n", "3"]),
+            ({"shape": "iso:1.0", "d": 7, "n": "3"}, ["--d", "2"]),
+            # a null entry is absent, not echoed
+            ({"shape": "iso:1.0", "d": "2", "n": None}, ["--n", "3"]),
+        ],
+    )
+    def test_file_and_flags_write_the_same_bytes(self, capsys, tmp_path, entries, argv):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(entries))
+        from_flags = run_cli(capsys, *self.EIGS_FLAGS)
+        assert from_flags[0] == 0 and '"n": "3"' in from_flags[1]
+        assert run_cli(capsys, "eigs", "--config", str(cfg), *argv) == from_flags
+        assert run_cli(capsys, "eigs", *argv, "--config", str(cfg)) == from_flags
+
+    def test_null_entry_is_absent(self, capsys, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"shape": "iso:1.0", "d": "2", "n": None}))
+        assert main(["eigs", "--config", str(cfg)]) == 1
+        assert capsys.readouterr() == ("", "error: missing required options: n\n")
+
+    def test_misspelled_key_is_a_usage_error(self, capsys, tmp_path):
+        # it used to be ignored: the absolute count 513 for the normalized 1355
+        cfg = tmp_path / "c.json"
+        entries = {"shape": "powerlaw:1:0.5", "d": "8", "eps": "0.01", "critreion": "norm"}
+        cfg.write_text(json.dumps(entries))
+        assert main(["complexity", "--config", str(cfg)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "unrecognized arguments: --critreion norm" in err
+
+    @pytest.mark.parametrize("n", [2.7, True, "2.5"])
+    def test_non_integer_entry_exits_1(self, capsys, tmp_path, n):
+        # 2.7 used to write 2 rows and True 1 row
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"shape": "iso:1.0", "d": 1, "n": n}))
+        assert main(["eigs", "--config", str(cfg)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: invalid literal for int()")
+
     def test_byte_identical_reruns(self, tmp_path):
         args = lambda p: [
             "decay", "--shape", "powerlaw:1:1", "--d", "2", "--N", "50",

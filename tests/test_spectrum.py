@@ -145,6 +145,13 @@ class TestUnivariateSpectrum:
         assert np.allclose(lam[1:] / lam[:-1], spec.omega)
         with pytest.raises(ValueError, match="eigenvalue index must be >= 1"):
             spec.eigenvalue([1, 0])
+        assert spec.eigenvalue(np.array([], dtype=int)).shape == (0,)
+
+    @pytest.mark.parametrize("j", [2.5, 2.0, True, [1, 2.5], np.array([True, False])])
+    def test_eigenvalue_rejects_non_integer_indices(self, j):
+        # 2.5 used to give 0.1459, no eigenvalue, and True gave lambda_1
+        with pytest.raises(ValueError, match="eigenvalue index must be an integer array, got dtype"):
+            univariate_spectrum(1.0).eigenvalue(j)
 
     def test_trace_one(self):
         for gamma in (0.3, 1.0, 4.0):
@@ -238,6 +245,9 @@ class TestDenseIndexValidation:
             ((1, 2, 3), r"has 3 entries, need d = 2"),
             # truncated to (1, 1) before
             ((1.5, 1), r"must be integers, got \(1.5, 1\)"),
+            # read as (2, 1) before
+            ((2.0, 1), r"must be integers, got \(2.0, 1\)"),
+            ((2, True), r"must be integers, got \(2, True\)"),
         ],
     )
     def test_tensor_log_eigenvalue_rejects(self, index, message):
