@@ -24,6 +24,8 @@ g() { rc=0; python -m grkhs.cli "$@" || rc=$?; echo "exit $rc"; }
 gw() { rc=0; python -W error -m grkhs.cli "$@" || rc=$?; echo "exit $rc"; }
 
 g spectrum --gamma 1.0 --k 10 > spectrum.txt
+# the dense Nystrom eigensolve: gamma = 10 needs 27,733 Taylor terms, past 3,000
+g spectrum --gamma 10.0 --k 10 > spectrum_gamma10.txt
 g eigs --shape iso:1.0 --d 3 --n 20 > eigs.txt
 g decay --shape powerlaw:1:2 --d 4 --N 1000 --out decay.csv > decay.txt
 g complexity --shape iso:1.0 --d 1,2,4,8 --eps 0.5,0.1,0.01 > complexity.txt

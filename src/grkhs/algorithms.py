@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import ShapeSequence, _as_points, _log_spectrum, cross_kernel, gram_matrix
-from .quadrature import _nystrom_matrix, gauss_hermite, tensor_rule
+from .quadrature import _grid_values, _nystrom_matrix, gauss_hermite, tensor_rule
 from .spectrum import (
     TensorEigenList,
     _dense_index,
@@ -107,10 +107,12 @@ class EigenProjector:
 def eigen_projection(shape: ShapeSequence, d: int, n: int, f, m: int = 64) -> EigenProjector:
     """Project f onto the n leading eigenfunctions of the tensor operator.
 
-    ``f`` may be a callable on (N, d) point arrays, in which case the
-    coefficients are computed by the tensor Gauss-Hermite rule with m^d
-    points; past 10^7 points :func:`tensor_rule` raises
-    ``ResourceLimitError`` (d = 4 needs m <= 56, while d = 5 runs at m = 8).
+    ``f`` may be a callable on (N, d) point arrays, read once on the tensor
+    Gauss-Hermite grid of m^d points as :func:`~grkhs.quadrature.integrate`
+    reads its integrand: anything but N values (a scalar, or (N, 1))
+    raises its ``ValueError`` before the basis is formed.  Past 10^7 points
+    :func:`tensor_rule` raises ``ResourceLimitError`` (d = 4 needs m <= 56,
+    while d = 5 runs at m = 8).
     The basis functions at the grid nodes are formed 64 rows at a time in
     one buffer, so the working set is 64 rows of m^d values plus the
     per-coordinate eigenfunction factors, never the n x m^d matrix.
@@ -121,10 +123,10 @@ def eigen_projection(shape: ShapeSequence, d: int, n: int, f, m: int = 64) -> Ei
     """
     basis = top_n_tensor_eigenvalues(shape, d, n)
     if callable(f):
-        pts, w = tensor_rule(d, m)
+        pts, w, vals = _grid_values(d, m, f)
         dense = [idx.dense() for idx in basis.indices]
         per_coord = _coordinate_factors(shape, d, dense, pts)
-        wv = w * np.asarray(f(pts), dtype=float)
+        wv = w * vals
         rows = len(dense)
         coef = np.empty(rows)
         block = np.empty((min(rows, _PROJECTION_BLOCK + 1), pts.shape[0]))
@@ -425,6 +427,11 @@ def spline_worst_case_error(
             scipy.sparse.linalg.eigsh(op, k=1, which="LA", tol=1e-12, v0=v0)[0][0]
         )
     return float(np.sqrt(max(0.0, lam)))
+
+
+def _spline_rule_size(d: int) -> int:
+    """Rule size m of the spline WCE at d, for check 10 and ``spline-bench`` without ``--m``."""
+    return 200 if d == 1 else 32
 
 
 def _kron_matvec(factors):

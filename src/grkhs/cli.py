@@ -3,11 +3,12 @@
 Subcommands: ``spectrum``, ``eigs``, ``decay``, ``complexity``, ``rates``,
 ``spline-bench`` and ``verify``.  Options come from flags and from a JSON
 object passed with ``--config``, whose entries are read as the flags
-``--key value`` placed before the command line's own: a flag overrides an
-entry, an unknown key is a usage error, abbreviations follow the flag rules
-and a ``null`` entry is absent.  Every CSV starts with comment lines echoing
-the version, the effective configuration and the seed, so identical
-configurations, from a file or from flags, reproduce byte-identical files.
+``--key value``: a flag on the command line overrides an entry, an unknown
+key is a usage error, abbreviations follow the flag rules, a ``null`` entry
+is absent and an entry naming another config file is an error.  Every CSV
+starts with comment lines echoing the version, the effective configuration
+and the seed, so identical configurations, from a file or from flags,
+reproduce byte-identical files.
 
 Exit codes: 0 success, 1 validation failure, 2 resource limit exceeded,
 3 verification failure.
@@ -23,7 +24,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .algorithms import spline_worst_case_error
+from .algorithms import _spline_rule_size, spline_worst_case_error
 from .complexity import (
     error_sequence_all,
     estimate_rate,
@@ -187,7 +188,7 @@ def cmd_spline_bench(cfg):
     lines = _header({**cfg, "seed": seed}) + ["d,n,e_spline,e_all"]
     for d in ds:
         seq = error_sequence_all(shape, d, max(sizes))
-        rule_m = (200 if d == 1 else 32) if m is None else int(m)
+        rule_m = _spline_rule_size(d) if m is None else int(m)
         for n in sizes:
             design = rng.standard_normal((n, d))
             wce = spline_worst_case_error(shape, d, design, rule_m)
@@ -243,18 +244,20 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        given = {k: v for k, v in vars(args).items() if v is not None}
         if args.config is not None:
             with open(args.config, encoding="utf-8") as fh:
                 entries = json.load(fh)
             if not isinstance(entries, dict):
                 raise ValueError("config file must hold a JSON object")
-            # each entry as the flag --key value, after the subcommand (the
-            # top-level parser has no options) and before the given flags
-            argv = sys.argv[1:] if argv is None else list(argv)
+            # each entry as the flag --key value after the subcommand (the
+            # top-level parser has no options); a given flag overrides it
             flags = [t for k, v in entries.items() if v is not None for t in (f"--{k}", str(v))]
-            args = parser.parse_args(argv[:1] + flags + argv[1:])
-        skip = ("command", "config")
-        cfg = {k: v for k, v in vars(args).items() if v is not None and k not in skip}
+            from_file = vars(parser.parse_args([args.command] + flags))
+            if from_file["config"] is not None:
+                raise ValueError("a config file cannot name another config file")
+            given = {**{k: v for k, v in from_file.items() if v is not None}, **given}
+        cfg = {k: v for k, v in given.items() if k not in ("command", "config")}
         missing = [k for k in _COMMANDS[args.command][1] if k not in cfg]
         if missing:
             raise ValueError(f"missing required options: {', '.join(missing)}")

@@ -303,14 +303,16 @@ def estimate_rate(seq: ErrorSequence, window) -> RateFit:
     """Fit -log e(n) against log n by ordinary least squares over a window.
 
     ``window`` is an inclusive (lo, hi) index range of integers with
-    1 <= lo < hi < len(seq); a bound that is not an integer raises
-    ``ValueError``, as does a window outside that range.  Super-
-    polynomial decay (the log-log points curve away from any line) is
-    flagged when either the fitted slope exceeds 5 or the second-half
-    slope exceeds 1.5 times the first-half slope.  A constant window is
+    1 <= lo < hi < len(seq); a window of other than two bounds, a bound
+    that is not an integer and a window outside that range raise
+    ``ValueError``.  Superpolynomial decay (the log-log points curve away
+    from any line) is flagged when either the fitted slope exceeds 5 or
+    the second-half slope exceeds 1.5 times the first-half slope.  A constant window is
     flagged degenerate with rate 0.
     """
-    lo, hi = (_at_least("window bound", w, 1) for w in window[:2])
+    if len(window) != 2:
+        raise ValueError(f"window must be two bounds (lo, hi), got {window!r}")
+    lo, hi = (_at_least("window bound", w, 1) for w in window)
     if not lo < hi < len(seq):
         raise ValueError(f"window {window} not inside sequence of length {len(seq)}")
     e = seq.values[lo : hi + 1]

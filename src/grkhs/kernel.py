@@ -146,8 +146,16 @@ def kernel_eval(shape: ShapeSequence, d: int, x, t) -> float:
     # each point as a one-row point set: a scalar becomes (1, 1) for d = 1
     x = _as_points(np.asarray(x, dtype=float)[None], d)
     t = _as_points(np.asarray(t, dtype=float)[None], d)
-    g = shape.gammas(d)
-    return float(np.exp(-np.sum((g * (x - t)) ** 2)))
+    return float(_exact_kernel(shape.gammas(d), x, t)[0, 0])
+
+
+def _exact_kernel(g, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """K[i, j] = exp(-sum_l (g_l (a_il - b_jl))^2) for validated (n_a, d) and (n_b, d) points.
+
+    Exact differences keep near-coincident points accurate, at the cost of
+    an (n_a, n_b, d) temporary; :func:`cross_kernel` is the GEMM route.
+    """
+    return np.exp(-np.sum(((a[:, None, :] - b[None, :, :]) * g) ** 2, axis=-1))
 
 
 def _as_points(points, d: int) -> np.ndarray:

@@ -13,7 +13,7 @@ from math import inf, lgamma, log
 import numpy as np
 
 from .errors import ResourceLimitError
-from .kernel import _at_least, eigenvalue_ratio
+from .kernel import _at_least, _exact_kernel, eigenvalue_ratio
 
 __all__ = ["QuadratureRule", "gauss_hermite", "nystrom_eigs", "integrate", "tensor_rule"]
 
@@ -83,7 +83,7 @@ def _scaled_rule(m: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _nystrom_matrix(gamma: float, t: np.ndarray, w: np.ndarray) -> np.ndarray:
     # exact differences: cross_kernel's GEMM form is off by up to 7e-17 here
-    K = np.exp(-(gamma * (t[:, None] - t[None, :])) ** 2)
+    K = _exact_kernel(gamma, t[:, None], t[:, None])
     s = np.sqrt(w)
     return s[:, None] * K * s[None, :]
 
@@ -189,11 +189,17 @@ def integrate(d: int, m: int, g) -> float:
     return an array of shape (N,); any other shape raises ``ValueError``.
     The grid of m^d nodes is limited to 10^7, as in :func:`tensor_rule`.
     """
+    _, w, vals = _grid_values(d, m, g)
+    return float(np.dot(w, vals))
+
+
+def _grid_values(d: int, m: int, g):
+    """(pts, w, g(pts)) on the tensor grid; ``ValueError`` unless g returns shape (N,)."""
     pts, w = tensor_rule(d, m)
     vals = np.asarray(g(pts), dtype=float)
     if vals.shape != w.shape:
         raise ValueError(f"integrand must return shape {w.shape}, got {vals.shape}")
-    return float(np.dot(w, vals))
+    return pts, w, vals
 
 
 def tensor_rule(d: int, m: int):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import spline_worst_case_error
+from .algorithms import _spline_rule_size, spline_worst_case_error
 from .complexity import (
     error_sequence_all,
     estimate_rate,
@@ -239,11 +239,10 @@ def check_spline_ordering() -> CheckResult:
         d = int(rng.integers(1, 3))
         n = int(rng.integers(1, 21))
         design = rng.standard_normal((n, d))
-        m = 200 if d == 1 else 32
-        wce = spline_worst_case_error(shape, d, design, m)
+        wce = spline_worst_case_error(shape, d, design, _spline_rule_size(d))
         min_margin = min(min_margin, wce - lower[d][n])
     empty_err = abs(
-        spline_worst_case_error(shape, 1, np.empty((0, 1)), 200)
+        spline_worst_case_error(shape, 1, np.empty((0, 1)), _spline_rule_size(1))
         - initial_error(shape, 1)
     )
     ok = min_margin >= -1e-9 and empty_err <= 1e-6

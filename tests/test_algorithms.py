@@ -142,6 +142,30 @@ class TestEigenProjection:
         assert peak < 8 * 2**20
         assert retained < 2**20
 
+    @pytest.mark.parametrize(
+        "f",
+        [
+            lambda p: np.cos(p[:, :1]),  # (N, 1) instead of (N,)
+            lambda p: 0.5,  # a scalar
+        ],
+    )
+    def test_target_must_return_n_values(self, f):
+        # the message is integrate's, raised before the basis is formed
+        shape = ShapeSequence.isotropic(1.0)
+        with pytest.raises(ValueError) as from_integrate:
+            grkhs.integrate(2, 64, f)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as from_projection:
+                eigen_projection(shape, 2, 5, f, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(from_projection.value) == str(from_integrate.value)
+        assert str(from_projection.value).startswith("integrand must return shape (4096,)")
+        # (N, 1) values times the (N,) weights would broadcast to 4096 x 4096, 128 MiB
+        assert peak < 2**20
+
     def test_parseval(self):
         # quadrature norm of the projection equals the coefficient norm
         shape = ShapeSequence.isotropic(1.0)

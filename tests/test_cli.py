@@ -171,6 +171,16 @@ class TestConfigAndDeterminism:
         out, err = capsys.readouterr()
         assert out == "" and "unrecognized arguments: --critreion norm" in err
 
+    @pytest.mark.parametrize("key", ["config", "conf"])
+    def test_nested_config_entry_is_an_error(self, capsys, tmp_path, key):
+        # the command line's --config would win and drop the entry unread
+        cfg = tmp_path / "c.json"
+        entries = {"shape": "iso:1.0", "d": "1", "n": "2", key: "nonexistent.json"}
+        cfg.write_text(json.dumps(entries))
+        assert main(["eigs", "--config", str(cfg)]) == 1
+        message = "error: a config file cannot name another config file\n"
+        assert capsys.readouterr() == ("", message)
+
     @pytest.mark.parametrize("n", [2.7, True, "2.5"])
     def test_non_integer_entry_exits_1(self, capsys, tmp_path, n):
         # 2.7 used to write 2 rows and True 1 row

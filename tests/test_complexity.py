@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -470,6 +471,14 @@ class TestEstimateRate:
     def test_degenerate_window(self):
         fit = estimate_rate(ErrorSequence(np.full(100, 0.5)), (10, 90))
         assert fit.degenerate and fit.rate == 0.0
+
+    @pytest.mark.parametrize("window", [(2, 10, 99), (2,), ()])
+    def test_window_needs_two_bounds(self, window):
+        # a third bound is not dropped: (2, 10, 99) is not the (2, 10) fit
+        seq = ErrorSequence(np.linspace(1.0, 0.1, 50))
+        message = f"window must be two bounds (lo, hi), got {window!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            estimate_rate(seq, window)
 
     def test_window_validation(self):
         seq = ErrorSequence(np.linspace(1.0, 0.1, 50))

@@ -165,6 +165,25 @@ def test_kernel_values():
     )
 
 
+def _kernel_eval_formula(shape, d, x, t):
+    # kernel_eval's own formula before the exact-difference kernel was shared
+    x = np.asarray(x, dtype=float).reshape(1, d)
+    t = np.asarray(t, dtype=float).reshape(1, d)
+    return float(np.exp(-np.sum((shape.gammas(d) * (x - t)) ** 2)))
+
+
+def test_kernel_eval_matches_its_previous_formula_bit_for_bit():
+    rng = np.random.default_rng(20261019)
+    for _ in range(2000):
+        d = int(rng.integers(1, 40))
+        gammas = 10.0 ** rng.uniform(-3.0, 2.0, size=d)
+        shape = ShapeSequence.explicit(gammas)
+        x = rng.standard_normal(d) * 10.0 ** rng.uniform(-3.0, 1.0)
+        # near-coincident pairs as well as far ones
+        t = x + rng.standard_normal(d) * 10.0 ** rng.uniform(-12.0, 0.5)
+        assert kernel_eval(shape, d, x, t) == _kernel_eval_formula(shape, d, x, t)
+
+
 def test_kernel_diagonal_is_one():
     s = ShapeSequence.power_law(1.0, 2.0)
     x = [0.3, -1.2, 4.0]

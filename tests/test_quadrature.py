@@ -81,6 +81,16 @@ class TestNystromEigs:
         with pytest.raises(ValueError):
             nystrom_eigs(1.0, 50, 51)
 
+    @pytest.mark.parametrize("gamma", [1e-3, 0.1, 1.0, 3.7, 10.0, 1e3, 1e8])
+    @pytest.mark.parametrize("scale", [1.0, 0.3])
+    def test_nystrom_matrix_matches_its_previous_formula_bit_for_bit(self, gamma, scale):
+        for m in [1, 2, 3, 7, 16, 33, 59, 100, 200, 512]:
+            t, w = _scaled_rule(m, scale)
+            # _nystrom_matrix's own formula before the kernel was shared
+            K = np.exp(-(gamma * (t[:, None] - t[None, :])) ** 2)
+            ref = np.sqrt(w)[:, None] * K * np.sqrt(w)[None, :]
+            assert _nystrom_matrix(gamma, t, w).tobytes() == ref.tobytes()
+
     @pytest.mark.parametrize("scale", [0.0, -0.3, np.inf, np.nan])
     def test_scale_validation(self, scale):
         with pytest.raises(ValueError):
