@@ -9,11 +9,19 @@ together with evaluators for their worst-case L2(rho_d) errors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .kernel import ShapeSequence, _as_points, _log_spectrum, cross_kernel, gram_matrix
-from .quadrature import _grid_values, _nystrom_matrix, gauss_hermite, tensor_rule
+from .kernel import (
+    ShapeSequence,
+    _as_points,
+    _log_spectrum,
+    _points_kernel,
+    cross_kernel,
+    gram_matrix,
+)
+from .quadrature import _grid_shape, _grid_values, _nystrom_matrix, gauss_hermite, tensor_rule
 from .spectrum import (
     TensorEigenList,
     _dense_index,
@@ -193,7 +201,8 @@ class _OneEntryMemo:
     """The value built for the most recent key, and nothing older.
 
     A hit returns the stored value itself, so its arrays (the value, or the
-    arrays in a tuple value) are shared between callers and made read-only.
+    arrays in a tuple value and in the tuples it holds) are shared between
+    callers and made read-only.
     A miss drops the old value before it builds the new one, so that two are
     never held at once.
     """
@@ -207,18 +216,26 @@ class _OneEntryMemo:
             return entry[1]
         self.entry = None
         value = build()
-        for a in value if isinstance(value, tuple) else (value,):
-            if isinstance(a, np.ndarray):
-                a.flags.writeable = False
+        _freeze(value)
         self.entry = (key, value)
         return value
+
+
+def _freeze(value):
+    """Make an array, or every array in a tuple and in the tuples it holds, read-only."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, tuple):
+        for v in value:
+            _freeze(v)
 
 
 # the clipped Gram factors (U, inv) of the most recent design
 _gram_memo = _OneEntryMemo()
 # the kernel K of the most recent points and sites
 _site_memo = _OneEntryMemo()
-# the univariate Nystrom factors (A_1, ..., A_d) of the most recent grid
+# the tensor grid and its univariate Nystrom factors of the most recent
+# (shape, d, m), a _Grid
 _grid_memo = _OneEntryMemo()
 # the rank-0 factors (U, inv) of a design with no sites, read-only
 _U0, _INV0 = np.zeros((0, 0)), np.zeros(0)
@@ -265,24 +282,50 @@ def _gram_pinv_factors(shape, d, design):
     return _gram_memo.get(_memo_key(shape, d, design), build)
 
 
-def _grid_factors(shape, d, m):
-    """Univariate Nystrom matrices (A_1, ..., A_d) of the m-point rule.
+# Nystrom factor entries below this, the subnormals, are written as 0
+_SMALLEST_NORMAL = np.finfo(float).tiny
+
+
+class _Grid(NamedTuple):
+    """The tensor Gauss-Hermite grid of m^d nodes and the Nystrom factors on it."""
+
+    factors: tuple  # (A_1, ..., A_d), one array per distinct gamma_l
+    points: np.ndarray  # (N, d) nodes, as tensor_rule builds them
+    root_weights: np.ndarray  # (N,) square roots of the product weights W
+
+
+def _tensor_grid(shape, d, m) -> _Grid:
+    """The grid, sqrt(W) and Nystrom factors (A_1, ..., A_d) of the m-point rule.
 
     A_l = diag(sqrt(w)) K_l diag(sqrt(w)) depends on gamma_l alone, so it is
     built once per distinct gamma_l and shared by the coordinates with that
-    value.  The factors of the most recent grid are kept, keyed by the exact
-    bytes of d, the shape parameters and m, so repeated error evaluations on
-    one grid build none.  The arrays are shared between callers and
-    therefore read-only.
+    value.  An entry of A_l below the smallest normal double is written as
+    an exact 0: about 1.1% of A_1 at m = 200 are subnormal, and they make
+    each product with A_1 several times slower.  A dropped term is below
+    the smallest normal double, so a product entry moves by less than that.
+
+    The record of the most recent (shape, d, m) is kept, keyed by the exact
+    bytes of d, the shape parameters and m, so repeated error evaluations
+    on one grid build nothing and validate no grid point.  Its arrays are
+    shared between callers and therefore read-only.  It holds 8 m^2 bytes
+    per distinct gamma and 8 (d + 1) m^d for the grid: 323 KB at d = 1,
+    m = 200, 33 KB at d = 2, m = 32, 56 KB at d = 3, m = 12 and 1.06 MB
+    at d = 3, m = 32.  d and m are validated as by :func:`tensor_rule`
+    before the memo is read.
     """
+    d, m = _grid_shape(d, m)
 
     def build():
         rule = gauss_hermite(m)
         gammas = shape.gammas(d).tolist()
-        by_gamma = {
-            g: _nystrom_matrix(g, rule.nodes, rule.weights) for g in dict.fromkeys(gammas)
-        }
-        return tuple(by_gamma[g] for g in gammas)
+        by_gamma = {}
+        for g in dict.fromkeys(gammas):
+            A = _nystrom_matrix(g, rule.nodes, rule.weights)
+            # every entry is >= 0, so this finds the subnormals (and the zeros)
+            A[A < _SMALLEST_NORMAL] = 0.0
+            by_gamma[g] = A
+        points, weights = tensor_rule(d, m)
+        return _Grid(tuple(by_gamma[g] for g in gammas), points, np.sqrt(weights))
 
     return _grid_memo.get(_memo_key(shape, d, np.int64(m)), build)
 
@@ -377,32 +420,35 @@ def spline_worst_case_error(
     For N > 64 the largest eigenvalue comes from Lanczos on this operator
     without forming any N x N matrix: a product applies A_l along each
     grid axis and the rank-n correction, costing O(m^d (sum_l m + n))
-    time and O(m^d n) memory.  For N <= 64 the matrix is formed from the
-    same factors and solved densely.  The A_l of the most recent grid are
-    kept in a one-entry memo, one per distinct gamma_l.  For the empty
+    time and O(m^d n) memory (:func:`_top_eigenvalue`).  For N <= 64 the
+    matrix is formed from the same factors and solved densely.  The grid,
+    sqrt(W) and the A_l of the most recent grid are kept in a one-entry
+    memo, one A_l per distinct gamma_l (:func:`_tensor_grid`).  For the empty
     design C is N x 0 (rank-0 factors) and the correction is exactly zero,
     though each Lanczos step still pays its two zero-column products.
 
     With ``method="trace"`` the cheap trace upper bound
     sqrt(integral of G(t, t)) = sqrt(W . P^2), P the power function on the
-    grid, is returned instead.
+    grid, is returned instead.  It builds its own grid and neither reads
+    nor fills the grid memo, so no grid outlives the call.
     """
     if method not in ("spectral", "trace"):
         raise ValueError(f"unknown method {method!r}")
     pts = _as_points(design, d)
-    grid, w = tensor_rule(d, m)
     if method == "trace":
+        points, w = tensor_rule(d, m)
         # the grid-by-design kernel is used once, so it bypasses the site memo
-        P = _power_from_kernel(shape, d, pts, cross_kernel(shape, d, grid, pts))
+        P = _power_from_kernel(shape, d, pts, cross_kernel(shape, d, points, pts))
         return float(np.sqrt(max(0.0, np.dot(w, P**2))))
-    factors = _grid_factors(shape, d, m)
-    N = w.size
+    grid = _tensor_grid(shape, d, m)
+    factors = grid.factors
+    N = grid.root_weights.size
     U, inv = _gram_pinv_factors(shape, d, pts)
     # all n columns of U are kept, clipped ones included, so that the WCE
     # bytes stay as they were: inv reaches 1/(CLIP_FACTOR lambda_max) and
     # amplifies any change in the rounding of K(grid, design) U to ~1e-11;
     # with no sites the correction is exactly +0.0, and x - 0.0 = x
-    C = np.sqrt(w)[:, None] * (cross_kernel(shape, d, grid, pts) @ U)
+    C = grid.root_weights[:, None] * (_points_kernel(shape, d, grid.points, pts) @ U)
     if N <= 64:
         B = factors[0]
         for A in factors[1:]:
@@ -410,23 +456,50 @@ def spline_worst_case_error(
         B = B - (C * inv[None, :]) @ C.T
         lam = float(np.linalg.eigvalsh(0.5 * (B + B.T))[-1])
     else:
-        # imported here, so that importing grkhs loads no scipy; eigsh is
-        # looked up on the module at each call
-        import scipy.sparse.linalg
-
         kron = _kron_matvec(factors)
         Ct = C.T
 
         def matvec(v):
             return kron(v) - C @ (inv * (Ct @ v))
 
-        op = scipy.sparse.linalg.LinearOperator((N, N), matvec=matvec, dtype=float)
-        # fixed start vector keeps the Lanczos iteration deterministic
-        v0 = np.full(N, N**-0.5)
-        lam = float(
-            scipy.sparse.linalg.eigsh(op, k=1, which="LA", tol=1e-12, v0=v0)[0][0]
-        )
+        lam = _top_eigenvalue(matvec, N)
     return float(np.sqrt(max(0.0, lam)))
+
+
+# Krylov basis size of each Lanczos solve, chosen in _top_eigenvalue
+_LANCZOS_NCV = 8
+# the golden-ratio step of the Weyl sequence in _top_eigenvalue's start vector
+_WEYL_STEP = 0.6180339887498949
+
+
+def _top_eigenvalue(matvec, N: int) -> float:
+    """Largest eigenvalue of the symmetric N x N operator v -> matvec(v), N > 64.
+
+    ARPACK's implicitly restarted Lanczos (``eigsh``, k = 1, tol 1e-12) on a
+    Krylov basis of _LANCZOS_NCV = 8 vectors instead of scipy's 20.  One
+    eigenvalue needs no large basis: over check 10's designs, the
+    benchmark's and ``spline-bench`` sizes up to n = 200, bases of 6 and 8
+    took about 12 products per solve, 4, 10 and 12 took 13-16, and 20 took
+    21 (BENCH_lanczos_steps.json); 8 is the larger of the two best.
+    The start vector is the Weyl sequence frac(i * 0.618...) - 0.5,
+    i = 1 .. N, which exact IEEE operations give the same on every machine.
+    No reflection of the tensor grid and no swap of its axes maps it to
+    itself.  A Krylov space started from a vector that such a symmetry fixes
+    stays in the symmetry's even subspace in exact arithmetic, so for a
+    design that the symmetry maps to itself an odd top eigenvector is found
+    only through rounding, or not at all: from the uniform vector, the
+    design (1, 0), (0.125, 0) at d = 2 gave 0.3687, below e_all(2).
+    """
+    # imported here, so that importing grkhs loads no scipy; eigsh is looked
+    # up on the module at each call
+    import scipy.sparse.linalg
+
+    op = scipy.sparse.linalg.LinearOperator((N, N), matvec=matvec, dtype=float)
+    v0 = (np.arange(1, N + 1) * _WEYL_STEP) % 1.0 - 0.5
+    vals = scipy.sparse.linalg.eigsh(
+        op, k=1, which="LA", tol=1e-12, v0=v0, ncv=_LANCZOS_NCV
+    )[0]
+    return float(vals[0])
 
 
 def _spline_rule_size(d: int) -> int:

@@ -194,9 +194,15 @@ def cross_kernel(shape: ShapeSequence, d: int, a, b) -> np.ndarray:
     so for near-coincident sites away from the origin 1 - K is rounding
     noise (:func:`kernel_eval` takes exact differences).
     """
+    pa = _as_points(a, d)
+    return _points_kernel(shape, d, pa, pa if b is a else _as_points(b, d))
+
+
+def _points_kernel(shape: ShapeSequence, d: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`cross_kernel` of (n_a, d) and (n_b, d) arrays already validated."""
     g = shape.gammas(d)
-    sa = _as_points(a, d) * g
-    sb = sa if b is a else _as_points(b, d) * g
+    sa = a * g
+    sb = sa if b is a else b * g
     na, nb = np.sum(sa * sa, axis=1), np.sum(sb * sb, axis=1)
     # one product over all rows (row blocks of it move bits); the rest runs
     # in place, a row block at a time, so only the output is (n_a, n_b)

@@ -204,11 +204,7 @@ def _grid_values(d: int, m: int, g):
 
 def tensor_rule(d: int, m: int):
     """Tensor grid points (N, d) and normalized weights (N,) for rho_d, m^d <= 10^7."""
-    d = _at_least("dimension", d, 1)
-    # as a Python int, so that m**d cannot wrap as a numpy integer would
-    m = _at_least("rule size", m, 1)
-    if m**d > MAX_GRID_SIZE:
-        raise ResourceLimitError(f"tensor grid m^d = {m**d} exceeds {MAX_GRID_SIZE}")
+    d, m = _grid_shape(d, m)
     rule = gauss_hermite(m)
     grids = np.meshgrid(*([rule.nodes] * d), indexing="ij")
     pts = np.column_stack([a.ravel() for a in grids])
@@ -216,3 +212,16 @@ def tensor_rule(d: int, m: int):
     for _ in range(d - 1):
         w = np.outer(w, rule.weights).ravel()
     return pts, w
+
+
+def _grid_shape(d: int, m: int) -> tuple[int, int]:
+    """(d, m) as ints: ``ValueError`` unless both are >= 1, ``ResourceLimitError`` past 10^7 nodes.
+
+    :func:`tensor_rule`'s checks, also read by the spline WCE's grid memo.
+    """
+    d = _at_least("dimension", d, 1)
+    # as a Python int, so that m**d cannot wrap as a numpy integer would
+    m = _at_least("rule size", m, 1)
+    if m**d > MAX_GRID_SIZE:
+        raise ResourceLimitError(f"tensor grid m^d = {m**d} exceeds {MAX_GRID_SIZE}")
+    return d, m
