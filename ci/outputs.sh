@@ -24,6 +24,9 @@ g() { rc=0; python -m grkhs.cli "$@" || rc=$?; echo "exit $rc"; }
 gw() { rc=0; python -W error -m grkhs.cli "$@" || rc=$?; echo "exit $rc"; }
 
 g spectrum --gamma 1.0 --k 10 > spectrum.txt
+# the factored Nystrom route on a small odd rule: the node at 0 joins the
+# even block, and the smallest values reach 1e-18
+g spectrum --gamma 0.1 --m 33 --k 10 > spectrum_m33.txt
 # the dense Nystrom eigensolve: gamma = 10 needs 27,733 Taylor terms, past 3,000
 g spectrum --gamma 10.0 --k 10 > spectrum_gamma10.txt
 g eigs --shape iso:1.0 --d 3 --n 20 > eigs.txt

@@ -13,10 +13,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .complexity import _error_values
 from .kernel import (
     ShapeSequence,
     _as_points,
-    _log_spectrum,
     _points_kernel,
     cross_kernel,
     gram_matrix,
@@ -25,8 +25,6 @@ from .quadrature import _grid_shape, _grid_values, _nystrom_matrix, gauss_hermit
 from .spectrum import (
     TensorEigenList,
     _dense_index,
-    _merge_size,
-    _top_log_values,
     top_n_tensor_eigenvalues,
     univariate_spectrum,
 )
@@ -80,6 +78,23 @@ def _coordinate_factors(shape, d, dense, pts):
     return [specs[l].eigenfunctions(max_j[l], pts[:, l]) for l in range(d)]
 
 
+def _rule_factors(shape, d, dense, m):
+    """:func:`_coordinate_factors` at the points of the tensor grid of the m-point rule.
+
+    Coordinate l of the grid takes only the m nodes of the rule, so each
+    factor is evaluated on those nodes and copied out along its grid axis,
+    in :func:`tensor_rule`'s point order.  The recurrence acts entry by
+    entry, so the copies are bit for bit the factors at every grid point.
+    """
+    nodes = gauss_hermite(m).nodes
+    per_node = _coordinate_factors(shape, d, dense, np.tile(nodes[:, None], (1, d)))
+    factors = []
+    for l, phi in enumerate(per_node):
+        axis = phi.reshape((-1,) + (1,) * l + (m,) + (1,) * (d - 1 - l))
+        factors.append(np.broadcast_to(axis, (phi.shape[0],) + (m,) * d).reshape(phi.shape[0], -1))
+    return factors
+
+
 def _product_rows(out, dense, per_coord):
     """Write into out[r] the product over l of the factor rows per_coord[l][dense[r][l] - 1].
 
@@ -123,7 +138,9 @@ def eigen_projection(shape: ShapeSequence, d: int, n: int, f, m: int = 64) -> Ei
     while d = 5 runs at m = 8).
     The basis functions at the grid nodes are formed 64 rows at a time in
     one buffer, so the working set is 64 rows of m^d values plus the
-    per-coordinate eigenfunction factors, never the n x m^d matrix.
+    per-coordinate eigenfunction factors, never the n x m^d matrix.  Each
+    factor is evaluated on the m nodes of the rule and copied out over
+    the grid.
     Or ``f`` is a mapping from dense multi-index tuples to
     eigen-coefficients, in which case they are read off exactly and any d
     is allowed; a key that is not d integer entries, each >= 1, raises
@@ -131,13 +148,13 @@ def eigen_projection(shape: ShapeSequence, d: int, n: int, f, m: int = 64) -> Ei
     """
     basis = top_n_tensor_eigenvalues(shape, d, n)
     if callable(f):
-        pts, w, vals = _grid_values(d, m, f)
+        _, w, vals = _grid_values(d, m, f)
         dense = [idx.dense() for idx in basis.indices]
-        per_coord = _coordinate_factors(shape, d, dense, pts)
+        per_coord = _rule_factors(shape, d, dense, m)
         wv = w * vals
         rows = len(dense)
         coef = np.empty(rows)
-        block = np.empty((min(rows, _PROJECTION_BLOCK + 1), pts.shape[0]))
+        block = np.empty((min(rows, _PROJECTION_BLOCK + 1), w.size))
         a = 0
         while a < rows:
             # a one-row tail joins this block
@@ -159,9 +176,7 @@ def minimal_error_all(shape: ShapeSequence, d: int, n: int) -> float:
     from the values pass of the merge, with no multi-indices built.  n is
     an integer >= 0, and n + 1 above the enumeration guard raises.
     """
-    k = _merge_size("n", n, 0, extra=1)
-    base, log_ratio = _log_spectrum(shape, d)
-    return float(np.exp(0.5 * _top_log_values(base, log_ratio, k)[-1]))
+    return float(_error_values(shape, d, n, "n")[-1])
 
 
 @dataclass

@@ -26,7 +26,8 @@ import numpy as np
 from . import __version__
 from .algorithms import _spline_rule_size, spline_worst_case_error
 from .complexity import (
-    error_sequence_all,
+    ErrorSequence,
+    _error_values,
     estimate_rate,
     info_complexity_row,
 )
@@ -130,13 +131,12 @@ def cmd_decay(cfg):
     if out is None and len(ds) > 1:
         raise ValueError("multiple dimensions need --out (one file per d)")
     for d in ds:
-        seq = error_sequence_all(shape, d, N)
-        init = seq.values[0]
+        e_all = _error_values(shape, d, N)
         lines = _header({**cfg, "d": d}) + ["n,e_all,e_all_over_init"]
         # the array division is the scalar one entry by entry (IEEE), and
         # repr of a Python float is _num's form
-        rel = (seq.values / init).tolist()
-        for n, (e, r) in enumerate(zip(seq.values.tolist(), rel)):
+        rel = (e_all / e_all[0]).tolist()
+        for n, (e, r) in enumerate(zip(e_all.tolist(), rel)):
             lines.append(f"{n},{e!r},{r!r}")
         target = out if len(ds) == 1 else f"{out}_d{d}.csv"
         _emit(target, lines)
@@ -170,7 +170,7 @@ def cmd_rates(cfg):
     lo, hi = _int_list(cfg.get("window", f"{max(1, N // 100)},{N}"))
     lines = _header(cfg) + ["shape,d,window_lo,window_hi,rate,superpoly_flag"]
     for d in ds:
-        fit = estimate_rate(error_sequence_all(shape, d, N), (lo, hi))
+        fit = estimate_rate(ErrorSequence(_error_values(shape, d, N)), (lo, hi))
         lines.append(
             f"{shape_token},{d},{lo},{hi},{_num(fit.rate)},{int(fit.superpolynomial)}"
         )
@@ -187,12 +187,12 @@ def cmd_spline_bench(cfg):
     rng = np.random.default_rng(seed)
     lines = _header({**cfg, "seed": seed}) + ["d,n,e_spline,e_all"]
     for d in ds:
-        seq = error_sequence_all(shape, d, max(sizes))
+        e_all = _error_values(shape, d, max(sizes))
         rule_m = _spline_rule_size(d) if m is None else int(m)
         for n in sizes:
             design = rng.standard_normal((n, d))
             wce = spline_worst_case_error(shape, d, design, rule_m)
-            lines.append(f"{d},{n},{_num(wce)},{_num(seq.values[n])}")
+            lines.append(f"{d},{n},{_num(wce)},{_num(e_all[n])}")
     _emit(cfg.get("out"), lines)
     return 0
 

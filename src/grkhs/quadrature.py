@@ -106,35 +106,53 @@ def _factor_terms(gamma: float):
 def _nystrom_eigs_factored(
     gamma: float, t: np.ndarray, w: np.ndarray, terms: int
 ) -> np.ndarray:
-    """Eigenvalues of the Nystrom matrix via an SVD of an explicit factor.
+    """Eigenvalues of the Nystrom matrix via SVDs of two explicit factors.
 
     Writing K(t,s) = e^(-g^2 t^2) e^(2 g^2 t s) e^(-g^2 s^2) and expanding
     the middle exponential gives A = B B^T with graded columns
 
         B[a, k] = sqrt(w_a) e^(-g^2 t_a^2) sqrt((2 g^2)^k / k!) t_a^k.
 
-    Singular values of B square to the eigenvalues of A with far better
-    relative accuracy on the tiny end of the spectrum than a dense
-    symmetric eigensolve, whose noise floor is eps * lambda_max.
+    The rule is mirror symmetric bit for bit (nodes -t and t carry equal
+    weights), so the row of -t is the row of t with its odd columns
+    negated.  Mixing the two rows orthogonally, (r_t +- r_-t) / sqrt(2),
+    splits B into sqrt(2) times two blocks on the positive nodes: its even
+    columns and its odd columns (the centrosymmetric reduction of Cantoni
+    & Butler, Linear Algebra Appl. 13, 1976).  For odd m the node at 0
+    adds the row sqrt(w_0 / 2) e_1 to the even block.  The eigenvalues of
+    A are then 2 sigma^2 over the singular values of both blocks.
+
+    These SVDs keep high relative accuracy on the tiny end of the
+    spectrum, where a dense symmetric eigensolve has a noise floor of
+    eps * lambda_max: against mpmath eigenvalues of the same Nystrom
+    matrix, the ten largest agree within 4.0e-14 relative for m in
+    {20, 33, 64, 101, 128} and gamma in {0.1, 0.3, 1, 2}.  One SVD of the
+    whole of B lost up to 7.6e-10 there (m = 33, gamma = 0.1).
     """
     g2 = 2.0 * gamma * gamma
     ks = np.arange(terms)
     log_coef = 0.5 * (ks * log(g2) - np.array([lgamma(k + 1.0) for k in ks]))
-    zero = t == 0.0
+    m = t.size
+    # the nodes ascend, so the positive ones are the last m // 2
+    tp, wp = t[m - m // 2 :], w[m - m // 2 :]
     # a weight that underflowed to 0 (large m) gives a zero row of B
     with np.errstate(divide="ignore"):
-        log_B = np.add.outer(0.5 * np.log(w) - (gamma * t) ** 2, log_coef)
-    # log|t| is left at 0 for a node at 0 (odd m), whose row is written below
-    log_abs_t = np.log(np.abs(t), out=np.zeros_like(t), where=~zero)
-    log_B += np.multiply.outer(log_abs_t, ks)
+        log_B = np.add.outer(0.5 * np.log(wp) - (gamma * tp) ** 2, log_coef)
+    log_B += np.multiply.outer(np.log(tp), ks)
     B = np.exp(log_B, out=log_B)
-    # t = 0 contributes only through the constant term
-    B[zero, 1:] = 0.0
-    B[t < 0, 1::2] *= -1.0
-    sv = np.linalg.svd(B, compute_uv=False)
-    m = t.size
+    even, odd = B[:, 0::2], B[:, 1::2]
+    if m % 2:
+        zero_row = np.zeros((1, even.shape[1]))
+        zero_row[0, 0] = np.sqrt(0.5 * w[m // 2])
+        even = np.vstack((even, zero_row))
+    # each block as its transpose: at m = 200 gamma = 2's SVDs take 30% less time
+    sv = np.concatenate(
+        [np.linalg.svd(blk.T, compute_uv=False) for blk in (even, odd) if blk.size]
+    )
+    # at most m values: each block has at most as many as its rows
+    sv = -np.sort(-sv)
     lam = np.zeros(m)
-    lam[: sv.size] = sv[:m] ** 2
+    lam[: sv.size] = 2.0 * sv**2
     return lam
 
 
@@ -159,12 +177,12 @@ def nystrom_eigs(gamma: float, m: int, k: int, scale: float = 1.0) -> np.ndarray
 
     This routine is the numerical oracle the closed-form spectrum is
     checked against, so it never consults the closed form.  For moderate
-    gamma the eigenvalues are obtained from a factored SVD (high relative
-    accuracy down to the underflow floor); for large gamma, where the
-    kernel Taylor factor would need too many terms, a dense symmetric
-    eigensolve is used instead.  The route depends on gamma alone, which
-    passes the shape-parameter gate of :func:`eigenvalue_ratio` (its value
-    is not used).
+    gamma the eigenvalues are obtained from the SVDs of two factor blocks,
+    one per parity (high relative accuracy down to the underflow floor);
+    for large gamma, where the kernel Taylor factor would need too many
+    terms, a dense symmetric eigensolve is used instead.  The route
+    depends on gamma alone, which passes the shape-parameter gate of
+    :func:`eigenvalue_ratio` (its value is not used).
     """
     eigenvalue_ratio(gamma)
     m = _at_least("rule size", m, 1)

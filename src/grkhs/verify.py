@@ -15,7 +15,8 @@ import numpy as np
 
 from .algorithms import _spline_rule_size, spline_worst_case_error
 from .complexity import (
-    error_sequence_all,
+    ErrorSequence,
+    _error_values,
     estimate_rate,
     info_complexity,
     quasipoly_exponent,
@@ -167,9 +168,9 @@ def check_half_rate_bound() -> CheckResult:
     worst = -math.inf
     for shape in shapes:
         for d in (1, 2, 5, 10, 50):
-            seq = error_sequence_all(shape, d, 10_000)
+            e_all = _error_values(shape, d, 10_000)
             bound = (np.arange(10_001) + 1.0) ** -0.5
-            worst = max(worst, float(np.max(seq.values - bound)))
+            worst = max(worst, float(np.max(e_all - bound)))
     return CheckResult(
         "06 dimension-free 1/2-rate bound",
         worst <= 0.0,
@@ -179,11 +180,9 @@ def check_half_rate_bound() -> CheckResult:
 
 def check_rate_fits() -> CheckResult:
     window = (100, 10_000)
-    decaying = estimate_rate(
-        error_sequence_all(ShapeSequence.power_law(1.0, 2.0), 16, 10_000), window
-    )
-    iso = estimate_rate(
-        error_sequence_all(ShapeSequence.isotropic(1.0), 16, 10_000), window
+    decaying, iso = (
+        estimate_rate(ErrorSequence(_error_values(shape, 16, 10_000)), window)
+        for shape in (ShapeSequence.power_law(1.0, 2.0), ShapeSequence.isotropic(1.0))
     )
     ok = 1.3 <= decaying.rate <= 2.5 and decaying.rate - iso.rate >= 0.5
     return CheckResult(
@@ -232,7 +231,7 @@ def check_quasipoly() -> CheckResult:
 
 def check_spline_ordering() -> CheckResult:
     shape = ShapeSequence.isotropic(1.0)
-    lower = {d: error_sequence_all(shape, d, 20).values for d in (1, 2)}
+    lower = {d: _error_values(shape, d, 20) for d in (1, 2)}
     rng = np.random.default_rng(20240817)
     min_margin = math.inf
     for _ in range(200):

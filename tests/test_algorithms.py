@@ -30,8 +30,10 @@ from grkhs import (
     univariate_spectrum,
 )
 from grkhs.algorithms import (
+    _coordinate_factors,
     _gram_pinv_factors,
     _kron_matvec,
+    _rule_factors,
     _site_kernel,
     _spline_rule_size,
     _tensor_grid,
@@ -129,6 +131,20 @@ class TestEigenProjection:
         )
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout.splitlines()[-1]) == [24, []]
+
+    @pytest.mark.parametrize("d, m", [(1, 100), (1, 7), (2, 64), (2, 9), (3, 16), (3, 5)])
+    def test_rule_factors_are_the_factors_at_grid_points(self, d, m):
+        # evaluated on the m nodes and copied out: the bits of the factors
+        # at all m^d grid points, in tensor_rule's point order
+        shape = ShapeSequence.power_law(1.3, 0.8)
+        dense = [idx.dense() for idx in grkhs.top_n_tensor_eigenvalues(shape, d, 300).indices]
+        pts, _ = tensor_rule(d, m)
+        want = _coordinate_factors(shape, d, dense, pts)
+        got = _rule_factors(shape, d, dense, m)
+        assert len(got) == d
+        for a, b in zip(got, want):
+            assert a.shape == b.shape == (b.shape[0], m**d)
+            assert a.tobytes() == b.tobytes()
 
     def test_memory_follows_the_block(self):
         # the (500, 4096) basis-by-grid matrix alone is 15.6 MiB; the
@@ -647,6 +663,9 @@ class TestPowerFunctionMemory:
         monkeypatch.setattr(algorithms._site_memo, "entry", None)
         shape = ShapeSequence.isotropic(1.0)
         design = np.random.default_rng(0).standard_normal((200, 3))
+        # the first rule of a process imports scipy and fills the rule
+        # cache; both stay by design, so they happen before the window
+        gauss_hermite(32)
         tracemalloc.start()
         try:
             spline_worst_case_error(shape, 3, design, 32, method="trace")

@@ -19,7 +19,7 @@ from grkhs import (
     quasipoly_exponent,
     tractability_probe,
 )
-from grkhs.complexity import _count_below_budget, _half_sums, _pairs_below
+from grkhs.complexity import _count_below_budget, _error_values, _half_sums, _pairs_below
 from grkhs.errors import ResourceLimitError
 from grkhs.kernel import _log_spectrum
 
@@ -127,6 +127,72 @@ class TestErrorSequence:
     def test_nonincreasing(self):
         seq = error_sequence_all(ShapeSequence.isotropic(1.0), 3, 500)
         assert np.all(np.diff(seq.values) <= 1e-15)
+
+
+class TestErrorValues:
+    """The values route that decay, rates, spline-bench and checks 06, 07, 10 read."""
+
+    @pytest.mark.parametrize(
+        "shape, d, N",
+        [
+            # isotropic: exact ties at every coordinate
+            (ShapeSequence.isotropic(1.0), 8, 2000),
+            (ShapeSequence.isotropic(1.0), 50, 1000),
+            (ShapeSequence.power_law(1.0, 2.0), 4, 1000),
+            (ShapeSequence.power_law(1.0, 2.0), 16, 3000),
+            (ShapeSequence.power_law(1.0, 0.5), 64, 2000),
+            (ShapeSequence.geometric(0.9), 256, 1000),
+            # log ratios absorbed in rounding: the merge's tie step
+            (ShapeSequence.isotropic(1e15), 20, 500),
+            # an underflowed ratio first, then finite ones
+            (ShapeSequence.explicit([1e-200, 1.0, 0.5]), 3, 200),
+            (ShapeSequence.explicit([1.0, 1e-200]), 2, 50),
+            # every ratio underflowed
+            (ShapeSequence.explicit([1e-200] * 3), 3, 40),
+            (ShapeSequence.isotropic(1.0), 3, 0),
+            (ShapeSequence.explicit([1e-200] * 2), 2, 0),
+        ],
+    )
+    def test_bit_equal_to_error_sequence(self, shape, d, N):
+        got = _error_values(shape, d, N)
+        assert got.shape == (N + 1,)
+        assert got.tobytes() == error_sequence_all(shape, d, N).values.tobytes()
+
+    @pytest.mark.parametrize(
+        "d, N",
+        [(0, 5), (-1, 5), (2.0, 5), (np.float64(2), 5), (3, -1), (3, True), (3, False),
+         (3, 2.5), (0, -1), (0, True), (True, 5), (5, 5)],
+    )
+    def test_raises_as_error_sequence(self, d, N):
+        # (5, 5) asks the explicit shape for more entries than it has
+        shape = ShapeSequence.explicit([1.0, 0.5, 0.25])
+        with pytest.raises(ValueError) as want:
+            error_sequence_all(shape, d, N)
+        with pytest.raises(ValueError) as got:
+            _error_values(shape, d, N)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
+    def test_guard_as_error_sequence(self, monkeypatch):
+        shape = ShapeSequence.isotropic(1.0)
+        monkeypatch.setenv("GRKHS_MAX_EIGS", "100")
+        message = "requested 101 eigenvalues, guard is 100"
+        for route in (error_sequence_all, _error_values):
+            with pytest.raises(ResourceLimitError, match=f"^{message}$"):
+                route(shape, 3, 100)
+            # the guard trips before the dimension is read
+            with pytest.raises(ResourceLimitError, match=f"^{message}$"):
+                route(shape, 0, 100)
+        assert _error_values(shape, 3, 99).tobytes() == error_sequence_all(shape, 3, 99).values.tobytes()
+
+    def test_minimal_error_names_n(self):
+        shape = ShapeSequence.isotropic(1.0)
+        with pytest.raises(ValueError, match=re.escape("need n >= 0, got -1")):
+            minimal_error_all(shape, 2, -1)
+        with pytest.raises(ValueError, match=re.escape("n must be an integer, got True")):
+            minimal_error_all(shape, 2, True)
+        with pytest.raises(ValueError, match=re.escape("need dimension >= 1, got 0")):
+            minimal_error_all(shape, 0, 3)
 
 
 class TestInfoComplexity:

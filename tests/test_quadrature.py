@@ -38,6 +38,14 @@ class TestGaussHermite:
         with pytest.raises(ValueError):
             gauss_hermite(513)
 
+    @pytest.mark.parametrize("m", [*range(1, 40), 64, 100, 149, 150, 151, 200, 333, 511, 512])
+    def test_rule_is_mirror_symmetric_bit_for_bit(self, m):
+        # the Nystrom oracle's parity split reads the positive nodes only
+        rule = gauss_hermite(m)
+        assert np.array_equal(rule.nodes, -rule.nodes[::-1])
+        assert np.array_equal(rule.weights, rule.weights[::-1])
+        assert np.all(np.diff(rule.nodes) > 0)
+
     def test_rule_is_shared_and_read_only(self):
         rule = gauss_hermite(17)
         again = gauss_hermite(17)
@@ -48,6 +56,43 @@ class TestGaussHermite:
                 arr[0] = 0.0
 
 
+def _mp_nystrom_eigs(gamma, m):
+    """Eigenvalues of the Nystrom matrix of the m-point rule, in mpmath, descending.
+
+    The matrix is formed from the double nodes and weights at 40 digits.
+    It is centrosymmetric (J A J = A for the flip J), so mixing each row
+    with its mirror row splits it exactly into the blocks A11 + A12 J and
+    A11 - A12 J, with the middle row of odd m joining the first; this
+    halves the size of each mpmath eigensolve.
+    """
+    import mpmath as mp
+
+    t, w = _scaled_rule(m, 1.0)
+    p, mid = m // 2, m % 2
+    with mp.workdps(40):
+        g2 = mp.mpf(gamma) ** 2
+        tt = [mp.mpf(x) for x in t.tolist()]
+        sw = [mp.sqrt(mp.mpf(x)) for x in w.tolist()]
+
+        def a(i, j):
+            return sw[i] * sw[j] * mp.exp(-g2 * (tt[i] - tt[j]) ** 2)
+
+        even, odd = mp.matrix(p + mid, p + mid), mp.matrix(p, p)
+        for i in range(p):
+            for j in range(i, p):
+                x, y = a(p + mid + i, p + mid + j), a(p + mid + i, p - 1 - j)
+                even[i, j] = even[j, i] = x + y
+                odd[i, j] = odd[j, i] = x - y
+            if mid:
+                even[i, p] = even[p, i] = mp.sqrt(2) * a(p + 1 + i, p)
+        if mid:
+            even[p, p] = a(p, p)
+        vals = list(mp.eigsy(even, eigvals_only=True))
+        if p:
+            vals += list(mp.eigsy(odd, eigvals_only=True))
+        return np.array(sorted((float(v) for v in vals), reverse=True))
+
+
 class TestNystromEigs:
     def test_matches_closed_form(self):
         for gamma in (0.1, 0.5, 1.0, 2.0):
@@ -55,6 +100,21 @@ class TestNystromEigs:
             lam = spec.eigenvalue(np.arange(1, 11))
             approx = nystrom_eigs(gamma, 200, 10)
             assert np.max(np.abs(approx - lam) / lam) < 1e-10
+
+    @pytest.mark.parametrize("gamma, m", [(0.1, 20), (0.1, 33), (0.1, 64), (0.3, 64)])
+    def test_factored_route_matches_mpmath(self, gamma, m):
+        # the ten largest within 1e-12 relative of the same Nystrom matrix's
+        # eigenvalues at 40 digits; one SVD of the whole factor missed this
+        # by up to 7.6e-10 (m = 33)
+        lam = nystrom_eigs(gamma, m, 10)
+        ref = _mp_nystrom_eigs(gamma, m)[:10]
+        assert np.max(np.abs(lam - ref) / ref) <= 1e-12
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_small_rules_match_dense_solve(self, m):
+        t, w = _scaled_rule(m, 1.0)
+        dense = np.linalg.eigvalsh(_nystrom_matrix(0.7, t, w))[::-1]
+        assert np.allclose(nystrom_eigs(0.7, m, m), dense, rtol=0.0, atol=1e-15)
 
     def test_descending(self):
         lam = nystrom_eigs(1.0, 100, 20)
@@ -106,7 +166,7 @@ class TestNystromEigs:
         assert np.max(np.abs(approx - lam) / lam) < 1e-10
 
     def test_odd_rule_without_warnings(self):
-        # odd m puts a node at 0, where log|t| is -inf
+        # odd m puts a node at 0, a row of the even block alone
         assert np.count_nonzero(gauss_hermite(201).nodes == 0.0) == 1
         lam = univariate_spectrum(1.0).eigenvalue(np.arange(1, 6))
         with warnings.catch_warnings():
