@@ -40,6 +40,9 @@ gw complexity --shape explicit:1.0,1.0,0.5,0.5,0.25,0.25 --d 6 \
 # a trip at the default guard, n >= 9380435
 g complexity --shape powerlaw:1:0.25 --d 256 --eps 0.001 --criterion norm \
   > trip_default.txt 2> trip_default.err
+# a trip where an odd number of cost groups reach the budget
+GRKHS_MAX_EIGS=3000 g complexity --shape geom:0.9 --d 64 --eps 0.001 \
+  --criterion abs > trip_odd.txt 2> trip_odd.err
 # the benchmark's many-group row: 110 cost groups per op
 g complexity --shape geom:0.9 --d 8,64,256 --eps 0.001 --criterion abs > geom.txt
 g rates --shape powerlaw:1:2 --d 16 --N 10000 --window 100,10000 > rates.txt
@@ -51,9 +54,14 @@ g spline-bench --shape iso:1.0 --d 3 --sizes 5,20 --m 12 --seed 3 > spline_d3.tx
 # --config entries read as flags, one of them overridden on the command line
 echo '{"shape": "powerlaw:1:2", "d": "4", "N": "200"}' > decay_config.json
 g decay --config decay_config.json --N 50 > decay_config.txt
-# empty designs through the dense solver (N = 6, 36) and Lanczos (N = 216)
+# empty designs at N = 6, 36 and 216
 gw spline-bench --shape iso:1.0 --d 1,2,3 --sizes 0,1,3 --m 6 --seed 3 \
   > spline_empty.txt 2>&1
+# grids of fewer nodes than the Krylov basis (N = 2, 4, 8), and N = 1
+gw spline-bench --shape iso:1.0 --d 1,2,3 --sizes 0,1,2 --m 2 --seed 5 \
+  > spline_tiny.txt 2>&1
+gw spline-bench --shape iso:1.0 --d 1,2,3 --sizes 0,1,2 --m 1 --seed 5 \
+  > spline_one.txt 2>&1
 # tie order at scale: isotropic shapes tie at every coordinate,
 # and gamma = 1e14 ties runs of powers (absorbed log ratios)
 g decay --shape iso:1.0 --d 8 --N 5000 > decay_iso8.txt

@@ -432,11 +432,11 @@ def spline_worst_case_error(
     where A_l = diag(sqrt(w)) K_l diag(sqrt(w)) is the univariate Nystrom
     matrix of gamma_l on the m-point rule, C = diag(sqrt(W)) K(grid,
     design) U and U diag(inv) U^T is the clipped Gram pseudo-inverse.
-    For N > 64 the largest eigenvalue comes from Lanczos on this operator
-    without forming any N x N matrix: a product applies A_l along each
-    grid axis and the rank-n correction, costing O(m^d (sum_l m + n))
-    time and O(m^d n) memory (:func:`_top_eigenvalue`).  For N <= 64 the
-    matrix is formed from the same factors and solved densely.  The grid,
+    At every grid size the largest eigenvalue comes from Lanczos on this
+    operator without forming any N x N matrix: a product applies A_l along
+    each grid axis and the rank-n correction, costing O(m^d (sum_l m + n))
+    time and O(m^d n) memory (:func:`_top_eigenvalue`, which takes the
+    1 x 1 operator itself at N = 1).  The grid,
     sqrt(W) and the A_l of the most recent grid are kept in a one-entry
     memo, one A_l per distinct gamma_l (:func:`_tensor_grid`).  For the empty
     design C is N x 0 (rank-0 factors) and the correction is exactly zero,
@@ -456,29 +456,19 @@ def spline_worst_case_error(
         P = _power_from_kernel(shape, d, pts, cross_kernel(shape, d, points, pts))
         return float(np.sqrt(max(0.0, np.dot(w, P**2))))
     grid = _tensor_grid(shape, d, m)
-    factors = grid.factors
-    N = grid.root_weights.size
     U, inv = _gram_pinv_factors(shape, d, pts)
     # all n columns of U are kept, clipped ones included, so that the WCE
     # bytes stay as they were: inv reaches 1/(CLIP_FACTOR lambda_max) and
     # amplifies any change in the rounding of K(grid, design) U to ~1e-11;
     # with no sites the correction is exactly +0.0, and x - 0.0 = x
     C = grid.root_weights[:, None] * (_points_kernel(shape, d, grid.points, pts) @ U)
-    if N <= 64:
-        B = factors[0]
-        for A in factors[1:]:
-            B = np.kron(B, A)
-        B = B - (C * inv[None, :]) @ C.T
-        lam = float(np.linalg.eigvalsh(0.5 * (B + B.T))[-1])
-    else:
-        kron = _kron_matvec(factors)
-        Ct = C.T
+    kron = _kron_matvec(grid.factors)
+    Ct = C.T
 
-        def matvec(v):
-            return kron(v) - C @ (inv * (Ct @ v))
+    def matvec(v):
+        return kron(v) - C @ (inv * (Ct @ v))
 
-        lam = _top_eigenvalue(matvec, N)
-    return float(np.sqrt(max(0.0, lam)))
+    return float(np.sqrt(max(0.0, _top_eigenvalue(matvec, grid.root_weights.size))))
 
 
 # Krylov basis size of each Lanczos solve, chosen in _top_eigenvalue
@@ -488,7 +478,7 @@ _WEYL_STEP = 0.6180339887498949
 
 
 def _top_eigenvalue(matvec, N: int) -> float:
-    """Largest eigenvalue of the symmetric N x N operator v -> matvec(v), N > 64.
+    """Largest eigenvalue of the symmetric N x N operator v -> matvec(v), N >= 1.
 
     ARPACK's implicitly restarted Lanczos (``eigsh``, k = 1, tol 1e-12) on a
     Krylov basis of _LANCZOS_NCV = 8 vectors instead of scipy's 20.  One
@@ -496,6 +486,9 @@ def _top_eigenvalue(matvec, N: int) -> float:
     benchmark's and ``spline-bench`` sizes up to n = 200, bases of 6 and 8
     took about 12 products per solve, 4, 10 and 12 took 13-16, and 20 took
     21 (BENCH_lanczos_steps.json); 8 is the larger of the two best.
+    ARPACK needs k < ncv <= N, so below 8 nodes the basis is all N of
+    them; at N = 1, where ARPACK cannot run, the 1 x 1 operator
+    matvec([1.0]) is its own eigenvalue.
     The start vector is the Weyl sequence frac(i * 0.618...) - 0.5,
     i = 1 .. N, which exact IEEE operations give the same on every machine.
     No reflection of the tensor grid and no swap of its axes maps it to
@@ -505,6 +498,8 @@ def _top_eigenvalue(matvec, N: int) -> float:
     only through rounding, or not at all: from the uniform vector, the
     design (1, 0), (0.125, 0) at d = 2 gave 0.3687, below e_all(2).
     """
+    if N == 1:
+        return float(matvec(np.ones(1))[0])
     # imported here, so that importing grkhs loads no scipy; eigsh is looked
     # up on the module at each call
     import scipy.sparse.linalg
@@ -512,7 +507,7 @@ def _top_eigenvalue(matvec, N: int) -> float:
     op = scipy.sparse.linalg.LinearOperator((N, N), matvec=matvec, dtype=float)
     v0 = (np.arange(1, N + 1) * _WEYL_STEP) % 1.0 - 0.5
     vals = scipy.sparse.linalg.eigsh(
-        op, k=1, which="LA", tol=1e-12, v0=v0, ncv=_LANCZOS_NCV
+        op, k=1, which="LA", tol=1e-12, v0=v0, ncv=min(_LANCZOS_NCV, N)
     )[0]
     return float(vals[0])
 

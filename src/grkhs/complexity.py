@@ -174,22 +174,21 @@ def _count_below_budget(costs: np.ndarray, budgets, guard: int) -> list:
 
     Coordinates with equal cost are grouped, and a whole group of size g
     at total excess s contributes binomial(s + g - 1, g - 1) vectors, so
-    isotropic shapes are counted in closed form.  Groups whose cost
-    reaches the largest budget only take s = 0 and drop out.  The rest are
-    split into two halves (alternating by descending cost), each half's
-    partial sums below the largest budget are enumerated once, in
-    ascending order, with their weights, and for every budget the pairs
+    isotropic shapes are counted in closed form.  Group i of the list in
+    descending cost goes to half i mod 2, whatever the budget, and groups
+    whose cost reaches the largest budget only take s = 0 and drop out.
+    Each half's partial sums below the largest budget are enumerated once,
+    in ascending order, with their weights, and for every budget the pairs
     below it are counted by cutting both halves at it and searching the
     smaller with the other (meet in the middle; Horowitz and Sahni, JACM
     1974).  Sums within 1e-12 of a budget count as reaching it, so a
     budget <= 0 counts 0: its limit is negative, and both halves (at least
     [0.]) are cut empty there.  Each result is an exact int at any size.
 
-    Every budget gets the count a list of that budget alone would get.  A
-    group that a smaller budget drops comes first in its half, so at s = 0
-    it leaves the other sums bit-equal, and at s >= 1 it gives sums at or
-    above that budget, which pair with nothing.  When an odd number of
-    groups drops, the smaller budget's halves are these two swapped.
+    Every budget gets the count a list of that budget alone would get: its
+    halves hold the same groups, and a group that it drops comes first in
+    its half, so at s = 0 it leaves the other sums bit-equal, and at s >= 1
+    it gives sums at or above that budget, which pair with nothing.
 
     The guard bounds the number of entries each half may hold, i.e. the
     memory of the count, not the returned count.  When it trips at the
@@ -223,19 +222,21 @@ def _count_from_halves(groups, largest: float, limits, guard: int):
     """Counts below every limit of ``limits`` from the halves built for ``largest``.
 
     Returns ``{limit: count}``, or the ``ResourceLimitError`` of ``largest``
-    when its halves trip the guard.  Both halves are ascending, so each
-    limit only cuts them, with no sort per limit.  The halves are freed on
-    return, so a retry never holds two pairs of them.
+    when its halves trip the guard.  The halves leave out the groups that
+    reach ``largest``.  Both are ascending, so each limit only cuts them,
+    with no sort per limit.  The halves are freed on return, so a retry
+    never holds two pairs of them.
     """
-    kept = [(c, g) for c, g in groups if c < largest]
+    halves = [[(c, g) for c, g in groups[i::2] if c < largest] for i in (0, 1)]
+    kept = halves[0] + halves[1]
     # top bounds the weight of one lattice point, so the half totals and
     # the pair count stay below top * guard**2; past int64, Python ints
     top = math.prod(math.comb(int(largest / c) + g - 1, g - 1) for c, g in kept)
     dtype = np.int64 if top * guard * guard < 2**63 else object
-    left, wleft, complete = _half_sums(kept[0::2], largest, guard, dtype)
+    left, wleft, complete = _half_sums(halves[0], largest, guard, dtype)
     right, wright = np.zeros(1), None
     if complete:
-        right, wright, complete = _half_sums(kept[1::2], largest, guard, dtype)
+        right, wright, complete = _half_sums(halves[1], largest, guard, dtype)
     if not complete:
         count = _pairs_below(left, wleft, right, wright, largest, dtype)
         return ResourceLimitError(
@@ -243,13 +244,7 @@ def _count_from_halves(groups, largest: float, limits, guard: int):
             f"n >= {count}",
             partial=count,
         )
-    counts = {}
-    for limit in limits:
-        halves = (left, wleft, right, wright)
-        if sum(c >= limit for c, _ in kept) % 2:
-            halves = (right, wright, left, wleft)
-        counts[limit] = _pairs_below(*halves, limit, dtype)
-    return counts
+    return {limit: _pairs_below(left, wleft, right, wright, limit, dtype) for limit in limits}
 
 
 def info_complexity_row(

@@ -28,6 +28,7 @@ from grkhs import (
     spline_worst_case_error,
     tensor_rule,
     univariate_spectrum,
+    verify,
 )
 from grkhs.algorithms import (
     _coordinate_factors,
@@ -40,6 +41,7 @@ from grkhs.algorithms import (
     _top_eigenvalue,
     tensor_eigenfunctions,
 )
+from grkhs.complexity import _error_values
 from grkhs.quadrature import _nystrom_matrix
 from grkhs.spectrum import MultiIndex
 
@@ -468,7 +470,7 @@ class TestGramMemo:
         assert (U.shape, inv.shape) == ((0, 0), (0,))
         assert not U.flags.writeable and not inv.flags.writeable
         power_function(shape, 2, empty, rng.standard_normal((4, 2)))
-        spline_worst_case_error(shape, 2, empty, 8)  # dense solve
+        spline_worst_case_error(shape, 2, empty, 1)  # N = 1, no Lanczos
         spline_worst_case_error(shape, 2, empty, 9)  # Lanczos
         spline_worst_case_error(shape, 2, empty, 9, method="trace")
         # the rank-0 factors neither replace the entry nor factor anything
@@ -727,7 +729,7 @@ def _dense_wce(gammas, design, m):
     return float(np.sqrt(max(0.0, lam)))
 
 
-# (gammas, m): N = m^d on both sides of the 64-node dense cutoff
+# (gammas, m): N = m^d from 40 to 216 nodes, above the Krylov basis size
 _WCE_GRIDS = [
     ([1.0], 40),
     ([1.0], 120),
@@ -737,6 +739,13 @@ _WCE_GRIDS = [
     ([1.0, 1.0, 1.0], 4),
     ([1.0, 0.5, 2.0], 4),
     ([1.0, 0.5, 2.0], 6),
+]
+
+
+# (d, m): grids of N = 1, 2, 4, 8 and 9 nodes; ARPACK runs with ncv = N
+# up to 8 and not at all at N = 1
+_TINY_GRIDS = [
+    (1, 1), (1, 2), (1, 4), (1, 8), (1, 9), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)
 ]
 
 
@@ -773,6 +782,59 @@ class TestSplineWorstCaseErrorOperator:
         wce = spline_worst_case_error(ShapeSequence.isotropic(1.0), d, design, m)
         ref = _dense_wce([1.0] * d, design, m)
         assert abs(wce - ref) <= 1e-9 * ref
+
+    @pytest.mark.parametrize("rows", _MIRROR_DESIGNS)
+    def test_mirror_symmetric_design_matches_dense_on_small_grids(self, rows):
+        # N = 1 to 81 nodes: the Krylov basis is the whole grid up to N = 8,
+        # and Lanczos restarts above; the eigenvalue to 1e-12 absolute
+        design = np.array(rows)
+        d = design.shape[1]
+        for m in [1, 2, 3, 5, 8, 9, 16] if d == 1 else [1, 2, 3, 4, 9]:
+            wce = spline_worst_case_error(ShapeSequence.isotropic(1.0), d, design, m)
+            ref = _dense_wce([1.0] * d, design, m)
+            assert abs(wce**2 - ref**2) <= 1e-12, m
+
+    @pytest.mark.parametrize("rows", _MIRROR_DESIGNS)
+    def test_mirror_symmetric_design_dominates_optimal_error_on_small_grids(self, rows):
+        # the smallest grids above the Krylov basis size (8) at which every
+        # design's Nystrom estimate lies above e_all(n): the design
+        # (1, 0), (0.125, 0) is within 1e-3 of e_all(2), and on odd rules up
+        # to m = 19 the estimate itself, dense or Lanczos, falls below it
+        design = np.array(rows)
+        d, n = design.shape[1], design.shape[0]
+        shape = ShapeSequence.isotropic(1.0)
+        lower = minimal_error_all(shape, d, n)
+        for m in (9, 16) if d == 1 else (10, 16):
+            assert lower - 1e-9 <= spline_worst_case_error(shape, d, design, m), m
+
+    @pytest.mark.parametrize("d,m", _TINY_GRIDS)
+    @pytest.mark.parametrize("kind", ["empty", "spread", "coincident"])
+    def test_tiny_grid_matches_dense_reference(self, d, m, kind):
+        # the sites nearly fill these grids, so the eigenvalue may be near 0,
+        # where its square root magnifies rounding: 1e-12 absolute on it
+        gammas = [1.0, 0.5, 2.0][:d]
+        design = _wce_designs(d)[kind]
+        wce = spline_worst_case_error(ShapeSequence.explicit(gammas), d, design, m)
+        ref = _dense_wce(gammas, design, m)
+        assert abs(wce**2 - ref**2) <= 1e-12
+
+    def test_lanczos_basis_is_capped_at_the_grid(self, monkeypatch):
+        # ARPACK needs k < ncv <= N: ncv = N below 8 nodes, and N = 1 skips it
+        import scipy.sparse.linalg
+
+        ncvs = []
+        eigsh = scipy.sparse.linalg.eigsh
+
+        def counted(*args, **kwargs):
+            ncvs.append(kwargs["ncv"])
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted)
+        design = _wce_designs(2)["spread"]
+        for m in (1, 2, 3, 9):
+            spline_worst_case_error(ShapeSequence.isotropic(1.0), 2, design, m)
+        assert ncvs == [4, 8, 8]
+        assert _top_eigenvalue(lambda v: 0.25 * v, 1) == 0.25
 
     @pytest.mark.parametrize("gammas,m", _WCE_GRIDS)
     @pytest.mark.parametrize("kind", ["empty", "spread", "coincident"])
@@ -883,17 +945,10 @@ class TestGridOperator:
         "gammas,m", [([1.0], 1), ([1.0, 0.5], 8), ([1.0], 200), ([1.0, 0.5], 9)]
     )
     def test_empty_design_is_the_kronecker_product_alone(self, gammas, m):
-        # N = m^d on both sides of 64: the dense and the Lanczos solve
+        # every N, 1 and 64 included, takes the one solve of the operator
         shape, d = ShapeSequence.explicit(gammas), len(gammas)
         factors = _tensor_grid(shape, d, m).factors
-        N = m**d
-        if N <= 64:
-            B = factors[0]
-            for A in factors[1:]:
-                B = np.kron(B, A)
-            lam = np.linalg.eigvalsh(0.5 * (B + B.T))[-1]
-        else:
-            lam = _top_eigenvalue(_kron_matvec(factors), N)
+        lam = _top_eigenvalue(_kron_matvec(factors), m**d)
         wce = spline_worst_case_error(shape, d, np.empty((0, d)), m)
         assert float(wce).hex() == float(np.sqrt(max(0.0, lam))).hex()
 
@@ -969,6 +1024,28 @@ class TestGridOperator:
         assert [ref() is not None for ref in kept] == [False, False, True]
         _tensor_grid(shape, 1, 10)
         assert len(factor_calls) == 4
+
+    def test_check_10_builds_one_grid_per_d(self, factor_calls):
+        # its designs run grouped by d, the d = 1 grid last for the empty
+        # design; the report is the one of the designs in their seeded order
+        result = verify.check_spline_ordering()
+        assert factor_calls == [1.0, 1.0]
+        shape = ShapeSequence.isotropic(1.0)
+        rng = np.random.default_rng(20240817)
+        lower = {d: _error_values(shape, d, 20) for d in (1, 2)}
+        margins = []
+        for _ in range(200):
+            d = int(rng.integers(1, 3))
+            n = int(rng.integers(1, 21))
+            design = rng.standard_normal((n, d))
+            wce = spline_worst_case_error(shape, d, design, _spline_rule_size(d))
+            margins.append(wce - lower[d][n])
+        empty = spline_worst_case_error(shape, 1, np.empty((0, 1)), 200)
+        assert result.passed
+        assert result.detail == (
+            f"min margin over 200 designs = {min(margins):.3e} (>= -1e-9), "
+            f"empty-design deviation = {abs(empty - initial_error(shape, 1)):.3e} (<= 1e-6)"
+        )
 
     def test_interleaved_grids_repeat_bit_equal(self):
         # every case misses the memo of the one before it, and a repeat of

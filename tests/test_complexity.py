@@ -505,6 +505,25 @@ class TestInfoComplexityRow:
         partials = [c.partial if isinstance(c, ResourceLimitError) else c for c in cells]
         assert report.table == [(d, e, n) for e, n in zip(eps_list, partials)]
 
+    def test_odd_number_of_groups_reaching_the_budget(self, monkeypatch):
+        # geom:0.9 at d = 64 has 64 distinct costs, and an odd number of
+        # them, 13, reach the budget of eps = 0.001, where guard 3000 trips
+        shape = ShapeSequence.geometric(0.9)
+        eps_list = [0.5, 0.003, 0.001]
+        reaching = []
+        for e in eps_list:
+            costs, budget = _budget(shape, 64, e, "absolute")
+            reaching.append(int(np.sum(costs >= budget - 1e-12)))
+        assert reaching == [64, 23, 13]
+        row = info_complexity_row(shape, 64, eps_list, "absolute")
+        assert row == [info_complexity(shape, 64, e, "absolute") for e in eps_list]
+        assert row == [0, 8187, 44843]
+        monkeypatch.setenv("GRKHS_MAX_EIGS", "3000")
+        tripped = info_complexity_row(shape, 64, eps_list, "absolute")
+        assert [isinstance(n, ResourceLimitError) for n in tripped] == [False, False, True]
+        assert tripped[:2] == row[:2]
+        assert 1 <= tripped[2].partial <= row[2]
+
     def test_validates_every_eps_before_counting(self):
         shape = ShapeSequence.isotropic(1.0)
         for eps_list in ([0.1, 1.5], [0.0, 0.1], [0.1, 0.2, float("nan")]):
