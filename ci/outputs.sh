@@ -29,6 +29,8 @@ g spectrum --gamma 1.0 --k 10 > spectrum.txt
 g spectrum --gamma 0.1 --m 33 --k 10 > spectrum_m33.txt
 # the dense Nystrom eigensolve: gamma = 10 needs 27,733 Taylor terms, past 3,000
 g spectrum --gamma 10.0 --k 10 > spectrum_gamma10.txt
+# every value of the rule (k = m): the whole factor, nothing left out
+g spectrum --gamma 2.0 --m 64 --k 64 > spectrum_full.txt
 g eigs --shape iso:1.0 --d 3 --n 20 > eigs.txt
 g decay --shape powerlaw:1:2 --d 4 --N 1000 --out decay.csv > decay.txt
 g complexity --shape iso:1.0 --d 1,2,4,8 --eps 0.5,0.1,0.01 > complexity.txt

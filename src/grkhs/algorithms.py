@@ -21,7 +21,15 @@ from .kernel import (
     cross_kernel,
     gram_matrix,
 )
-from .quadrature import _grid_shape, _grid_values, _nystrom_matrix, gauss_hermite, tensor_rule
+from .errors import ResourceLimitError
+from .quadrature import (
+    MAX_GRID_DESIGN_SIZE,
+    _grid_shape,
+    _grid_values,
+    _nystrom_matrix,
+    gauss_hermite,
+    tensor_rule,
+)
 from .spectrum import (
     TensorEigenList,
     _dense_index,
@@ -442,6 +450,11 @@ def spline_worst_case_error(
     design C is N x 0 (rank-0 factors) and the correction is exactly zero,
     though each Lanczos step still pays its two zero-column products.
 
+    The grid-by-design arrays (the kernel K(grid, design), C and the trace
+    route's kernel) hold N n doubles: past N n = 5 * 10^7
+    (``MAX_GRID_DESIGN_SIZE``) ``ResourceLimitError`` is raised before
+    the grid is built, as it is past N = 10^7 (:func:`tensor_rule`).
+
     With ``method="trace"`` the cheap trace upper bound
     sqrt(integral of G(t, t)) = sqrt(W . P^2), P the power function on the
     grid, is returned instead.  It builds its own grid and neither reads
@@ -450,6 +463,12 @@ def spline_worst_case_error(
     if method not in ("spectral", "trace"):
         raise ValueError(f"unknown method {method!r}")
     pts = _as_points(design, d)
+    d, m = _grid_shape(d, m)
+    entries = m**d * len(pts)
+    if entries > MAX_GRID_DESIGN_SIZE:
+        raise ResourceLimitError(
+            f"grid-by-design kernel N*n = {entries} exceeds {MAX_GRID_DESIGN_SIZE}"
+        )
     if method == "trace":
         points, w = tensor_rule(d, m)
         # the grid-by-design kernel is used once, so it bypasses the site memo

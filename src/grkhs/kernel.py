@@ -235,9 +235,27 @@ def gram_matrix(shape: ShapeSequence, d: int, points) -> np.ndarray:
     K = cross_kernel(shape, d, points, points)
     if K.size == 0:
         raise ValueError("point list must be nonempty")
-    K = 0.5 * (K + K.T)
+    _symmetrize(K)
     np.fill_diagonal(K, 1.0)
     return K
+
+
+def _symmetrize(K: np.ndarray) -> None:
+    """K <- (K + K^T) * 0.5 in place, one pair of square blocks at a time.
+
+    Each entry gets (K_ij + K_ji) * 0.5, the value 0.5 * (K + K.T) gives
+    it, so the bits are the same; the one temporary is a block of at most
+    _KERNEL_BLOCK_BYTES, not a second n x n array.
+    """
+    n = K.shape[0]
+    b = int((_KERNEL_BLOCK_BYTES // K.itemsize) ** 0.5)
+    for i in range(0, n, b):
+        for j in range(i, n, b):
+            upper, lower = K[i : i + b, j : j + b], K[j : j + b, i : i + b]
+            s = upper + lower.T
+            s *= 0.5
+            upper[...] = s
+            lower[...] = s.T
 
 
 def eigenvalue_ratio(gamma: float) -> float:

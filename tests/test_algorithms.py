@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -704,6 +705,23 @@ class TestSplineWorstCaseError:
             spline_worst_case_error(
                 ShapeSequence.isotropic(1.0), 1, [[0.0]], 50, method="bogus"
             )
+
+    @pytest.mark.parametrize("method", ["spectral", "trace"])
+    def test_grid_by_design_guard_allocates_nothing(self, method):
+        # d = 3, m = 200: N = 8e6 passes the grid guard, but N n = 1.6e9
+        # would ask 12.8 GB for the grid-by-design kernel alone
+        design = np.random.default_rng(0).standard_normal((200, 3))
+        message = "grid-by-design kernel N*n = 1600000000 exceeds 50000000"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match=re.escape(message)):
+                spline_worst_case_error(
+                    ShapeSequence.isotropic(1.0), 3, design, 200, method=method
+                )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def _dense_wce(gammas, design, m):

@@ -310,6 +310,34 @@ def test_kernels_bit_equal_to_reference_formulas(data):
     assert np.array_equal(cross_kernel(shape, d, a, b), _cross_reference(shape, d, a, b))
 
 
+@pytest.mark.parametrize("n", [1, 2, 180, 181, 182, 363, 700])
+def test_gram_symmetrization_matches_its_previous_formula_bit_for_bit(n):
+    # one block pair, several, and a ragged last block of 181 rows; a
+    # quarter of the sites are moved within 1e-9 of another site
+    rng = np.random.default_rng(n)
+    d = 3
+    pts = rng.standard_normal((n, d))
+    near = rng.integers(0, n, n // 4)
+    pts[rng.integers(0, n, n // 4)] = pts[near] + rng.uniform(-1e-9, 1e-9, (near.size, d))
+    shape = ShapeSequence.explicit(rng.uniform(0.2, 2.0, d))
+    ref = cross_kernel(shape, d, pts, pts)
+    ref = 0.5 * (ref + ref.T)
+    np.fill_diagonal(ref, 1.0)
+    assert gram_matrix(shape, d, pts).tobytes() == ref.tobytes()
+
+
+def test_gram_matrix_holds_one_n_by_n_array():
+    # 0.5 * (K + K.T) held a second n x n array: a peak of twice the matrix
+    pts = np.random.default_rng(3).standard_normal((2000, 2))
+    tracemalloc.start()
+    try:
+        K = gram_matrix(ShapeSequence.isotropic(1.0), 2, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * K.nbytes
+
+
 def test_cross_kernel_matches_kernel_eval():
     s = ShapeSequence.power_law(1.2, 0.5)
     rng = np.random.default_rng(2)

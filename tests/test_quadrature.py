@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 
@@ -12,7 +13,8 @@ from grkhs import (
     tensor_rule,
     univariate_spectrum,
 )
-from grkhs.quadrature import _nystrom_matrix, _scaled_rule
+import grkhs.quadrature as quadrature
+from grkhs.quadrature import _MAX_FACTOR_TERMS, _factor_terms, _nystrom_matrix, _scaled_rule
 
 
 class TestGaussHermite:
@@ -93,6 +95,78 @@ def _mp_nystrom_eigs(gamma, m):
         return np.array(sorted((float(v) for v in vals), reverse=True))
 
 
+def _reference_factored_eigs(gamma, t, w, terms):
+    """The factored route before the cut: SVDs of both parity blocks on every node."""
+    g2 = 2.0 * gamma * gamma
+    ks = np.arange(terms)
+    log_coef = 0.5 * (ks * np.log(g2) - np.array([math.lgamma(k + 1.0) for k in ks]))
+    m = t.size
+    tp, wp = t[m - m // 2 :], w[m - m // 2 :]
+    with np.errstate(divide="ignore"):
+        log_B = np.add.outer(0.5 * np.log(wp) - (gamma * tp) ** 2, log_coef)
+    log_B += np.multiply.outer(np.log(tp), ks)
+    B = np.exp(log_B, out=log_B)
+    even, odd = B[:, 0::2], B[:, 1::2]
+    if m % 2:
+        zero_row = np.zeros((1, even.shape[1]))
+        zero_row[0, 0] = np.sqrt(0.5 * w[m // 2])
+        even = np.vstack((even, zero_row))
+    sv = np.concatenate(
+        [np.linalg.svd(blk.T, compute_uv=False) for blk in (even, odd) if blk.size]
+    )
+    sv = -np.sort(-sv)
+    lam = np.zeros(m)
+    lam[: sv.size] = 2.0 * sv**2
+    return lam
+
+
+def _reference_nystrom_eigs(gamma, m, k, scale=1.0):
+    """nystrom_eigs before the cut: the whole factor, or the whole dense matrix."""
+    t, w = _scaled_rule(m, scale)
+    terms = _factor_terms(gamma)
+    if terms <= _MAX_FACTOR_TERMS:
+        lam = _reference_factored_eigs(gamma, t, w, terms)
+    else:
+        lam = np.linalg.eigvalsh(_nystrom_matrix(gamma, t, w))[::-1]
+    return lam[:k]
+
+
+class _CutRecorder:
+    """The node set and Taylor length of the last factor or matrix nystrom_eigs solved."""
+
+    def __init__(self, monkeypatch):
+        self.last = None
+        self.factored_solves = 0
+        factored, matrix = quadrature._nystrom_eigs_factored, quadrature._nystrom_matrix
+
+        def record_factored(gamma, t, w, keep, cols):
+            self.last = ("factored", keep, cols)
+            self.factored_solves += 1
+            return factored(gamma, t, w, keep, cols)
+
+        def record_matrix(gamma, t, w):
+            self.last = ("dense", t, None)
+            return matrix(gamma, t, w)
+
+        monkeypatch.setattr(quadrature, "_nystrom_eigs_factored", record_factored)
+        monkeypatch.setattr(quadrature, "_nystrom_matrix", record_matrix)
+
+    def dropped_mass(self, gamma, m, scale):
+        """The mass the last solve left out, from the exact Poisson tail of every kept row."""
+        from scipy.special import gammainc
+
+        t, w = _scaled_rule(m, scale)
+        route, kept, cols = self.last
+        if route == "dense":
+            return float(np.sum(w[~np.isin(t, kept)]))
+        if isinstance(kept, slice):
+            return 0.0
+        wp, tp = w[m - m // 2 :], t[m - m // 2 :]
+        # P[Poisson(mu) >= c] is the regularized lower incomplete gamma P(c, mu)
+        tail = gammainc(cols, 2.0 * (gamma * tp[kept]) ** 2)
+        return float(2.0 * np.sum(wp[~kept]) + 2.0 * np.dot(wp[kept], tail))
+
+
 class TestNystromEigs:
     def test_matches_closed_form(self):
         for gamma in (0.1, 0.5, 1.0, 2.0):
@@ -101,7 +175,9 @@ class TestNystromEigs:
             approx = nystrom_eigs(gamma, 200, 10)
             assert np.max(np.abs(approx - lam) / lam) < 1e-10
 
-    @pytest.mark.parametrize("gamma, m", [(0.1, 20), (0.1, 33), (0.1, 64), (0.3, 64)])
+    @pytest.mark.parametrize(
+        "gamma, m", [(0.1, 20), (0.1, 33), (0.1, 64), (0.3, 64), (1.0, 64), (2.0, 33), (2.0, 64)]
+    )
     def test_factored_route_matches_mpmath(self, gamma, m):
         # the ten largest within 1e-12 relative of the same Nystrom matrix's
         # eigenvalues at 40 digits; one SVD of the whole factor missed this
@@ -109,6 +185,94 @@ class TestNystromEigs:
         lam = nystrom_eigs(gamma, m, 10)
         ref = _mp_nystrom_eigs(gamma, m)[:10]
         assert np.max(np.abs(lam - ref) / ref) <= 1e-12
+
+    def test_dense_route_matches_mpmath(self):
+        # gamma = 10 needs 27,733 Taylor terms; the solve keeps the heaviest nodes
+        assert _factor_terms(10.0) > _MAX_FACTOR_TERMS
+        lam = nystrom_eigs(10.0, 64, 10)
+        ref = _mp_nystrom_eigs(10.0, 64)[:10]
+        assert np.max(np.abs(lam - ref) / ref) <= 1e-12
+
+    def test_cut_leaves_out_light_nodes_and_late_columns(self, monkeypatch):
+        rec = _CutRecorder(monkeypatch)
+        nystrom_eigs(2.0, 200, 10)
+        route, kept, cols = rec.last
+        assert route == "factored"
+        assert np.count_nonzero(kept) < 50 and cols < _factor_terms(2.0) // 3
+        nystrom_eigs(10.0, 200, 10)
+        route, kept, _ = rec.last
+        assert route == "dense" and kept.size < 100
+
+    def test_taylor_tail_bounds_the_poisson_tail(self):
+        # P[Poisson(mu) >= c] is the regularized lower incomplete gamma P(c, mu);
+        # the bound holds on both sides of c = mu and for mu = 0
+        from scipy.special import gammainc
+
+        for mu in [0.0, 1e-3, 0.5, 3.0, 40.0, 400.0]:
+            for cols in [1, 2, 5, 50, 300, 1000]:
+                bound = quadrature._taylor_tail(np.array([mu]), np.array([1.0]), cols)
+                assert gammainc(cols, mu) <= bound * (1.0 + 1e-12), (mu, cols)
+
+    def test_cut_past_its_bound_is_solved_again(self, monkeypatch):
+        # a lower bound of 1 on lambda_10 ~ 4.5e-3 cuts far past 2^-53
+        # lambda_k: the check after the solve rejects that cut, and the
+        # second budget, from the kept lambda_k, passes
+        rec = _CutRecorder(monkeypatch)
+        monkeypatch.setattr(quadrature, "_factored_floor", lambda *args: 1.0)
+        lam = nystrom_eigs(2.0, 200, 10)
+        assert rec.factored_solves == 2
+        assert rec.dropped_mass(2.0, 200, 1.0) <= 2.0**-53 * lam[-1]
+        ref = _reference_nystrom_eigs(2.0, 200, 10)
+        assert np.max(np.abs(lam - ref) / ref) <= 1e-12
+
+    @pytest.mark.parametrize("gamma", [0.1, 0.7, 2.0, 10.0, 1e8])
+    @pytest.mark.parametrize("scale", [1.0, 0.3])
+    def test_every_value_solves_the_whole_matrix_bit_for_bit(self, gamma, scale):
+        # with k = m every node carries a returned value: nothing can go
+        for m in [1, 2, 3, 8, 33, 64, 200]:
+            lam = nystrom_eigs(gamma, m, m, scale=scale)
+            assert lam.tobytes() == _reference_nystrom_eigs(gamma, m, m, scale).tobytes()
+
+    @pytest.mark.parametrize("gamma, m, k", [(0.1, 200, 200), (1e-30, 200, 8)])
+    def test_underflowed_lambda_k_solves_the_whole_factor_bit_for_bit(self, gamma, m, k):
+        # lambda_k is 0: no mass is small enough to leave out
+        ref = _reference_nystrom_eigs(gamma, m, k)
+        assert ref[-1] == 0.0
+        assert nystrom_eigs(gamma, m, k).tobytes() == ref.tobytes()
+
+    def test_cut_stays_within_its_bound(self, monkeypatch):
+        # The allowance covers the rounding of both solves by the backward
+        # error bound of each route: an SVD moves sigma_j by about m eps
+        # sigma_1, so lambda_j = 2 sigma_j^2 by m eps sqrt(lambda_1 lambda_j)
+        # (twice, once per solve), and eigvalsh moves lambda_j by about
+        # m eps lambda_1 (8 m eps lambda_1 allowed).  1e-12 relative is too
+        # tight: at (0.628..., 150, 25, 0.3) the cut and the whole solve are
+        # 5e-13 and 2.4e-12 from mpmath at lambda_25 / lambda_1 = 4e-16.
+        # The mass check does not depend on the allowance.
+        rec = _CutRecorder(monkeypatch)
+        rng = np.random.default_rng(28)
+        cuts = 0
+        for _ in range(60):
+            gamma = float(rng.uniform(0.05, 5.0))
+            m = int(rng.integers(1, 257))
+            k = int(np.ceil(m ** rng.uniform()))
+            scale = float(rng.choice([1.0, 0.3]))
+            lam = nystrom_eigs(gamma, m, k, scale=scale)
+            ref = _reference_nystrom_eigs(gamma, m, k, scale)
+            eps = np.finfo(float).eps
+            if _factor_terms(gamma) > _MAX_FACTOR_TERMS:
+                allow = 8 * m * eps * ref[0]
+            else:
+                allow = 2 * m * eps * np.sqrt(ref[0] * ref)
+            case = (gamma, m, k, scale)
+            # the kept matrix's values lie below the whole one's, by at most the
+            # mass left out, which is at most 2^-53 lambda_k
+            dropped = rec.dropped_mass(gamma, m, scale)
+            assert dropped <= 2.0**-53 * lam[-1], case
+            assert np.all(lam <= ref + allow), case
+            assert np.all(ref <= lam + 2.0**-53 * lam[-1] + allow), case
+            cuts += dropped > 0
+        assert cuts >= 20
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_small_rules_match_dense_solve(self, m):
