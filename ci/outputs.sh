@@ -31,6 +31,9 @@ g spectrum --gamma 0.1 --m 33 --k 10 > spectrum_m33.txt
 g spectrum --gamma 10.0 --k 10 > spectrum_gamma10.txt
 # every value of the rule (k = m): the whole factor, nothing left out
 g spectrum --gamma 2.0 --m 64 --k 64 > spectrum_full.txt
+# the factored cut on the largest rule, where 36 weights are exactly 0: it
+# keeps 66 of 256 positive nodes and 795 of 2,588 Taylor columns
+gw spectrum --gamma 3.0 --m 512 --k 10 > spectrum_m512.txt
 g eigs --shape iso:1.0 --d 3 --n 20 > eigs.txt
 g decay --shape powerlaw:1:2 --d 4 --N 1000 --out decay.csv > decay.txt
 g complexity --shape iso:1.0 --d 1,2,4,8 --eps 0.5,0.1,0.01 > complexity.txt

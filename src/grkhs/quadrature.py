@@ -107,13 +107,32 @@ def _factor_terms(gamma: float):
     return int(np.ceil(2.0 * 30.0 * np.log(10.0) / -np.log(rho))) + 32
 
 
-def _parity_blocks(
+def _nystrom_eigs_factored(
     gamma: float, t: np.ndarray, w: np.ndarray, keep, cols: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The even-column and odd-column blocks of the Taylor factor, cols columns in all.
+) -> np.ndarray:
+    """Eigenvalues of the Nystrom matrix via SVDs of two explicit factors.
 
-    ``keep`` selects the positive nodes that give rows (a mask, or a slice
-    for all of them); the node at 0 of an odd rule is always a row.
+    Writing K(t,s) = e^(-g^2 t^2) e^(2 g^2 t s) e^(-g^2 s^2) and expanding
+    the middle exponential gives A = B B^T with graded columns
+
+        B[a, k] = sqrt(w_a) e^(-g^2 t_a^2) sqrt((2 g^2)^k / k!) t_a^k,
+
+    of which the first ``cols`` are formed, on the positive nodes ``keep``
+    selects (a mask, or a slice for all of them).  The rule is mirror
+    symmetric bit for bit (nodes -t and t carry equal weights), so the row
+    of -t is the row of t with its odd columns negated.  Mixing the two
+    rows orthogonally, (r_t +- r_-t) / sqrt(2), splits B into sqrt(2)
+    times two blocks on the positive nodes: its even columns and its odd
+    columns (the centrosymmetric reduction of Cantoni & Butler, Linear
+    Algebra Appl. 13, 1976).  For odd m the node at 0 adds the row
+    sqrt(w_0 / 2) e_1 to the even block, whatever ``keep`` says.  The
+    eigenvalues of A are then 2 sigma^2 over the singular values of both
+    blocks; the m values are padded with zeros.
+
+    These SVDs keep high relative accuracy on the tiny end of the
+    spectrum, where a dense symmetric eigensolve has a noise floor of
+    eps * lambda_max; one SVD of the whole of B lost up to 7.6e-10 against
+    mpmath eigenvalues of the same matrix (m = 33, gamma = 0.1).
     """
     g2 = 2.0 * gamma * gamma
     ks = np.arange(cols)
@@ -131,44 +150,22 @@ def _parity_blocks(
         zero_row = np.zeros((1, even.shape[1]))
         zero_row[0, 0] = np.sqrt(0.5 * w[m // 2])
         even = np.vstack((even, zero_row))
-    return even, odd
-
-
-def _nystrom_eigs_factored(
-    gamma: float, t: np.ndarray, w: np.ndarray, keep, cols: int
-) -> np.ndarray:
-    """Eigenvalues of the Nystrom matrix via SVDs of two explicit factors.
-
-    Writing K(t,s) = e^(-g^2 t^2) e^(2 g^2 t s) e^(-g^2 s^2) and expanding
-    the middle exponential gives A = B B^T with graded columns
-
-        B[a, k] = sqrt(w_a) e^(-g^2 t_a^2) sqrt((2 g^2)^k / k!) t_a^k,
-
-    of which the first ``cols`` are formed, on the rows ``keep`` selects
-    (:func:`_parity_blocks`).  The rule is mirror symmetric bit for bit
-    (nodes -t and t carry equal weights), so the row of -t is the row of t
-    with its odd columns negated.  Mixing the two rows orthogonally,
-    (r_t +- r_-t) / sqrt(2), splits B into sqrt(2) times two blocks on the
-    positive nodes: its even columns and its odd columns (the
-    centrosymmetric reduction of Cantoni & Butler, Linear Algebra Appl. 13,
-    1976).  For odd m the node at 0 adds the row sqrt(w_0 / 2) e_1 to the
-    even block.  The eigenvalues of A are then 2 sigma^2 over the singular
-    values of both blocks; the m values are padded with zeros.
-
-    These SVDs keep high relative accuracy on the tiny end of the
-    spectrum, where a dense symmetric eigensolve has a noise floor of
-    eps * lambda_max; one SVD of the whole of B lost up to 7.6e-10 against
-    mpmath eigenvalues of the same matrix (m = 33, gamma = 0.1).
-    """
-    blocks = _parity_blocks(gamma, t, w, keep, cols)
     # each block as its transpose: at m = 200 gamma = 2's SVDs take 30% less time
     sv = np.concatenate(
-        [np.linalg.svd(blk.T, compute_uv=False) for blk in blocks if blk.size]
+        [np.linalg.svd(blk.T, compute_uv=False) for blk in (even, odd) if blk.size]
     )
     # at most m values: each block has at most as many as its rows
     sv = -np.sort(-sv)
-    lam = np.zeros(t.size)
+    lam = np.zeros(m)
     lam[: sv.size] = 2.0 * sv**2
+    return lam
+
+
+def _nystrom_eigs_dense(gamma: float, t: np.ndarray, w: np.ndarray, keep) -> np.ndarray:
+    """Eigenvalues of the principal submatrix on the nodes ``keep`` selects, padded to m."""
+    lam = np.zeros(t.size)
+    vals = np.linalg.eigvalsh(_nystrom_matrix(gamma, t[keep], w[keep]))[::-1]
+    lam[: vals.size] = vals
     return lam
 
 
@@ -198,63 +195,29 @@ def _taylor_tail(mu: np.ndarray, mass: np.ndarray, cols: int) -> float:
     return float(np.dot(mass, np.exp(log_p)))
 
 
-def _factored_floor(gamma: float, t: np.ndarray, w: np.ndarray, k: int) -> float:
-    """A lower bound on lambda_k: the k-th value of the first 2k Taylor columns on every node.
-
-    The other columns are a positive semidefinite part of A, so each of
-    the k largest values of these columns lies below A's.
-    """
-    blocks = _parity_blocks(gamma, t, w, slice(None), 2 * k)
-    sv = np.concatenate([np.linalg.svd(blk, compute_uv=False) for blk in blocks if blk.size])
-    return 2.0 * np.sort(sv)[-k] ** 2 if sv.size >= k else 0.0
-
-
-def _factored_solve(
+def _factored_cut(
     gamma: float, t: np.ndarray, w: np.ndarray, terms: int, budget: float
-) -> tuple[np.ndarray, float]:
-    """(eigenvalues, dropped mass) of the factor cut to at most ``budget``.
+) -> tuple[np.ndarray | slice, int, float]:
+    """(keep, cols, dropped): the factor cut to a dropped mass of at most ``budget``.
 
     Half the budget goes to positive nodes, each standing for itself and
     its mirror image (mass 2 w_a), half to the Taylor columns past the
     kept ones on the kept rows, bounded to infinity by :func:`_taylor_tail`
     (row a's tail past c columns is w_a P[Poisson(2 g^2 t_a^2) >= c]).
-    When no cut fits, or none is left to make, the whole factor of
-    ``terms`` columns is solved and the dropped mass is 0.
+    When no cut fits, or none is left to make, it is the whole factor of
+    ``terms`` columns and the dropped mass is 0.
     """
-    if budget > 0:
-        m = t.size
-        tp, wp = t[m - m // 2 :], w[m - m // 2 :]
-        keep, dropped = _drop_lightest(2.0 * wp, 0.5 * budget)
-        mu, mass = 2.0 * (gamma * tp[keep]) ** 2, 2.0 * wp[keep]
-        cols = 1 + bisect.bisect_left(
-            range(1, terms + 1), True, key=lambda c: _taylor_tail(mu, mass, c) <= 0.5 * budget
-        )
-        # cols past terms: not even the whole length fits the budget
-        if cols < terms or (cols == terms and not keep.all()):
-            lam = _nystrom_eigs_factored(gamma, t, w, keep, cols)
-            return lam, dropped + _taylor_tail(mu, mass, cols)
-    return _nystrom_eigs_factored(gamma, t, w, slice(None), terms), 0.0
-
-
-def _dense_floor(gamma: float, t: np.ndarray, w: np.ndarray, k: int) -> float:
-    """lambda_k of the k heaviest nodes' principal submatrix, below A's by Cauchy interlacing."""
-    heavy = np.sort(np.argsort(-w, kind="stable")[:k])
-    return float(np.linalg.eigvalsh(_nystrom_matrix(gamma, t[heavy], w[heavy]))[0])
-
-
-def _dense_solve(
-    gamma: float, t: np.ndarray, w: np.ndarray, budget: float
-) -> tuple[np.ndarray, float]:
-    """(eigenvalues, dropped mass) of the principal submatrix without the lightest nodes.
-
-    The nodes left out weigh at most ``budget`` in all; the m values are
-    padded with zeros.
-    """
-    keep, dropped = _drop_lightest(w, budget) if budget > 0 else (slice(None), 0.0)
-    lam = np.zeros(t.size)
-    vals = np.linalg.eigvalsh(_nystrom_matrix(gamma, t[keep], w[keep]))[::-1]
-    lam[: vals.size] = vals
-    return lam, dropped
+    m = t.size
+    tp, wp = t[m - m // 2 :], w[m - m // 2 :]
+    keep, dropped = _drop_lightest(2.0 * wp, 0.5 * budget)
+    mu, mass = 2.0 * (gamma * tp[keep]) ** 2, 2.0 * wp[keep]
+    cols = 1 + bisect.bisect_left(
+        range(1, terms + 1), True, key=lambda c: _taylor_tail(mu, mass, c) <= 0.5 * budget
+    )
+    # cols past terms: not even the whole length fits the budget
+    if cols < terms or (cols == terms and not keep.all()):
+        return keep, cols, dropped + _taylor_tail(mu, mass, cols)
+    return slice(None), terms, 0.0
 
 
 def nystrom_eigs(gamma: float, m: int, k: int, scale: float = 1.0) -> np.ndarray:
@@ -279,14 +242,17 @@ def nystrom_eigs(gamma: float, m: int, k: int, scale: float = 1.0) -> np.ndarray
     This routine is the numerical oracle the closed-form spectrum is
     checked against, so it never consults the closed form.  For moderate
     gamma the eigenvalues are obtained from the SVDs of two factor blocks,
-    one per parity (high relative accuracy down to the underflow floor;
-    the ten largest agree with mpmath eigenvalues of the same matrix
-    within 4.0e-14 relative for m in {20, 33, 64, 101, 128} and gamma in
-    {0.1, 0.3, 1, 2}); for large gamma, where the kernel Taylor factor
-    would need too many terms, a dense symmetric eigensolve is used
-    instead.  The route depends on gamma alone, which passes the
-    shape-parameter gate of :func:`eigenvalue_ratio` (its value is not
-    used).
+    one per parity; for large gamma, where the kernel Taylor factor would
+    need too many terms, a dense symmetric eigensolve is used instead.
+    The route depends on gamma alone, which passes the shape-parameter
+    gate of :func:`eigenvalue_ratio` (its value is not used).  On the
+    plain rule the factored route keeps high relative accuracy: the ten
+    largest agree with mpmath eigenvalues of the same matrix within
+    4.0e-14 relative for m in {20, 33, 64, 101, 128} and gamma in
+    {0.1, 0.3, 1, 2}.  On a kernel-scaled rule the tiny end is less
+    accurate: at gamma = 0.6285, m = 150, s = 0.3, against mpmath at 40
+    digits the whole factor's lambda_24 is off by 4.95e-12 and its
+    lambda_25 (4e-16 lambda_1) by 2.35e-12.
 
     Only what the k returned values can feel is solved.  Write A = G G^T
     with G the rows sqrt(w_a) times the kernel's Taylor terms.  A node's
@@ -299,23 +265,23 @@ def nystrom_eigs(gamma: float, m: int, k: int, scale: float = 1.0) -> np.ndarray
 
         lambda_j(kept) <= lambda_j(A) <= lambda_j(kept) + D,   every j.
 
-    The factored route leaves out the lightest positive nodes and the
-    trailing Taylor columns, half the budget each, and counts every term
-    past the kept ones (also past the factor's own length) by a Chernoff
-    bound; the dense route leaves out the lightest nodes.  A result is
-    accepted only when D <= _DROP_FRACTION * lambda_k(kept), with
-    _DROP_FRACTION = 2^-53, so the top k are those of A to within one
-    unit roundoff of lambda_k.  The budget is half that fraction of a
-    lower bound on lambda_k read from the matrix itself, never from the
-    closed form: the k-th value of the first 2k Taylor columns on every
-    node, or of the k heaviest nodes' principal submatrix.  So in exact
-    arithmetic the first solve passes; one that fails is solved again
-    with half the fraction of its own lambda_k, which keeps a superset of
-    what it kept, and then whole.  The lower bound costs a solve of 2k
-    columns or k nodes, so the cut is tried only while 4k is at most m
-    and, on the factored route, the factor's length.  Otherwise, as for
-    k = m or a lower bound of 0 (lambda_k underflowed), the whole matrix
-    is solved, bit for bit as without the cut.
+    Each route has one solver, called on at most three cuts.  The first
+    gives a lower bound on lambda_k from the matrix itself: the first 2k
+    Taylor columns on every node, or the k heaviest nodes' principal
+    submatrix.  Half of _DROP_FRACTION = 2^-53 times that bound is the
+    budget of the second cut: the factored route leaves out the lightest
+    positive nodes and the trailing Taylor columns, half the budget each,
+    and counts every term past the kept ones (also past the factor's own
+    length) by a Chernoff bound; the dense route leaves out the lightest
+    nodes.  That cut is accepted once, when D <= _DROP_FRACTION *
+    lambda_k(kept), so the top k are those of A to within one unit
+    roundoff of lambda_k.  In exact arithmetic it always passes; a cut
+    that fails in rounding is followed by the third, the whole matrix.
+    The lower bound costs a solve of 2k columns or k nodes, so the cut is
+    tried only while 4k is at most m and, on the factored route, the
+    factor's length.  Otherwise, as for k = m or a lower bound of 0
+    (lambda_k underflowed), only the whole matrix is solved, bit for bit
+    as without the cut.
     """
     eigenvalue_ratio(gamma)
     m = _at_least("rule size", m, 1)
@@ -327,23 +293,23 @@ def nystrom_eigs(gamma: float, m: int, k: int, scale: float = 1.0) -> np.ndarray
     t, w = _scaled_rule(m, scale)
     terms = _factor_terms(gamma)
     if terms <= _MAX_FACTOR_TERMS:
-        solve = functools.partial(_factored_solve, gamma, t, w, terms)
-        floor, size = _factored_floor, min(m, terms)
+        solve = functools.partial(_nystrom_eigs_factored, gamma, t, w)
+        cut = functools.partial(_factored_cut, gamma, t, w, terms)
+        small, whole, size = (slice(None), 2 * k), (slice(None), terms), min(m, terms)
     else:
-        solve = functools.partial(_dense_solve, gamma, t, w)
-        floor, size = _dense_floor, m
-    # the floor reads 2k columns or k nodes, which must be small next to
-    # the factor for the cut to pay
-    budget = 0.5 * _DROP_FRACTION * floor(gamma, t, w, k) if 4 * k <= size else 0.0
-    for _ in range(2):
-        if not budget > 0:
-            break
-        lam, dropped = solve(budget)
-        if dropped <= _DROP_FRACTION * lam[k - 1]:
-            return lam[:k]
-        # a smaller budget keeps a superset, whose lambda_k is no smaller
-        budget = 0.5 * _DROP_FRACTION * lam[k - 1]
-    return solve(0.0)[0][:k]
+        solve = functools.partial(_nystrom_eigs_dense, gamma, t, w)
+        cut = functools.partial(_drop_lightest, w)
+        small, whole, size = (np.sort(np.argsort(-w, kind="stable")[:k]),), (slice(None),), m
+    # the small cut reads 2k columns or k nodes, which must be small next
+    # to the whole for the cut to pay
+    if 4 * k <= size:
+        budget = 0.5 * _DROP_FRACTION * solve(*small)[k - 1]
+        if budget > 0:
+            *kept, dropped = cut(budget)
+            lam = solve(*kept)
+            if dropped <= _DROP_FRACTION * lam[k - 1]:
+                return lam[:k]
+    return solve(*whole)[:k]
 
 
 def integrate(d: int, m: int, g) -> float:

@@ -132,20 +132,24 @@ def _reference_nystrom_eigs(gamma, m, k, scale=1.0):
 
 
 class _CutRecorder:
-    """The node set and Taylor length of the last factor or matrix nystrom_eigs solved."""
+    """The node set and Taylor length of the last factor or matrix nystrom_eigs solved.
+
+    ``solves`` counts the factors and matrices solved.
+    """
 
     def __init__(self, monkeypatch):
         self.last = None
-        self.factored_solves = 0
+        self.solves = 0
         factored, matrix = quadrature._nystrom_eigs_factored, quadrature._nystrom_matrix
 
         def record_factored(gamma, t, w, keep, cols):
             self.last = ("factored", keep, cols)
-            self.factored_solves += 1
+            self.solves += 1
             return factored(gamma, t, w, keep, cols)
 
         def record_matrix(gamma, t, w):
             self.last = ("dense", t, None)
+            self.solves += 1
             return matrix(gamma, t, w)
 
         monkeypatch.setattr(quadrature, "_nystrom_eigs_factored", record_factored)
@@ -213,17 +217,28 @@ class TestNystromEigs:
                 bound = quadrature._taylor_tail(np.array([mu]), np.array([1.0]), cols)
                 assert gammainc(cols, mu) <= bound * (1.0 + 1e-12), (mu, cols)
 
-    def test_cut_past_its_bound_is_solved_again(self, monkeypatch):
-        # a lower bound of 1 on lambda_10 ~ 4.5e-3 cuts far past 2^-53
-        # lambda_k: the check after the solve rejects that cut, and the
-        # second budget, from the kept lambda_k, passes
+    @pytest.mark.parametrize("gamma, cut", [(2.0, "_factored_cut"), (10.0, "_drop_lightest")])
+    def test_cut_past_its_bound_solves_the_whole_matrix(self, monkeypatch, gamma, cut):
+        # a cut that reports a mass of 1, far past 2^-53 lambda_k, fails its
+        # check: the lower bound, the cut and then the whole matrix are solved
         rec = _CutRecorder(monkeypatch)
-        monkeypatch.setattr(quadrature, "_factored_floor", lambda *args: 1.0)
-        lam = nystrom_eigs(2.0, 200, 10)
-        assert rec.factored_solves == 2
-        assert rec.dropped_mass(2.0, 200, 1.0) <= 2.0**-53 * lam[-1]
-        ref = _reference_nystrom_eigs(2.0, 200, 10)
-        assert np.max(np.abs(lam - ref) / ref) <= 1e-12
+        choose = getattr(quadrature, cut)
+        monkeypatch.setattr(quadrature, cut, lambda *args: (*choose(*args)[:-1], 1.0))
+        lam = nystrom_eigs(gamma, 200, 10)
+        assert rec.solves == 3
+        assert lam.tobytes() == _reference_nystrom_eigs(gamma, 200, 10).tobytes()
+
+    def test_every_caller_solves_twice(self, monkeypatch):
+        # the lower bound and a cut that passes its check: the spectrum
+        # command, check 01's scaled rules and the benchmark's warm-up
+        rec = _CutRecorder(monkeypatch)
+        cases = [(1.0, 40, 5, 1.0)]
+        for gamma in (0.1, 0.5, 1.0, 2.0, 10.0):
+            cases += [(gamma, 200, 10, 1.0), (gamma, 200, 10, min(1.0, 3.0 / gamma))]
+        for case in cases:
+            rec.solves = 0
+            nystrom_eigs(*case)
+            assert rec.solves == 2, case
 
     @pytest.mark.parametrize("gamma", [0.1, 0.7, 2.0, 10.0, 1e8])
     @pytest.mark.parametrize("scale", [1.0, 0.3])
