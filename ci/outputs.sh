@@ -36,6 +36,8 @@ g spectrum --gamma 2.0 --m 64 --k 64 > spectrum_full.txt
 gw spectrum --gamma 3.0 --m 512 --k 10 > spectrum_m512.txt
 g eigs --shape iso:1.0 --d 3 --n 20 > eigs.txt
 g decay --shape powerlaw:1:2 --d 4 --N 1000 --out decay.csv > decay.txt
+# several dimensions: one file per d, decay_multi_d2.csv and decay_multi_d3.csv
+g decay --shape iso:1.0 --d 2,3 --N 300 --out decay_multi > decay_multi.txt
 g complexity --shape iso:1.0 --d 1,2,4,8 --eps 0.5,0.1,0.01 > complexity.txt
 GRKHS_MAX_EIGS=3000 g complexity --shape powerlaw:1:0.5 --d 8,16 \
   --eps 0.01,0.001 --criterion norm > trip.txt 2> trip.err

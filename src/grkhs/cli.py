@@ -64,25 +64,33 @@ def _int_list(text):
     return [int(v) for v in text.split(",")]
 
 
-def _float_list(text):
-    return [float(v) for v in text.split(",")]
+def _floats(a) -> list:
+    """Shortest round-trip ``repr`` of each entry, once per run of equal bits
+    (not ``==``: a 0.0 next to a -0.0 keeps its sign)."""
+    a = np.asarray(a, dtype=np.float64)
+    # a shorter column costs more to split into runs than its reprs save
+    if len(a) >= 64:
+        bits = a.view(np.uint64)
+        new = np.concatenate(([True], bits[1:] != bits[:-1]))
+        if not new.all():
+            cells = np.array(list(map(repr, a[new].tolist())), dtype=object)
+            return cells[np.cumsum(new) - 1].tolist()
+    return list(map(repr, a.tolist()))
 
 
-def _num(x) -> str:
-    """Shortest round-trip decimal form of a float, for stable CSV cells."""
-    return repr(float(x))
+def _table(config: dict, names: str, *columns) -> list:
+    """CSV lines: the header, the column names and one line per row.
 
-
-def _header(config: dict) -> list:
+    An array column's cells are its ``_floats``, any other column's ``str``.
+    """
     # the output destination is not part of the experiment, so identical
     # configurations written to different paths stay byte-identical
-    echo = json.dumps(
-        {k: v for k, v in config.items() if k != "out"}, sort_keys=True
-    )
+    echo = json.dumps({k: v for k, v in config.items() if k != "out"}, sort_keys=True)
     lines = [f"# grkhs {__version__}", f"# config: {echo}"]
     if "seed" in config:
         lines.append(f"# seed: {config['seed']}")
-    return lines
+    cells = [_floats(c) if isinstance(c, np.ndarray) else map(str, c) for c in columns]
+    return lines + [names] + list(map(",".join, zip(*cells)))
 
 
 def _emit(out_path, lines):
@@ -96,14 +104,11 @@ def _emit(out_path, lines):
 
 def cmd_spectrum(cfg):
     gamma, m, k = float(cfg["gamma"]), int(cfg.get("m", 200)), int(cfg.get("k", 10))
-    spec = univariate_spectrum(gamma)
-    closed = spec.eigenvalue(np.arange(1, k + 1))
+    closed = univariate_spectrum(gamma).eigenvalue(np.arange(1, k + 1))
     approx = nystrom_eigs(gamma, m, k)
-    lines = _header(cfg) + ["j,lambda_closed,lambda_nystrom,rel_err"]
-    for j in range(k):
-        rel = abs(approx[j] - closed[j]) / closed[j]
-        lines.append(f"{j + 1},{_num(closed[j])},{_num(approx[j])},{_num(rel)}")
-    _emit(cfg.get("out"), lines)
+    rel = np.abs(approx - closed) / closed
+    names = "j,lambda_closed,lambda_nystrom,rel_err"
+    _emit(cfg.get("out"), _table(cfg, names, range(1, k + 1), closed, approx, rel))
     return 0
 
 
@@ -111,69 +116,60 @@ def cmd_eigs(cfg):
     shape = parse_shape(cfg["shape"])
     d, n = int(cfg["d"]), int(cfg["n"])
     top = top_n_tensor_eigenvalues(shape, d, n)
-    lines = _header(cfg) + ["rank,value,index"]
-    ones = ["1"] * d
-    # repr of a Python float is _num's form, one tolist() per column
-    for rank, (value, idx) in enumerate(zip(top.values.tolist(), top.indices), start=1):
-        dense = ones.copy()
+    index = []
+    for idx in top.indices:
+        dense = ["1"] * d
         for pos, j in idx.entries:
             dense[pos - 1] = str(j)
-        lines.append(f"{rank},{value!r},{';'.join(dense)}")
+        index.append(";".join(dense))
+    lines = _table(cfg, "rank,value,index", range(1, len(index) + 1), top.values, index)
     _emit(cfg.get("out"), lines)
     return 0
 
 
 def cmd_decay(cfg):
-    shape = parse_shape(cfg["shape"])
-    ds = _int_list(cfg["d"])
-    N = int(cfg["N"])
+    shape, ds, N = parse_shape(cfg["shape"]), _int_list(cfg["d"]), int(cfg["N"])
     out = cfg.get("out")
     if out is None and len(ds) > 1:
         raise ValueError("multiple dimensions need --out (one file per d)")
     for d in ds:
-        e_all = _error_values(shape, d, N)
-        lines = _header({**cfg, "d": d}) + ["n,e_all,e_all_over_init"]
-        # the array division is the scalar one entry by entry (IEEE), and
-        # repr of a Python float is _num's form
-        rel = (e_all / e_all[0]).tolist()
-        for n, (e, r) in enumerate(zip(e_all.tolist(), rel)):
-            lines.append(f"{n},{e!r},{r!r}")
-        target = out if len(ds) == 1 else f"{out}_d{d}.csv"
-        _emit(target, lines)
+        e = _error_values(shape, d, N)
+        names = "n,e_all,e_all_over_init"
+        lines = _table({**cfg, "d": d}, names, range(N + 1), e, e / e[0])
+        _emit(out if len(ds) == 1 else f"{out}_d{d}.csv", lines)
     return 0
 
 
 def cmd_complexity(cfg):
     shape = parse_shape(cfg["shape"])
     ds = _int_list(cfg["d"])
-    eps_list = _float_list(cfg["eps"])
-    criterion = {"abs": "absolute", "norm": "normalized"}.get(
-        cfg.get("criterion", "abs"), cfg.get("criterion", "abs")
-    )
-    lines = _header(cfg) + ["d,eps,n,criterion"]
+    eps = [float(v) for v in cfg["eps"].split(",")]
+    criterion = cfg.get("criterion", "abs")
+    criterion = {"abs": "absolute", "norm": "normalized"}.get(criterion, criterion)
+    counts = []
     for d in ds:
-        row = info_complexity_row(shape, d, eps_list, criterion)
-        for eps, n in zip(eps_list, row):
+        for n in info_complexity_row(shape, d, eps, criterion):
             # the first trip in (d, eps) order stops the command
             if isinstance(n, ResourceLimitError):
                 raise n
-            lines.append(f"{d},{_num(eps)},{n},{criterion}")
+            counts.append(n)
+    d_col, eps_col = [d for d in ds for _ in eps], np.array(eps * len(ds))
+    names = "d,eps,n,criterion"
+    lines = _table(cfg, names, d_col, eps_col, counts, [criterion] * len(counts))
     _emit(cfg.get("out"), lines)
     return 0
 
 
 def cmd_rates(cfg):
-    shape_token = cfg["shape"]
-    shape = parse_shape(shape_token)
-    ds = _int_list(cfg["d"])
-    N = int(cfg["N"])
+    shape, ds, N = parse_shape(cfg["shape"]), _int_list(cfg["d"]), int(cfg["N"])
     lo, hi = _int_list(cfg.get("window", f"{max(1, N // 100)},{N}"))
-    lines = _header(cfg) + ["shape,d,window_lo,window_hi,rate,superpoly_flag"]
-    for d in ds:
-        fit = estimate_rate(ErrorSequence(_error_values(shape, d, N)), (lo, hi))
-        lines.append(
-            f"{shape_token},{d},{lo},{hi},{_num(fit.rate)},{int(fit.superpolynomial)}"
-        )
+    seqs = (ErrorSequence(_error_values(shape, d, N)) for d in ds)
+    fits = [estimate_rate(seq, (lo, hi)) for seq in seqs]
+    rate = np.array([f.rate for f in fits])
+    flag = [int(f.superpolynomial) for f in fits]
+    k = len(ds)
+    names = "shape,d,window_lo,window_hi,rate,superpoly_flag"
+    lines = _table(cfg, names, [cfg["shape"]] * k, ds, [lo] * k, [hi] * k, rate, flag)
     _emit(cfg.get("out"), lines)
     return 0
 
@@ -185,14 +181,17 @@ def cmd_spline_bench(cfg):
     seed = int(cfg.get("seed", 0))
     m = cfg.get("m")
     rng = np.random.default_rng(seed)
-    lines = _header({**cfg, "seed": seed}) + ["d,n,e_spline,e_all"]
+    wce, e_all = [], []
     for d in ds:
-        e_all = _error_values(shape, d, max(sizes))
+        e_all.extend(_error_values(shape, d, max(sizes))[sizes])
         rule_m = _spline_rule_size(d) if m is None else int(m)
         for n in sizes:
             design = rng.standard_normal((n, d))
-            wce = spline_worst_case_error(shape, d, design, rule_m)
-            lines.append(f"{d},{n},{_num(wce)},{_num(e_all[n])}")
+            wce.append(spline_worst_case_error(shape, d, design, rule_m))
+    d_col, n_col = [d for d in ds for _ in sizes], sizes * len(ds)
+    cfg = {**cfg, "seed": seed}
+    names = "d,n,e_spline,e_all"
+    lines = _table(cfg, names, d_col, n_col, np.array(wce), np.array(e_all))
     _emit(cfg.get("out"), lines)
     return 0
 

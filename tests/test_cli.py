@@ -1,14 +1,20 @@
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import grkhs
 from grkhs import ShapeSequence, cli, verify
 from grkhs.cli import main, parse_shape
+from grkhs.complexity import _error_values
+from grkhs.spectrum import top_n_tensor_eigenvalues
 
 
 class TestParseShape:
@@ -123,6 +129,94 @@ class TestSubcommands:
         for row in lines[lines.index("d,n,e_spline,e_all") + 1 :]:
             _, _, e_spline, e_all = row.split(",")
             assert float(e_spline) >= float(e_all) - 1e-9
+
+
+# signed zeros, NaN, infinities, subnormals and neighbours one ulp apart
+_EDGE_FLOATS = [
+    0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e-310,
+    2.2250738585072014e-308, math.nextafter(2.2250738585072014e-308, 0.0),
+    1.0, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0), 0.1, 1e-200,
+]
+
+
+class TestFloatCells:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats()),
+                st.integers(1, 100),
+            ),
+            max_size=12,
+        )
+    )
+    def test_cells_are_the_repr_of_each_entry(self, runs):
+        a = np.array([x for x, k in runs for _ in range(k)], dtype=np.float64)
+        assert cli._floats(a) == [repr(float(x)) for x in a]
+
+    def test_signed_zeros_are_separate_runs(self):
+        # long enough to be split into runs
+        a = np.repeat([0.0, -0.0, 0.0, 5e-324], 40)
+        assert cli._floats(a) == ["0.0"] * 40 + ["-0.0"] * 40 + ["0.0"] * 40 + ["5e-324"] * 40
+        assert cli._floats(np.array([])) == []
+
+
+def _config_line(**config):
+    return "# config: " + json.dumps(config, sort_keys=True)
+
+
+class TestStaircaseOutputs:
+    """Outputs with long runs of equal values against per-row references:
+    the isotropic staircases, the zeros of underflowed shapes and a mixed
+    shape whose e(n) has no equal neighbours."""
+
+    @pytest.mark.parametrize(
+        "shape, d, N",
+        [
+            ("iso:1.0", 8, 2000),
+            ("explicit:1e-200,1.0,0.5", 3, 200),
+            ("explicit:1.1,0.9,0.7,0.5", 4, 300),
+        ],
+    )
+    def test_decay(self, tmp_path, shape, d, N):
+        out = tmp_path / "decay.csv"
+        argv = ["decay", "--shape", shape, "--d", str(d), "--N", str(N), "--out", str(out)]
+        assert main(argv) == 0
+        e = _error_values(parse_shape(shape), d, N).tolist()
+        lines = [
+            f"# grkhs {grkhs.__version__}",
+            _config_line(N=str(N), d=d, shape=shape),
+            "n,e_all,e_all_over_init",
+        ] + [f"{n},{x!r},{x / e[0]!r}" for n, x in enumerate(e)]
+        assert out.read_text() == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize(
+        "shape, d, n", [("iso:1.0", 4, 500), ("explicit:1e-200,1e-200,1e-200", 3, 40)]
+    )
+    def test_eigs(self, tmp_path, shape, d, n):
+        out = tmp_path / "eigs.csv"
+        argv = ["eigs", "--shape", shape, "--d", str(d), "--n", str(n), "--out", str(out)]
+        assert main(argv) == 0
+        top = top_n_tensor_eigenvalues(parse_shape(shape), d, n)
+        rows = enumerate(zip(top.values.tolist(), top.indices), start=1)
+        lines = [
+            f"# grkhs {grkhs.__version__}",
+            _config_line(d=str(d), n=str(n), shape=shape),
+            "rank,value,index",
+        ] + [f"{r},{v!r},{';'.join(map(str, idx.dense()))}" for r, (v, idx) in rows]
+        assert out.read_text() == "\n".join(lines) + "\n"
+
+    def test_decay_one_file_per_dimension(self, tmp_path):
+        out = tmp_path / "multi"
+        argv = ["decay", "--shape", "iso:1.0", "--d", "2,3", "--N", "300", "--out", str(out)]
+        assert main(argv) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["multi_d2.csv", "multi_d3.csv"]
+        for d in (2, 3):
+            lines = (tmp_path / f"multi_d{d}.csv").read_text().splitlines()
+            # the echo leaves out the destination
+            assert lines[1] == _config_line(N="300", d=d, shape="iso:1.0")
+            e = _error_values(ShapeSequence.isotropic(1.0), d, 300).tolist()
+            assert lines[3:] == [f"{n},{x!r},{x / e[0]!r}" for n, x in enumerate(e)]
 
 
 class TestConfigAndDeterminism:
