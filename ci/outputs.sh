@@ -34,6 +34,10 @@ g spectrum --gamma 2.0 --m 64 --k 64 > spectrum_full.txt
 # the factored cut on the largest rule, where 36 weights are exactly 0: it
 # keeps 66 of 256 positive nodes and 795 of 2,588 Taylor columns
 gw spectrum --gamma 3.0 --m 512 --k 10 > spectrum_m512.txt
+# 2 gamma^2 underflows to 0: the Nystrom matrix is sqrt(w) sqrt(w)^T
+gw spectrum --gamma 1e-300 --k 3 > spectrum_tiny.txt 2>&1
+# closed and Nystrom values both underflow to 0 from j = 10 on
+gw spectrum --gamma 1e-20 --k 10 > spectrum_underflow.txt 2>&1
 g eigs --shape iso:1.0 --d 3 --n 20 > eigs.txt
 g decay --shape powerlaw:1:2 --d 4 --N 1000 --out decay.csv > decay.txt
 # several dimensions: one file per d, decay_multi_d2.csv and decay_multi_d3.csv

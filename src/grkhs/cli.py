@@ -68,13 +68,11 @@ def _floats(a) -> list:
     """Shortest round-trip ``repr`` of each entry, once per run of equal bits
     (not ``==``: a 0.0 next to a -0.0 keeps its sign)."""
     a = np.asarray(a, dtype=np.float64)
-    # a shorter column costs more to split into runs than its reprs save
-    if len(a) >= 64:
-        bits = a.view(np.uint64)
-        new = np.concatenate(([True], bits[1:] != bits[:-1]))
-        if not new.all():
-            cells = np.array(list(map(repr, a[new].tolist())), dtype=object)
-            return cells[np.cumsum(new) - 1].tolist()
+    bits = a.view(np.uint64)
+    new = np.concatenate(([True], bits[1:] != bits[:-1]))
+    if not new.all():
+        cells = np.array(list(map(repr, a[new].tolist())), dtype=object)
+        return cells[np.cumsum(new) - 1].tolist()
     return list(map(repr, a.tolist()))
 
 
@@ -106,7 +104,10 @@ def cmd_spectrum(cfg):
     gamma, m, k = float(cfg["gamma"]), int(cfg.get("m", 200)), int(cfg.get("k", 10))
     closed = univariate_spectrum(gamma).eigenvalue(np.arange(1, k + 1))
     approx = nystrom_eigs(gamma, m, k)
-    rel = np.abs(approx - closed) / closed
+    # equal values have rel_err 0, also where both underflowed to 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.abs(approx - closed) / closed
+    rel[approx == closed] = 0.0
     names = "j,lambda_closed,lambda_nystrom,rel_err"
     _emit(cfg.get("out"), _table(cfg, names, range(1, k + 1), closed, approx, rel))
     return 0
@@ -162,9 +163,11 @@ def cmd_complexity(cfg):
 
 def cmd_rates(cfg):
     shape, ds, N = parse_shape(cfg["shape"]), _int_list(cfg["d"]), int(cfg["N"])
-    lo, hi = _int_list(cfg.get("window", f"{max(1, N // 100)},{N}"))
+    window = _int_list(cfg.get("window", f"{max(1, N // 100)},{N}"))
     seqs = (ErrorSequence(_error_values(shape, d, N)) for d in ds)
-    fits = [estimate_rate(seq, (lo, hi)) for seq in seqs]
+    # estimate_rate checks the window, also its number of bounds
+    fits = [estimate_rate(seq, window) for seq in seqs]
+    lo, hi = window
     rate = np.array([f.rate for f in fits])
     flag = [int(f.superpolynomial) for f in fits]
     k = len(ds)

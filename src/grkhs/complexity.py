@@ -296,8 +296,12 @@ def info_complexity(shape: ShapeSequence, d: int, eps: float, criterion: str) ->
 
 
 def quasipoly_exponent(gamma: float) -> float:
-    """Quasi-polynomial tractability exponent 2 / log(1 / omega) for isotropic shapes."""
-    return 2.0 / -math.log(eigenvalue_ratio(gamma))
+    """Quasi-polynomial tractability exponent 2 / log(1 / omega) for isotropic shapes.
+
+    Where omega underflows to 0 (gamma below about 1.6e-162) this is the limit, 0.
+    """
+    omega = eigenvalue_ratio(gamma)
+    return 2.0 / -math.log(omega) if omega > 0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -324,7 +328,7 @@ def estimate_rate(seq: ErrorSequence, window) -> RateFit:
         raise ValueError(f"window must be two bounds (lo, hi), got {window!r}")
     lo, hi = (_at_least("window bound", w, 1) for w in window)
     if not lo < hi < len(seq):
-        raise ValueError(f"window {window} not inside sequence of length {len(seq)}")
+        raise ValueError(f"window ({lo}, {hi}) not inside sequence of length {len(seq)}")
     e = seq.values[lo : hi + 1]
     if np.any(e <= 0):
         raise ValueError("rate fit needs strictly positive errors")

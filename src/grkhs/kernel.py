@@ -79,32 +79,23 @@ class ShapeSequence:
             raise ValueError("all shape parameters must be positive")
         return cls("explicit", {"values": vals})
 
-    def gamma(self, l: int) -> float:
-        """Shape parameter of coordinate ``l`` (1-based)."""
-        l = _at_least("coordinate index", l, 1)
-        return float(self._span(l, l, l)[0])
-
     def gammas(self, d: int) -> np.ndarray:
-        """First ``d`` shape parameters as an array."""
+        """First ``d`` shape parameters as a fresh array."""
         d = _at_least("dimension", d, 1)
-        return self._span(1, d, f"d={d}")
-
-    def _span(self, lo: int, hi: int, asked) -> np.ndarray:
-        """gamma_lo .. gamma_hi as a fresh array; ``asked`` names hi in the explicit message."""
         if self.kind == "isotropic":
-            return np.full(hi - lo + 1, self.params["gamma"])
+            return np.full(d, self.params["gamma"])
         if self.kind == "explicit":
             vals = self.params["values"]
-            if hi > vals.size:
-                raise ValueError(f"explicit shape has {vals.size} entries, asked for {asked}")
-            return vals[lo - 1 : hi].copy()
+            if d > vals.size:
+                raise ValueError(f"explicit shape has {vals.size} entries, asked for d={d}")
+            return vals[:d].copy()
         # numpy's vectorized power may round differently from the scalar
         # pow (it does on AVX-512 machines), so these stay scalar
         if self.kind == "power-law":
             c, alpha = self.params["c"], self.params["alpha"]
-            return np.array([c * float(l) ** -alpha for l in range(lo, hi + 1)])
+            return np.array([c * float(l) ** -alpha for l in range(1, d + 1)])
         q = self.params["q"]
-        return np.array([q**l for l in range(lo, hi + 1)])
+        return np.array([q**l for l in range(1, d + 1)])
 
     def __repr__(self):
         if self.kind == "isotropic":
@@ -194,15 +185,13 @@ def cross_kernel(shape: ShapeSequence, d: int, a, b) -> np.ndarray:
     so for near-coincident sites away from the origin 1 - K is rounding
     noise (:func:`kernel_eval` takes exact differences).
     """
-    pa = _as_points(a, d)
-    return _points_kernel(shape, d, pa, pa if b is a else _as_points(b, d))
+    return _points_kernel(shape, d, _as_points(a, d), _as_points(b, d))
 
 
 def _points_kernel(shape: ShapeSequence, d: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """:func:`cross_kernel` of (n_a, d) and (n_b, d) arrays already validated."""
     g = shape.gammas(d)
-    sa = a * g
-    sb = sa if b is a else b * g
+    sa, sb = a * g, b * g
     na, nb = np.sum(sa * sa, axis=1), np.sum(sb * sb, axis=1)
     # one product over all rows (row blocks of it move bits); the rest runs
     # in place, a row block at a time, so only the output is (n_a, n_b)

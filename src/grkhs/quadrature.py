@@ -103,6 +103,8 @@ def _factor_terms(gamma: float):
     rho = 2.0 * g2 / (1.0 + 2.0 * g2)
     if not rho < 1.0:  # 2 g^2 past 2^53 (gamma ~ 6.7e7): no finite length
         return inf
+    if rho == 0.0:  # g^2 underflowed (gamma below ~1.6e-162): every term past the first is 0
+        return 1
     # aim at a truncation below 1e-30 absolute
     return int(np.ceil(2.0 * 30.0 * np.log(10.0) / -np.log(rho))) + 32
 
@@ -136,7 +138,9 @@ def _nystrom_eigs_factored(
     """
     g2 = 2.0 * gamma * gamma
     ks = np.arange(cols)
-    log_coef = 0.5 * (ks * log(g2) - np.array([lgamma(k + 1.0) for k in ks]))
+    # 2 g^2 = 0 leaves only the column k = 0, whose power (2 g^2)^0 is 1
+    log_pow = ks * log(g2) if g2 > 0 else np.where(ks > 0, -inf, 0.0)
+    log_coef = 0.5 * (log_pow - np.array([lgamma(k + 1.0) for k in ks]))
     m = t.size
     # the nodes ascend, so the positive ones are the last m // 2
     tp, wp = t[m - m // 2 :][keep], w[m - m // 2 :][keep]

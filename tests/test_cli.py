@@ -20,16 +20,16 @@ from grkhs.spectrum import top_n_tensor_eigenvalues
 class TestParseShape:
     def test_iso(self):
         s = parse_shape("iso:1.5")
-        assert s.kind == "isotropic" and s.gamma(3) == 1.5
+        assert s.kind == "isotropic" and s.gammas(3).tolist() == [1.5] * 3
 
     def test_powerlaw(self):
         s = parse_shape("powerlaw:2:0.5")
         assert s.kind == "power-law"
-        assert s.gamma(4) == pytest.approx(1.0)
+        assert s.gammas(4)[3] == pytest.approx(1.0)
 
     def test_geom(self):
         s = parse_shape("geom:0.5")
-        assert s.kind == "geometric" and s.gamma(2) == pytest.approx(0.25)
+        assert s.kind == "geometric" and s.gammas(2).tolist() == pytest.approx([0.5, 0.25])
 
     def test_explicit(self):
         s = parse_shape("explicit:1.0,0.5,0.25")
@@ -63,6 +63,20 @@ class TestSubcommands:
         # gamma = 1e8 takes the oracle's dense solve
         code, out = run_cli(capsys, "spectrum", "--gamma", "1e8", "--k", "3")
         assert code == 0 and len(out.strip().split("\n")) == 6
+
+    def test_spectrum_underflowed_values_have_zero_rel_err(self, capsys):
+        # from j = 10 on both values underflow to 0, and 0 / 0 is not written
+        code, out = run_cli(capsys, "spectrum", "--gamma", "1e-20", "--k", "10")
+        assert code == 0
+        assert out.strip().split("\n")[-1] == "10,0.0,0.0,0.0"
+
+    def test_spectrum_gamma_whose_square_underflows(self, capsys):
+        code, out = run_cli(capsys, "spectrum", "--gamma", "1e-300", "--k", "3")
+        assert code == 0
+        rows = [l.split(",") for l in out.strip().split("\n")[3:]]
+        assert [r[1] for r in rows] == ["1.0", "0.0", "0.0"]
+        assert [float(r[2]) for r in rows] == pytest.approx([1.0, 0.0, 0.0], rel=0.0, abs=1e-15)
+        assert [r[3] for r in rows][1:] == ["0.0", "0.0"]
 
     def test_eigs(self, capsys):
         code, out = run_cli(capsys, "eigs", "--shape", "iso:1.0", "--d", "2", "--n", "3")
@@ -155,9 +169,9 @@ class TestFloatCells:
         assert cli._floats(a) == [repr(float(x)) for x in a]
 
     def test_signed_zeros_are_separate_runs(self):
-        # long enough to be split into runs
         a = np.repeat([0.0, -0.0, 0.0, 5e-324], 40)
         assert cli._floats(a) == ["0.0"] * 40 + ["-0.0"] * 40 + ["0.0"] * 40 + ["5e-324"] * 40
+        assert cli._floats(np.array([0.0, 0.0, -0.0])) == ["0.0", "0.0", "-0.0"]
         assert cli._floats(np.array([])) == []
 
 
@@ -348,6 +362,14 @@ class TestExitCodes:
         assert main(argv) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: eps must lie in (0, 1)")
+
+    @pytest.mark.parametrize("window", ["5", "5,50,100"])
+    def test_rates_window_needs_two_bounds(self, capsys, window):
+        argv = ["rates", "--shape", "powerlaw:1:2", "--d", "2", "--N", "300", "--window", window]
+        assert main(argv) == 1
+        got = [int(v) for v in window.split(",")]
+        message = f"error: window must be two bounds (lo, hi), got {got}\n"
+        assert capsys.readouterr() == ("", message)
 
     def test_shape_past_spectral_gate(self, capsys):
         # the parser takes any positive finite gamma; the spectral routes

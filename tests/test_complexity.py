@@ -535,6 +535,8 @@ class TestInfoComplexityRow:
 
 def test_quasipoly_exponent():
     assert quasipoly_exponent(1.0) == pytest.approx(2.0780867, abs=1e-6)
+    # omega underflows to 0: the limit of 2 / log(1 / omega)
+    assert quasipoly_exponent(1e-300) == 0.0
 
 
 class TestEstimateRate:
@@ -567,8 +569,10 @@ class TestEstimateRate:
 
     def test_window_validation(self):
         seq = ErrorSequence(np.linspace(1.0, 0.1, 50))
-        with pytest.raises(ValueError):
-            estimate_rate(seq, (10, 60))
+        message = "window (10, 60) not inside sequence of length 50"
+        for window in [(10, 60), [10, 60]]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                estimate_rate(seq, window)
         with pytest.raises(ValueError):
             estimate_rate(seq, (0, 40))
         with pytest.raises(ValueError, match="rate fit needs strictly positive errors"):

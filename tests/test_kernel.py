@@ -24,40 +24,24 @@ from grkhs.kernel import _eigenvalue_ratios, _log_spectrum
 class TestShapeSequence:
     def test_isotropic(self):
         s = ShapeSequence.isotropic(1.5)
-        assert s.gamma(1) == 1.5
-        assert s.gamma(100) == 1.5
-        assert np.allclose(s.gammas(4), 1.5)
+        assert s.gammas(100).tolist() == [1.5] * 100
 
     def test_power_law(self):
         s = ShapeSequence.power_law(2.0, 1.0)
-        assert s.gamma(1) == pytest.approx(2.0)
-        assert s.gamma(4) == pytest.approx(0.5)
+        assert s.gammas(4).tolist() == pytest.approx([2.0, 1.0, 2.0 / 3.0, 0.5])
 
     def test_geometric(self):
         s = ShapeSequence.geometric(0.5)
-        assert s.gamma(1) == pytest.approx(0.5)
-        assert s.gamma(3) == pytest.approx(0.125)
+        assert s.gammas(3).tolist() == pytest.approx([0.5, 0.25, 0.125])
 
     def test_explicit(self):
         s = ShapeSequence.explicit([1.0, 0.5])
         assert s.gammas(2).tolist() == [1.0, 0.5]
-        with pytest.raises(ValueError, match=re.escape("has 2 entries, asked for d=3")):
+        with pytest.raises(ValueError) as exc:
             s.gammas(3)
+        assert str(exc.value) == "explicit shape has 2 entries, asked for d=3"
         with pytest.raises(ValueError, match="explicit shape needs a nonempty 1-d list"):
             ShapeSequence.explicit([])
-
-    @pytest.mark.parametrize(
-        "shape, l, message",
-        [
-            (ShapeSequence.isotropic(1.0), 0, "need coordinate index >= 1, got 0"),
-            (ShapeSequence.explicit([1.0, 0.5, 0.25]), 4, "explicit shape has 3 entries, asked for 4"),
-            (ShapeSequence.power_law(1.0, 2.0), 2.5, "coordinate index must be an integer, got 2.5"),
-        ],
-    )
-    def test_gamma_index_checks(self, shape, l, message):
-        with pytest.raises(ValueError) as exc:
-            shape.gamma(l)
-        assert str(exc.value) == message
 
     @pytest.mark.parametrize(
         "shape",
@@ -110,7 +94,7 @@ class TestShapeSequence:
     )
     def test_gammas_bit_equal_to_scalar_gamma(self, shape):
         # the scalar formulas written out: numpy's vectorized pow may round
-        # differently, so neither gammas nor gamma(l) may use it
+        # differently, so gammas may not use it
         p = shape.params
         scalar = {
             "isotropic": lambda l: p["gamma"],
@@ -122,10 +106,9 @@ class TestShapeSequence:
         g = shape.gammas(d)
         assert g.dtype == np.float64 and g.shape == (d,)
         assert g.tobytes() == np.array([scalar(l) for l in range(1, d + 1)]).tobytes()
-        assert [shape.gamma(l) for l in (1, 2, d)] == [scalar(l) for l in (1, 2, d)]
         # a fresh array each call: writing to it leaves the shape unchanged
         g[0] = 0.0
-        assert shape.gammas(d)[0] == shape.gamma(1)
+        assert shape.gammas(d)[0] == scalar(1)
 
     def test_explicit_gammas_copy_a_strided_list(self):
         vals = np.arange(1.0, 13.0)[::3]

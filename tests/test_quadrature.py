@@ -310,6 +310,33 @@ class TestNystromEigs:
         with pytest.raises(ValueError, match=re.escape(message)):
             nystrom_eigs(1e17, 10, 3)
 
+    @pytest.mark.parametrize("gamma", [1e-170, 1e-300])
+    @pytest.mark.parametrize("m", [1, 33, 200])
+    @pytest.mark.parametrize("scale", [1.0, 0.3])
+    def test_gamma_whose_square_underflows(self, gamma, m, scale):
+        # 2 gamma^2 = 0: the matrix is sqrt(w) sqrt(w)^T, one value sum(w)
+        assert 2.0 * gamma * gamma == 0.0
+        k = min(3, m)
+        lam = nystrom_eigs(gamma, m, k, scale)
+        w = _scaled_rule(m, scale)[1]
+        expect = np.zeros(k)
+        expect[0] = math.fsum(w)
+        assert np.allclose(lam, expect, rtol=1e-15, atol=0.0)
+        if scale == 1.0:
+            closed = univariate_spectrum(gamma).eigenvalue(np.arange(1, k + 1))
+            assert closed.tolist() == [1.0] + [0.0] * (k - 1)
+            assert np.allclose(lam, closed, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("m, k", [(2, 2), (33, 3), (200, 3)])
+    @pytest.mark.parametrize("scale", [1.0, 0.3])
+    def test_gamma_whose_square_is_subnormal_keeps_its_bits(self, m, k, scale):
+        # 2 gamma^2 = 2e-320 is subnormal, not 0: the route of every gamma
+        gamma = 1e-160
+        assert 0.0 < 2.0 * gamma * gamma < 2.2250738585072014e-308
+        lam = nystrom_eigs(gamma, m, k, scale)
+        assert lam.tobytes() == _reference_nystrom_eigs(gamma, m, k, scale).tobytes()
+        assert 0.0 < lam[1] < 1e-300
+
     def test_gamma_past_taylor_range_takes_dense_solve(self):
         # 2 g^2 / (1 + 2 g^2) rounds to 1 at gamma = 1e8: no finite Taylor length
         rule = gauss_hermite(10)
