@@ -79,6 +79,14 @@ g decay --shape iso:1.0 --d 8 --N 5000 > decay_iso8.txt
 g eigs --shape iso:1.0 --d 50 --n 3000 > eigs_iso50.txt
 g eigs --shape "explicit:$(printf '1e14,%.0s' {1..39})1e14" --d 40 --n 200 \
   > eigs_absorbed.txt
+# the values pass over 50 tied coordinates, and over groups of equal
+# gammas next to an absorbed log ratio
+gw decay --shape iso:1.0 --d 50 --N 1000 > decay_iso50.txt 2>&1
+gw decay --shape explicit:1.0,1.0,0.5,0.5,0.5,1e14 --d 6 --N 3000 \
+  > decay_groups.txt 2>&1
+# a rule's gamma that underflows to exactly 0 (0.5^1100, 200^-50): ratio 0
+gw eigs --shape geom:0.5 --d 1100 --n 5 > eigs_geom_zero.txt 2>&1
+gw decay --shape powerlaw:1:200 --d 50 --N 5 > decay_powerlaw_zero.txt 2>&1
 # more than 2n prefixes tie at the cut: the merge's tie step
 gw eigs --shape iso:1e15 --d 20 --n 500 > eigs_absorbed_iso.txt 2>&1
 # the tie step twice, after a coordinate with a normal log ratio

@@ -284,9 +284,13 @@ def _log_spectrum(shape: ShapeSequence, d: int):
     The d-variate eigenvalues are exp(base + sum_l (k_l - 1) log_ratio_l),
     k_l >= 1.  A ratio that underflowed to 0 has log ratio -inf, so the cost
     -log_ratio of a power on that coordinate is +inf: every power above 1
-    there is a zero eigenvalue.
+    there is a zero eigenvalue.  A power-law or geometric gamma that
+    underflowed to exactly 0 gets ratio 0, as a tiny positive gamma does.
     """
-    ratios = _eigenvalue_ratios(shape.gammas(d))
+    g = shape.gammas(d)
+    zero = g == 0.0
+    ratios = np.zeros(d)
+    ratios[~zero] = _eigenvalue_ratios(g[~zero])
     with np.errstate(divide="ignore"):
         log_ratio = np.log(ratios)
     return float(np.sum(np.log1p(-ratios))), log_ratio

@@ -140,7 +140,7 @@ def _nystrom_eigs_factored(
     ks = np.arange(cols)
     # 2 g^2 = 0 leaves only the column k = 0, whose power (2 g^2)^0 is 1
     log_pow = ks * log(g2) if g2 > 0 else np.where(ks > 0, -inf, 0.0)
-    log_coef = 0.5 * (log_pow - np.array([lgamma(k + 1.0) for k in ks]))
+    log_coef = 0.5 * (log_pow - np.array([lgamma(k + 1.0) for k in range(cols)]))
     m = t.size
     # the nodes ascend, so the positive ones are the last m // 2
     tp, wp = t[m - m // 2 :][keep], w[m - m // 2 :][keep]

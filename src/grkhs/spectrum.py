@@ -359,30 +359,70 @@ def _top_log_values(base, log_ratio, n):
     so which of the tied prefixes is kept does not matter, and the values
     are bit-equal to those of :func:`_top_log_eigenvalues`.
 
-    A candidate is row i of ``rows`` (descending, 1-based) with power j.
-    The candidates (k, j') with k <= i and j' <= j are worth at least as
-    much, so row i needs at most ceil(n / i) powers.  The first r rows
-    with powers up to ceil(n / r) are at least n candidates, each worth at
-    least rows_r + floor((n - 1) / r) lr, as rounding is monotone; so n
-    candidates reach the largest of these floors, and none below it counts.
-    :func:`_powers_reaching` counts each row's candidates at the floor.
+    A candidate is row r of the kept values (descending, 1-based) with
+    power j.  The candidates (k, j') with k <= r and j' <= j are worth at
+    least as much, so row r needs at most ceil(n / r) powers.  The first r
+    rows with powers up to ceil(n / r) are at least n candidates, each
+    worth at least row_r + floor((n - 1) / r) lr, as rounding is monotone;
+    so n candidates reach the largest of these floors, and none below it
+    counts.  :func:`_powers_reaching` counts the candidates at the floor.
+
+    The kept values are held as runs: distinct values u (descending) with
+    counts c, rows S_i + 1 .. E_i of the sorted list, S_i the count before
+    run i.  Within a run floor((n - 1) / r) falls as r grows, so the floor
+    is the largest of u_i + floor((n - 1) / E_i) lr, the same float, and
+    the run's first row has the largest cap.  So one count per run gives
+    its powers, and row r of it takes power j exactly when j = 1 or
+    r <= floor((n - 1) / (j - 1)): candidate (i, j) stands for c_i rows at
+    j = 1 and for min(E_i, floor((n - 1) / (j - 1))) - S_i >= 1 rows
+    above.  Each weighs at least 1, so the weighted n-th value lies among
+    the n largest candidates; these are sorted, equal neighbours merge,
+    and the cumulative count is cut at n.  The values and their sums are
+    those of the copy-per-row merge, so the n values, u_i repeated c_i
+    times, are its bits.
     """
-    vals = np.array([base])
+    # q[m] = floor((n - 1) / m), so row r takes power m + 1 when r <= q[m];
+    # q[0] = n, as every row takes power 1
+    q = np.concatenate(([n], (n - 1) // np.arange(1, n + 1)))
+    u, c = np.array([base]), np.array([1])
     # an underflowed ratio adds only zero eigenvalues, and the powers 1..n
     # of one finite ratio outrank them all
     for lr in log_ratio[np.isfinite(log_ratio)]:
-        if vals.size == n and vals.max() + lr < vals.min():
+        end = c.cumsum()
+        if end[-1] == n and u[0] + lr < u[-1]:
             continue  # no power above 1 reaches the n-th value: nothing moves
-        rows = -np.sort(-vals)
-        r = np.arange(1, rows.size + 1)
-        floor = np.max(rows + ((n - 1) // r) * lr)
-        row, j = _candidates(_powers_reaching(rows, lr, floor, (n - 1) // r + 1))
-        v = rows[row] + (j - 1) * lr  # j = 1 adds -0.0, which changes no value
-        theta = -np.partition(-v, n - 1)[n - 1]
-        above = v[v > theta]
-        vals = np.concatenate((above, np.full(n - above.size, theta)))
-    vals = np.concatenate((vals, np.full(n - vals.size, -np.inf)))
-    return -np.sort(-vals)
+        start = end - c
+        floor = (u + q[end] * lr).max()
+        row, m = _candidates(_powers_reaching(u, lr, floor, q[start + 1] + 1))
+        m -= 1  # power m + 1
+        v = u[row] + m * lr  # m = 0 adds -0.0, which changes no value
+        w = _rows_taking(q, start[row], end[row], m)
+        if v.size > n:
+            top = np.argpartition(-v, n - 1)[:n]
+            v, w = v[top], w[top]
+        order = (-v).argsort()
+        v, w = v[order], w[order]
+        last = np.flatnonzero(np.concatenate((v[1:] != v[:-1], [True])))  # merge equal neighbours
+        total = w.cumsum()[last]
+        keep = np.searchsorted(total, n) + 1  # runs up to the one holding the n-th value
+        # the cumulative counts, the last cut to n, back to counts
+        u, c = v[last[:keep]], total[:keep]
+        c[-1] = n
+        c[1:] -= c[:-1].copy()
+    vals = u.repeat(c)
+    return np.concatenate((vals, np.full(n - vals.size, -np.inf)))
+
+
+def _rows_taking(q, start, end, m):
+    """How many of the rows start + 1 .. end take power m + 1.
+
+    ``q`` is the values pass's table, q[m] = floor((n - 1) / m) and
+    q[0] = n, so row r takes powers 1 .. q[r] + 1: power m + 1 exactly
+    when r <= q[m].  That is min(end, q[m]) - start rows of the run, all
+    of them at m = 0 and at least one up to the cap q[start + 1] + 1 of
+    its first row.
+    """
+    return np.minimum(end, q[m]) - start
 
 
 def _tie_step(keys, depth, vals, lr, cut, n, pos, first):
@@ -427,7 +467,7 @@ def _tie_step(keys, depth, vals, lr, cut, n, pos, first):
 def _candidates(cap):
     """Row and power of every candidate, row i taking powers 1..cap[i]."""
     row = np.repeat(np.arange(cap.size), cap)
-    j = np.arange(row.size) - np.repeat(np.cumsum(cap) - cap, cap) + 1
+    j = np.arange(row.size) - np.repeat(cap.cumsum() - cap, cap) + 1
     return row, j
 
 
@@ -438,24 +478,32 @@ def _powers_reaching(rows, lr, t, cap):
     rounding is monotone, so the powers that reach t are 1..k for one k
     per row.  The quotient (rows - t) / |lr| gives a first guess.
     Rounding can leave it past k, so the guess steps down while its power
-    misses t; then it is at most k.  It falls short of k where |lr| is
-    absorbed in rounding, and there an exponential then a binary search,
-    bounded by ``cap``, climbs from it.  ``cap`` is a scalar or one bound
-    per row; the merge passes 2**31 - 1, the largest power the int32
-    codes of the tie key hold.
+    misses t; then it is at most k.  It falls short of k by one where the
+    quotient rounds down at a threshold on the grid of powers, and by more
+    where |lr| is absorbed in rounding: one step up is checked once, and
+    past it an exponential then a binary search, bounded by ``cap``,
+    climbs.  ``cap`` is a scalar or one bound per row; the merge passes
+    2**31 - 1, the largest power the int32 codes of the tie key hold.
     """
-    k = np.clip(np.floor((rows - t) / -lr) + 1, 0, cap).astype(np.int64)
+    k = np.minimum(np.maximum(np.floor((rows - t) / -lr) + 1, 0), cap).astype(np.int64)
     # step down the rows whose guess misses t
     over = np.flatnonzero((k > 0) & (rows + (k - 1) * lr < t))
     while over.size:
         k[over] -= 1
         over = over[(k[over] > 0) & (rows[over] + (k[over] - 1) * lr < t)]
-    # climb on the rows whose next power reaches t too
-    up = np.flatnonzero((k < cap) & (rows + k * lr >= t))
+    # climb on the rows whose next power reaches t too, with room powers
+    # left below the cap; most guesses are short by one, so the power
+    # after that is checked once first
+    room = cap - k
+    up = np.flatnonzero((room > 0) & (rows + k * lr >= t))
+    if up.size:
+        k[up] += 1
+        up = up[(room[up] > 1) & (rows[up] + k[up] * lr >= t)]
     if not up.size:
         return k
     # power lo reaches t; end, one past the cap, bounds the search
-    r, lo, end = rows[up], k[up] + 1, np.broadcast_to(cap, k.shape)[up] + 1
+    r, lo = rows[up], k[up] + 1
+    end = lo + room[up] - 1
     step = 1
     while True:
         hi = np.minimum(lo + step, end)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +78,29 @@ class TestSubcommands:
         assert [r[1] for r in rows] == ["1.0", "0.0", "0.0"]
         assert [float(r[2]) for r in rows] == pytest.approx([1.0, 0.0, 0.0], rel=0.0, abs=1e-15)
         assert [r[3] for r in rows][1:] == ["0.0", "0.0"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eigs", "--shape", "geom:0.5", "--d", "1100", "--n", "5"],
+            ["decay", "--shape", "powerlaw:1:200", "--d", "50", "--N", "5"],
+            ["complexity", "--shape", "geom:0.5", "--d", "1100", "--eps", "0.1"],
+        ],
+    )
+    def test_rule_gamma_underflowed_to_zero(self, capsys, argv):
+        # 0.5^1100 and 50^-200 round to 0.0: the rows equal those of the
+        # explicit shape with 1e-200 there, whose ratio also underflows
+        shape, d = parse_shape(argv[2]), int(argv[4])
+        g = shape.gammas(d)
+        assert (g == 0.0).any()
+        tiny = ",".join(repr(x) if x > 0.0 else "1e-200" for x in g.tolist())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(capsys, *argv)
+            ref_code, ref = run_cli(capsys, *argv[:2], "explicit:" + tiny, *argv[3:])
+        assert code == ref_code == 0
+        assert out.split("\n")[2:] == ref.split("\n")[2:]
+        assert len(out.strip().split("\n")) > 3
 
     def test_eigs(self, capsys):
         code, out = run_cli(capsys, "eigs", "--shape", "iso:1.0", "--d", "2", "--n", "3")

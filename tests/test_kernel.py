@@ -404,6 +404,24 @@ def test_eigenvalue_ratios_raise_like_scalar(bad):
     assert str(vector.value) == str(scalar.value)
 
 
+@pytest.mark.parametrize(
+    "shape, d", [(ShapeSequence.geometric(0.5), 1100), (ShapeSequence.power_law(1.0, 200.0), 50)]
+)
+def test_log_spectrum_of_a_gamma_that_underflowed_to_zero(shape, d):
+    # 0.5^1100 and 50^-200 round to 0.0, a gamma no constructor takes: it
+    # gets ratio 0, the ratio of a tiny positive gamma
+    g = shape.gammas(d)
+    assert g[-1] == 0.0 and g[0] > 0.0
+    tiny = ShapeSequence.explicit(np.where(g == 0.0, 1e-200, g))
+    base, log_ratio = _log_spectrum(shape, d)
+    ref_base, ref_log_ratio = _log_spectrum(tiny, d)
+    assert base.hex() == ref_base.hex()
+    assert log_ratio.view(np.int64).tolist() == ref_log_ratio.view(np.int64).tolist()
+    assert np.isneginf(log_ratio[g == 0.0]).all()
+    with pytest.raises(ValueError, match="shape parameter must be positive, got 0.0"):
+        eigenvalue_ratio(0.0)
+
+
 def test_eigenvalue_ratio_closed_form():
     # gamma = 1: omega = (3 - sqrt 5) / 2
     assert eigenvalue_ratio(1.0) == pytest.approx((3.0 - np.sqrt(5.0)) / 2.0)

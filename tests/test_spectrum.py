@@ -25,7 +25,14 @@ from grkhs import (
     univariate_spectrum,
 )
 from grkhs.kernel import _log_spectrum
-from grkhs.spectrum import _KEY_SHIFT, _log_product, _powers_reaching, _top_log_values
+from grkhs.spectrum import (
+    _KEY_SHIFT,
+    _candidates,
+    _log_product,
+    _powers_reaching,
+    _rows_taking,
+    _top_log_values,
+)
 from grkhs.verify import _brute_force_top
 
 
@@ -389,6 +396,40 @@ def _box_search(shape, d, n, box):
     return logval[top], [tuple(dense[i].tolist()) for i in top]
 
 
+def _copy_per_row_values(base, log_ratio, n):
+    """The values pass with one copy per kept value, n in all: the
+    reference for the pass that keeps (value, count) runs.  Row r of the
+    kept values (descending) takes powers 1..floor((n - 1) / r) + 1 down
+    to the largest of the floors row_r + floor((n - 1) / r) lr, and the n
+    best candidates are kept."""
+    vals = np.array([base])
+    for lr in log_ratio[np.isfinite(log_ratio)]:
+        if vals.size == n and vals.max() + lr < vals.min():
+            continue
+        rows = -np.sort(-vals)
+        r = np.arange(1, rows.size + 1)
+        floor = np.max(rows + ((n - 1) // r) * lr)
+        row, j = _candidates(_powers_reaching(rows, lr, floor, (n - 1) // r + 1))
+        v = rows[row] + (j - 1) * lr
+        theta = -np.partition(-v, n - 1)[n - 1]
+        above = v[v > theta]
+        vals = np.concatenate((above, np.full(n - above.size, theta)))
+    vals = np.concatenate((vals, np.full(n - vals.size, -np.inf)))
+    return -np.sort(-vals)
+
+
+def _values_shapes(d):
+    # the families of the values pass: isotropic, equal-gamma groups,
+    # power laws, geometric, distinct explicit gammas, absorbed log ratios
+    # (gamma 1e13 to 1e15) and underflowed ratios (gamma 1e-200)
+    return st.one_of(
+        _shapes(d),
+        st.floats(0.3, 0.95).map(ShapeSequence.geometric),
+        st.lists(st.floats(0.05, 20.0), min_size=d, max_size=d).map(ShapeSequence.explicit),
+        _absorbed_or_zero(d),
+    )
+
+
 class TestMergeAgainstHeap:
     @settings(max_examples=80, deadline=None)
     @given(
@@ -450,6 +491,40 @@ class TestMergeAgainstHeap:
         fast = _top_log_values(base, log_ratio, n)
         top = top_n_tensor_eigenvalues(shape, d, n)
         assert fast.view(np.int64).tolist() == top.log_values.view(np.int64).tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 50).flatmap(lambda d: st.tuples(st.just(d), _values_shapes(d))),
+        st.integers(1, 3000),
+    )
+    def test_runs_equal_copy_per_row_pass(self, d_shape, n):
+        d, shape = d_shape
+        base, log_ratio = _log_spectrum(shape, d)
+        got = _top_log_values(base, log_ratio, n)
+        assert got.tobytes() == _copy_per_row_values(base, log_ratio, n).tobytes()
+
+    @pytest.mark.parametrize(
+        "shape, d, n",
+        [
+            (ShapeSequence.isotropic(1.0), 50, 1001),
+            (ShapeSequence.explicit([1.0, 1.0, 0.5, 0.5, 0.5, 1e14]), 6, 3000),
+        ],
+    )
+    def test_values_pass_keeps_one_row_per_value(self, monkeypatch, shape, d, n):
+        # equal values merge into one run, so each coordinate counts the
+        # powers of strictly descending distinct values
+        seen = []
+
+        def spy(rows, lr, t, cap):
+            seen.append(rows.copy())
+            return _powers_reaching(rows, lr, t, cap)
+
+        monkeypatch.setattr("grkhs.spectrum._powers_reaching", spy)
+        base, log_ratio = _log_spectrum(shape, d)
+        got = _top_log_values(base, log_ratio, n)
+        assert got.tobytes() == _copy_per_row_values(base, log_ratio, n).tobytes()
+        assert len(seen) > 2
+        assert all(np.all(rows[1:] < rows[:-1]) for rows in seen)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 4).flatmap(lambda d: st.tuples(st.just(d), _tied(d))), st.integers(1, 500))
@@ -538,6 +613,41 @@ class TestMergeAgainstHeap:
                 for r, c in zip(rows, np.broadcast_to(cap, rows.shape))
             ]
             assert got.tolist() == want
+
+    @pytest.mark.parametrize(
+        "rows, lr",
+        [
+            # thresholds on the grid of powers: the quotient can round down
+            # and leave the guess short by one
+            (np.array([-0.7, -3.0, -12.25]), -0.1),
+            (np.array([-1.0, -2.0]), -1.0 / 3.0),
+            # |lr| absorbed in rounding for runs of powers: short by more
+            (np.array([-1000.0, -1289.9, -2.0**40]), -1e-14),
+        ],
+    )
+    def test_powers_reaching_climbs_past_a_short_guess(self, rows, lr):
+        for i in range(rows.size):
+            for p in range(0, 400, 7):
+                t = rows[i] + np.float64(p) * lr
+                for cap in (p + 1, p + 2, 5000):
+                    got = _powers_reaching(rows, lr, t, cap)
+                    want = [int(np.sum(r + np.arange(cap) * lr >= t)) for r in rows]
+                    assert got.tolist() == want
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 12, 30, 64])
+    def test_rows_taking_counts_each_row_cap(self, n):
+        # row r takes powers 1 .. floor((n - 1) / r) + 1; a run of rows
+        # start + 1 .. end, counted one row at a time
+        q = np.concatenate(([n], (n - 1) // np.arange(1, n + 1)))
+        for start in range(n):
+            for end in range(start + 1, n + 1):
+                m = np.arange(q[start + 1] + 1)
+                got = _rows_taking(q, start, end, m)
+                want = [
+                    sum((n - 1) // r + 1 >= p + 1 for r in range(start + 1, end + 1)) for p in m
+                ]
+                assert got.tolist() == want
+                assert got.min() >= 1
 
     def test_powers_reaching_cap(self):
         # both rows reach t for more powers than the tie key's codes hold:
