@@ -62,6 +62,10 @@ GRKHS_MAX_EIGS=100 g eigs --shape iso:1.0 --d 3 --n 101 > guard_eigs.txt 2>&1
 g spline-bench --shape iso:1.0 --d 1,2 --sizes 1,5,10,20 --seed 7 > spline.txt
 # d = 3 through Lanczos on a 12^3 grid
 g spline-bench --shape iso:1.0 --d 3 --sizes 5,20 --m 12 --seed 3 > spline_d3.txt
+# grids that alternate: the d = 2 grid is read again after the d = 1 one,
+# and the d = 3, m = 32 grid, over the grid memo's budget, is held alone
+g spline-bench --shape iso:1.0 --d 2,1,2,3,1 --sizes 0,3 --seed 9 \
+  > spline_interleaved.txt
 # --config entries read as flags, one of them overridden on the command line
 echo '{"shape": "powerlaw:1:2", "d": "4", "N": "200"}' > decay_config.json
 g decay --config decay_config.json --N 50 > decay_config.txt

@@ -33,6 +33,7 @@ from .quadrature import (
 from .spectrum import (
     TensorEigenList,
     _dense_index,
+    _hermite_rows,
     top_n_tensor_eigenvalues,
     univariate_spectrum,
 )
@@ -80,10 +81,18 @@ def tensor_eigenfunctions(shape: ShapeSequence, d: int, indices, points) -> np.n
 
 
 def _coordinate_factors(shape, d, dense, pts):
-    """Per coordinate l, the rows phi_1 .. phi_J of gamma_l at pts[:, l], J the largest index."""
-    specs = [univariate_spectrum(g) for g in shape.gammas(d)]
+    """Per coordinate l, the rows phi_1 .. phi_J of gamma_l at pts[:, l], J the largest index.
+
+    A gamma_l that underflowed to exactly 0 (ratio 0, as in the log
+    spectrum) takes the gamma -> 0 limit, beta = 1 and delta = 0: phi_1 = 1
+    and phi_j the orthonormal Hermite polynomial H_{j-1} / sqrt(2^(j-1) (j-1)!).
+    """
+    specs = [univariate_spectrum(g) if g else None for g in shape.gammas(d).tolist()]
     max_j = [max(row[l] for row in dense) for l in range(d)] if dense else [1] * d
-    return [specs[l].eigenfunctions(max_j[l], pts[:, l]) for l in range(d)]
+    return [
+        _hermite_rows(J, pts[:, l], 1.0) if spec is None else spec.eigenfunctions(J, pts[:, l])
+        for l, (spec, J) in enumerate(zip(specs, max_j))
+    ]
 
 
 def _rule_factors(shape, d, dense, m):
@@ -220,46 +229,60 @@ def _memo_key(shape, d, *arrays) -> bytes:
     return b"".join(parts)
 
 
-class _OneEntryMemo:
-    """The value built for the most recent key, and nothing older.
+class _Memo:
+    """Values built for recent keys, under a byte budget.
 
-    A hit returns the stored value itself, so its arrays (the value, or the
-    arrays in a tuple value and in the tuples it holds) are shared between
+    An entry's size is its key's length plus the bytes of its distinct
+    arrays (the value, or the arrays in a tuple value and in the tuples it
+    holds).  The most recent entry is always kept, whatever its size; older
+    ones are dropped, least recently used first, while the total exceeds
+    ``budget``.  A miss drops, before it builds, the entries that the budget
+    does not cover, so that with budget 0 the old value is gone before the
+    new one is built and two are never held at once.
+    A hit returns the stored value itself, so its arrays are shared between
     callers and made read-only.
-    A miss drops the old value before it builds the new one, so that two are
-    never held at once.
     """
 
-    def __init__(self):
-        self.entry = None  # (key, value), or None
+    def __init__(self, budget: int = 0):
+        self.budget = budget
+        self.entries = {}  # key -> (value, size), least recently used first
 
     def get(self, key: bytes, build):
-        entry = self.entry
-        if entry is not None and entry[0] == key:
-            return entry[1]
-        self.entry = None
-        value = build()
-        _freeze(value)
-        self.entry = (key, value)
-        return value
+        entry = self.entries.pop(key, None)
+        if entry is None:
+            self._drop(keep=0)
+            value = build()
+            arrays = {id(a): a for a in _arrays(value)}.values()
+            for a in arrays:
+                a.flags.writeable = False
+            entry = (value, len(key) + sum(a.nbytes for a in arrays))
+        self.entries[key] = entry
+        self._drop(keep=1)
+        return entry[0]
+
+    def _drop(self, keep: int):
+        """Drop the least recently used entries, all but the last ``keep``, while over budget."""
+        entries = self.entries
+        while len(entries) > keep and sum(size for _, size in entries.values()) > self.budget:
+            del entries[next(iter(entries))]
 
 
-def _freeze(value):
-    """Make an array, or every array in a tuple and in the tuples it holds, read-only."""
+def _arrays(value):
+    """An array, or every array in a tuple and in the tuples it holds."""
     if isinstance(value, np.ndarray):
-        value.flags.writeable = False
+        yield value
     elif isinstance(value, tuple):
         for v in value:
-            _freeze(v)
+            yield from _arrays(v)
 
 
 # the clipped Gram factors (U, inv) of the most recent design
-_gram_memo = _OneEntryMemo()
+_gram_memo = _Memo()
 # the kernel K of the most recent points and sites
-_site_memo = _OneEntryMemo()
-# the tensor grid and its univariate Nystrom factors of the most recent
-# (shape, d, m), a _Grid
-_grid_memo = _OneEntryMemo()
+_site_memo = _Memo()
+# the tensor grids and their univariate Nystrom factors of recent
+# (shape, d, m), each a _Grid; the budget is argued in _tensor_grid
+_grid_memo = _Memo(budget=2**19)
 # the rank-0 factors (U, inv) of a design with no sites, read-only
 _U0, _INV0 = np.zeros((0, 0)), np.zeros(0)
 _U0.flags.writeable = _INV0.flags.writeable = False
@@ -327,14 +350,20 @@ def _tensor_grid(shape, d, m) -> _Grid:
     each product with A_1 several times slower.  A dropped term is below
     the smallest normal double, so a product entry moves by less than that.
 
-    The record of the most recent (shape, d, m) is kept, keyed by the exact
-    bytes of d, the shape parameters and m, so repeated error evaluations
-    on one grid build nothing and validate no grid point.  Its arrays are
-    shared between callers and therefore read-only.  It holds 8 m^2 bytes
-    per distinct gamma and 8 (d + 1) m^d for the grid: 323 KB at d = 1,
-    m = 200, 33 KB at d = 2, m = 32, 56 KB at d = 3, m = 12 and 1.06 MB
-    at d = 3, m = 32.  d and m are validated as by :func:`tensor_rule`
-    before the memo is read.
+    Records of recent (shape, d, m) are kept, keyed by the exact bytes of
+    d, the shape parameters and m, so repeated error evaluations on a grid
+    build nothing and validate no grid point, also when calls on other
+    grids come between them.  Their arrays are shared between callers and
+    therefore read-only.  A record holds 8 m^2 bytes per distinct gamma and
+    8 (d + 1) m^d for the grid: 323 KB at d = 1, m = 200, 33 KB at d = 2,
+    m = 32, 56 KB at d = 3, m = 12 and 1.06 MB at d = 3, m = 32.  The most
+    recent record is always kept; older ones are dropped, least recently
+    used first, while all of them total more than 512 KB.  That holds the
+    two grids of check 10 (356 KB) and those with d = 3, m = 12 besides
+    (412 KB), so a stream that mixes them builds each grid once, and it
+    holds a d = 3, m = 32 grid alone, so one large grid costs what it
+    costs with a single record.  d and m are validated as by
+    :func:`tensor_rule` before the memo is read.
     """
     d, m = _grid_shape(d, m)
 
@@ -445,8 +474,9 @@ def spline_worst_case_error(
     each grid axis and the rank-n correction, costing O(m^d (sum_l m + n))
     time and O(m^d n) memory (:func:`_top_eigenvalue`, which takes the
     1 x 1 operator itself at N = 1).  The grid,
-    sqrt(W) and the A_l of the most recent grid are kept in a one-entry
-    memo, one A_l per distinct gamma_l (:func:`_tensor_grid`).  For the empty
+    sqrt(W) and the A_l of recent grids are kept in a memo bounded in
+    bytes, one A_l per distinct gamma_l (:func:`_tensor_grid`); the error
+    itself is computed anew on every call.  For the empty
     design C is N x 0 (rank-0 factors) and the correction is exactly zero,
     though each Lanczos step still pays its two zero-column products.
 

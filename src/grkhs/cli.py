@@ -27,9 +27,9 @@ from . import __version__
 from .algorithms import _spline_rule_size, spline_worst_case_error
 from .complexity import (
     ErrorSequence,
+    _complexity_rows,
     _error_values,
     estimate_rate,
-    info_complexity_row,
 )
 from .errors import ResourceLimitError
 from .kernel import ShapeSequence
@@ -117,15 +117,23 @@ def cmd_eigs(cfg):
     shape = parse_shape(cfg["shape"])
     d, n = int(cfg["d"]), int(cfg["n"])
     top = top_n_tensor_eigenvalues(shape, d, n)
-    index = []
-    for idx in top.indices:
-        dense = ["1"] * d
-        for pos, j in idx.entries:
-            dense[pos - 1] = str(j)
-        index.append(";".join(dense))
+    index = [_dense_text(idx.entries, d) for idx in top.indices]
     lines = _table(cfg, "rank,value,index", range(1, len(index) + 1), top.values, index)
     _emit(cfg.get("out"), lines)
     return 0
+
+
+def _dense_text(entries, d) -> str:
+    """The dense index "k_1;...;k_d" of sparse (position, j) entries, runs of "1;" between them.
+
+    O(w) string operations for w raised entries, not one per coordinate.
+    """
+    parts, done = [], 0
+    for pos, j in entries:
+        parts += ["1;" * (pos - 1 - done), f"{j};"]
+        done = pos
+    parts.append("1;" * (d - done))
+    return "".join(parts)[:-1]
 
 
 def cmd_decay(cfg):
@@ -148,8 +156,8 @@ def cmd_complexity(cfg):
     criterion = cfg.get("criterion", "abs")
     criterion = {"abs": "absolute", "norm": "normalized"}.get(criterion, criterion)
     counts = []
-    for d in ds:
-        for n in info_complexity_row(shape, d, eps, criterion):
+    for row in _complexity_rows(shape, ds, eps, criterion):
+        for n in row:
             # the first trip in (d, eps) order stops the command
             if isinstance(n, ResourceLimitError):
                 raise n

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceLimitError
-from .kernel import ShapeSequence, _at_least, _log_spectrum, eigenvalue_ratio
+from .kernel import ShapeSequence, _at_least, _log_spectra, _log_spectrum, eigenvalue_ratio
 from .spectrum import _merge_size, _top_log_values, max_enumeration, stream_tensor_eigenvalues
 
 __all__ = [
@@ -261,19 +261,31 @@ def info_complexity_row(
     for the next smallest.  The list may be unsorted and hold duplicates.
     Every eps and the criterion are validated before any counting.
     """
+    (row,) = _complexity_rows(shape, [d], eps_list, criterion)
+    return row
+
+
+def _complexity_rows(shape: ShapeSequence, ds, eps_list, criterion: str):
+    """:func:`info_complexity_row` at each d of ``ds`` in turn, from one log spectrum.
+
+    Every eps, the criterion and every d are validated, and the shape is
+    read up to the largest d, before the first row is counted
+    (:func:`_log_spectra`); each row is counted when it is asked for.
+    """
     eps_list = list(eps_list)
     for eps in eps_list:
         if not 0.0 < eps < 1.0:
             raise ValueError(f"eps must lie in (0, 1), got {eps}")
     if criterion not in ("absolute", "normalized"):
         raise ValueError(f"criterion must be absolute or normalized, got {criterion!r}")
-    offset, log_ratio = _log_spectrum(shape, d)
     # count log lambda = offset + sum k_l log_ratio_l > 2 log(eps * CRI)
     budgets = [-2.0 * math.log(eps) for eps in eps_list]
-    if criterion == "absolute":
-        # CRI = 1, threshold 2 log eps; offset moves to budget
-        budgets = [b + offset for b in budgets]
-    return _count_below_budget(-log_ratio, budgets, max_enumeration())
+    guard = max_enumeration()
+    for offset, log_ratio in _log_spectra(shape, ds):
+        # CRI = 1 for the absolute criterion, threshold 2 log eps: the
+        # offset moves to the budget
+        row_budgets = [b + offset for b in budgets] if criterion == "absolute" else budgets
+        yield _count_below_budget(-log_ratio, row_budgets, guard)
 
 
 def info_complexity(shape: ShapeSequence, d: int, eps: float, criterion: str) -> int:
@@ -373,8 +385,8 @@ def tractability_probe(
     """Fill the n(eps, d) table over a grid and classify its growth.
 
     n(eps, d) is the exact count of :func:`info_complexity`, i.e. for data
-    from arbitrary linear functionals, filled one row per d by
-    :func:`info_complexity_row`.
+    from arbitrary linear functionals, filled one row per d as
+    :func:`info_complexity_row` fills it, all rows from one log spectrum.
 
     The exponent p of eps^(-1) is fitted on the per-eps envelope
     max_d n(eps, d), which is the quantity the tractability bounds
@@ -398,8 +410,7 @@ def tractability_probe(
         raise ValueError("grids must be nonempty")
     table = []
     guard_hit = False
-    for d in d_grid:
-        row = info_complexity_row(shape, d, eps_grid, criterion)
+    for d, row in zip(d_grid, _complexity_rows(shape, d_grid, eps_grid, criterion)):
         for eps, n in zip(eps_grid, row):
             if isinstance(n, ResourceLimitError):
                 n = n.partial

@@ -287,13 +287,27 @@ def _log_spectrum(shape: ShapeSequence, d: int):
     there is a zero eigenvalue.  A power-law or geometric gamma that
     underflowed to exactly 0 gets ratio 0, as a tiny positive gamma does.
     """
-    g = shape.gammas(d)
+    return _log_spectra(shape, [d])[0]
+
+
+def _log_spectra(shape: ShapeSequence, ds) -> list:
+    """[_log_spectrum(shape, d) for d in ds], from one spectrum of the largest d.
+
+    Every d is checked to be an integer >= 1 and the shape is read up to the
+    largest, both before anything else.  The ratios and log1p(-omega_l) of
+    the first d coordinates do not depend on the larger d, so row d reads
+    their prefix, and its base is np.sum over the prefix: the same pairwise
+    sum of the same values, bit for bit.
+    """
+    ds = [_at_least("dimension", d, 1) for d in ds]
+    g = shape.gammas(max(ds))
     zero = g == 0.0
-    ratios = np.zeros(d)
+    ratios = np.zeros(g.size)
     ratios[~zero] = _eigenvalue_ratios(g[~zero])
     with np.errstate(divide="ignore"):
         log_ratio = np.log(ratios)
-    return float(np.sum(np.log1p(-ratios))), log_ratio
+    log1p = np.log1p(-ratios)
+    return [(float(np.sum(log1p[:d])), log_ratio[:d]) for d in ds]
 
 
 def initial_error(shape: ShapeSequence, d: int) -> float:

@@ -122,17 +122,29 @@ class UnivariateSpectrum:
                 f"eigenfunction envelope exp(x^2/2) overflows for |x| > {_X_OVERFLOW}"
             )
         u = self.beta * x
-        psi = np.empty((J,) + x.shape)
-        psi[0] = np.pi**-0.25 * np.exp(-0.5 * u * u)
-        if J > 1:
-            psi[1] = np.sqrt(2.0) * u * psi[0]
-        for k in range(2, J):
-            psi[k] = np.sqrt(2.0 / k) * u * psi[k - 1] - np.sqrt((k - 1.0) / k) * psi[k - 2]
+        psi = _hermite_rows(J, u, np.pi**-0.25 * np.exp(-0.5 * u * u))
         # in place, the same products in the same order as
         # sqrt(beta) * pi^(1/4) * psi * e^(x^2/2)
         psi *= np.sqrt(self.beta) * np.pi**0.25
         psi *= np.exp(0.5 * x * x)
         return psi
+
+
+def _hermite_rows(J: int, u: np.ndarray, first) -> np.ndarray:
+    """Rows h_0 .. h_{J-1} of the orthonormal Hermite recurrence at u, from h_0 = first.
+
+    h_1 = sqrt(2) u h_0 and h_k = sqrt(2/k) u h_{k-1} - sqrt((k-1)/k) h_{k-2}.
+    From h_0 = pi^(-1/4) e^(-u^2/2) these are the Hermite functions psi_k,
+    bounded for any k; from h_0 = 1 they are the polynomials
+    H_k(u) / sqrt(2^k k!), orthonormal for the weight pi^(-1/2) e^(-u^2).
+    """
+    rows = np.empty((J,) + u.shape)
+    rows[0] = first
+    if J > 1:
+        rows[1] = np.sqrt(2.0) * u * rows[0]
+    for k in range(2, J):
+        rows[k] = np.sqrt(2.0 / k) * u * rows[k - 1] - np.sqrt((k - 1.0) / k) * rows[k - 2]
+    return rows
 
 
 def univariate_spectrum(gamma: float) -> UnivariateSpectrum:

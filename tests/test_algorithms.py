@@ -198,6 +198,27 @@ class TestEigenProjection:
         norm_sq = integrate(1, 80, lambda p: proj(p) ** 2)
         assert norm_sq == pytest.approx(float(np.sum(proj.coefficients**2)))
 
+    @pytest.mark.filterwarnings("error")
+    def test_gamma_that_underflows_to_zero(self):
+        # gammas [1, 0]: the second coordinate takes the gamma -> 0 limit,
+        # which gamma = 1e-300 (beta = 1 in double precision) meets
+        f = lambda p: np.prod(np.cos(0.6 * p + 0.4), axis=1)
+        zero = eigen_projection(ShapeSequence.power_law(1.0, 1100.0), 2, 5, f, 8)
+        tiny = eigen_projection(ShapeSequence.explicit([1.0, 1e-300]), 2, 5, f, 8)
+        assert zero.basis.indices == tiny.basis.indices
+        assert np.allclose(zero.coefficients, tiny.coefficients, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_gamma_eigenfunctions_are_hermite_polynomials(self):
+        # gammas [1e-200, 0]: phi_1 = 1 exactly and H_{j-1} / sqrt(2^(j-1) (j-1)!)
+        x = np.array([-3.5, -0.4, 0.0, 1.25, 6.0])
+        pts = np.column_stack([np.zeros_like(x), x])
+        idx = [MultiIndex.from_dense((1, j)) for j in (1, 2, 3, 4)]
+        rows = tensor_eigenfunctions(ShapeSequence.geometric(1e-200), 2, idx, pts)
+        assert np.all(rows[0] == 1.0)
+        h = [np.sqrt(2.0) * x, (2 * x**2 - 1) / np.sqrt(2.0), (2 * x**3 - 3 * x) / np.sqrt(3.0)]
+        assert np.allclose(rows[1:], h, rtol=1e-14, atol=1e-14)
+
 
 class TestMinimalErrorAll:
     def test_n_zero_is_initial_error(self):
@@ -402,10 +423,10 @@ class TestGramMemo:
         eigh = np.linalg.eigh
 
         def counted(a, *args, **kwargs):
-            calls.append(algorithms._gram_memo.entry is None)
+            calls.append(not algorithms._gram_memo.entries)
             return eigh(a, *args, **kwargs)
 
-        monkeypatch.setattr(algorithms._gram_memo, "entry", None)
+        monkeypatch.setattr(algorithms._gram_memo, "entries", {})
         monkeypatch.setattr(np.linalg, "eigh", counted)
         return calls
 
@@ -447,7 +468,7 @@ class TestGramMemo:
         first = _gram_pinv_factors(shape, 2, design)
         hit = _gram_pinv_factors(shape, 2, design)
         assert len(eigh_calls) == 1
-        monkeypatch.setattr(algorithms._gram_memo, "entry", None)
+        monkeypatch.setattr(algorithms._gram_memo, "entries", {})
         fresh = _gram_pinv_factors(shape, 2, design)
         assert len(eigh_calls) == 2
         assert all(a is b for a, b in zip(first, hit))
@@ -465,7 +486,7 @@ class TestGramMemo:
         rng = np.random.default_rng(10)
         X = rng.standard_normal((6, 2))
         spline_fit(shape, 2, X, rng.standard_normal(6))
-        entry = algorithms._gram_memo.entry
+        entries = dict(algorithms._gram_memo.entries)
         empty = np.empty((0, 2))
         U, inv = _gram_pinv_factors(shape, 2, empty)
         assert (U.shape, inv.shape) == ((0, 0), (0,))
@@ -475,7 +496,7 @@ class TestGramMemo:
         spline_worst_case_error(shape, 2, empty, 9)  # Lanczos
         spline_worst_case_error(shape, 2, empty, 9, method="trace")
         # the rank-0 factors neither replace the entry nor factor anything
-        assert algorithms._gram_memo.entry is entry
+        assert algorithms._gram_memo.entries == entries
         assert eigh_calls == [True]
 
     def test_holds_one_entry(self, eigh_calls):
@@ -497,11 +518,11 @@ class TestSiteKernelMemo:
         calls = []
 
         def counted(*args):
-            calls.append(algorithms._site_memo.entry is None)
+            calls.append(not algorithms._site_memo.entries)
             return cross_kernel(*args)
 
-        monkeypatch.setattr(algorithms._gram_memo, "entry", None)
-        monkeypatch.setattr(algorithms._site_memo, "entry", None)
+        monkeypatch.setattr(algorithms._gram_memo, "entries", {})
+        monkeypatch.setattr(algorithms._site_memo, "entries", {})
         monkeypatch.setattr(algorithms, "cross_kernel", counted)
         return calls
 
@@ -663,7 +684,7 @@ class TestPowerFunctionMemory:
     def test_trace_bound_leaves_no_kernel_behind(self, monkeypatch):
         # the 52 MB grid-by-design kernel is used once and then freed; only
         # the Gram memo's n x n factors (0.3 MB) stay alive
-        monkeypatch.setattr(algorithms._site_memo, "entry", None)
+        monkeypatch.setattr(algorithms._site_memo, "entries", {})
         shape = ShapeSequence.isotropic(1.0)
         design = np.random.default_rng(0).standard_normal((200, 3))
         # the first rule of a process imports scipy and fills the rule
@@ -676,7 +697,7 @@ class TestPowerFunctionMemory:
         finally:
             tracemalloc.stop()
         assert retained < 2**20
-        assert algorithms._site_memo.entry is None
+        assert not algorithms._site_memo.entries
 
 
 class TestSplineWorstCaseError:
@@ -986,7 +1007,7 @@ class TestGridOperator:
             calls.append(gamma)
             return _nystrom_matrix(gamma, t, w)
 
-        monkeypatch.setattr(algorithms._grid_memo, "entry", None)
+        monkeypatch.setattr(algorithms._grid_memo, "entries", {})
         monkeypatch.setattr(algorithms, "_nystrom_matrix", counted)
         return calls
 
@@ -1036,16 +1057,76 @@ class TestGridOperator:
             with pytest.raises(ValueError):
                 A[0, 0] = 0.0
 
-    def test_holds_one_entry(self, factor_calls):
+    def test_keeps_the_spline_wce_grids(self, factor_calls):
+        # check 10's two grids and d = 3, m = 12 fit the budget together:
+        # visited in any order after the first round, none is built again
         shape = ShapeSequence.isotropic(1.0)
-        kept = [weakref.ref(_tensor_grid(shape, 1, m).factors[0]) for m in (10, 11, 12)]
-        assert [ref() is not None for ref in kept] == [False, False, True]
-        _tensor_grid(shape, 1, 10)
+        grids = [(1, 200), (2, 32), (3, 12)]
+        first = [_tensor_grid(shape, d, m) for d, m in grids]
+        for d, m in grids[::-1] + grids:
+            assert _tensor_grid(shape, d, m) is first[grids.index((d, m))]
+        assert len(factor_calls) == 3
+        # a grid over the budget is held alone, and the others are freed
+        kept = [weakref.ref(grid.factors[0]) for grid in first]
+        del first
+        large = _tensor_grid(shape, 3, 32)
+        assert _grid_bytes(large) > algorithms._grid_memo.budget
+        assert [ref() for ref in kept] == [None] * 3
+        assert list(algorithms._grid_memo.entries) == [_grid_key(shape, 3, 32)]
         assert len(factor_calls) == 4
 
+    def test_bytes_stay_within_budget_plus_newest(self, factor_calls):
+        rng = np.random.default_rng(11)
+        shapes = [ShapeSequence.isotropic(1.0), ShapeSequence.power_law(1.0, 0.5)]
+        budget = algorithms._grid_memo.budget
+        alone = 0
+        for _ in range(60):
+            shape = shapes[int(rng.integers(2))]
+            d = int(rng.integers(1, 4))
+            # d = 1 past m = 253 is over the budget by itself
+            m = int(rng.integers(1, 1 + {1: 400, 2: 48, 3: 20}[d]))
+            newest = _tensor_grid(shape, d, m)
+            held = [grid for grid, _ in algorithms._grid_memo.entries.values()]
+            assert held[-1] is newest
+            assert sum(_grid_bytes(grid) for grid in held) <= budget + _grid_bytes(newest)
+            if _grid_bytes(newest) > budget:
+                assert len(held) == 1
+                alone += 1
+        assert alone > 0
+
+    def test_hits_stay_read_only(self, factor_calls):
+        shape = ShapeSequence.explicit([1.0, 0.5])
+        grid = _tensor_grid(shape, 2, 12)
+        _tensor_grid(shape, 1, 40)
+        hit = _tensor_grid(shape, 2, 12)
+        assert hit is grid and len(factor_calls) == 3
+        for a in (*hit.factors, hit.points, hit.root_weights):
+            with pytest.raises(ValueError):
+                a.flat[0] = 0.0
+
+    def test_wce_bits_do_not_depend_on_call_order(self, factor_calls):
+        # check 10's designs and d = 3, m = 12 designs, grouped by d and in
+        # a seeded interleaving: every grid is a hit or a build in one order
+        # and the other, and every error is the same float
+        rng = np.random.default_rng(20240817)
+        cases = []
+        for _ in range(200):
+            d = int(rng.integers(1, 3))
+            n = int(rng.integers(1, 21))
+            cases.append((d, rng.standard_normal((n, d)), _spline_rule_size(d)))
+        cases += [(3, rng.standard_normal((int(rng.integers(1, 21)), 3)), 12) for _ in range(8)]
+        shape = ShapeSequence.isotropic(1.0)
+
+        def errors(order):
+            algorithms._grid_memo.entries.clear()
+            return {i: float(spline_worst_case_error(shape, *cases[i])).hex() for i in order}
+
+        grouped = errors(sorted(range(len(cases)), key=lambda i: cases[i][0]))
+        assert errors(np.random.default_rng(3).permutation(len(cases)).tolist()) == grouped
+
     def test_check_10_builds_one_grid_per_d(self, factor_calls):
-        # its designs run grouped by d, the d = 1 grid last for the empty
-        # design; the report is the one of the designs in their seeded order
+        # its designs run in their seeded order, which mixes d = 1 and d = 2,
+        # and the memo keeps both grids
         result = verify.check_spline_ordering()
         assert factor_calls == [1.0, 1.0]
         shape = ShapeSequence.isotropic(1.0)
@@ -1082,6 +1163,16 @@ class TestGridOperator:
         again = spline_worst_case_error(*cases[0][:2], designs[0], cases[0][2])
         assert float(again).hex() == float(first[0]).hex()
         assert len(set(first)) == len(first)
+
+
+def _grid_bytes(grid):
+    """Bytes of the distinct arrays of a memoized grid."""
+    arrays = {id(a): a for a in (*grid.factors, grid.points, grid.root_weights)}
+    return sum(a.nbytes for a in arrays.values())
+
+
+def _grid_key(shape, d, m):
+    return algorithms._memo_key(shape, d, np.int64(m))
 
 
 def test_tensor_eigenfunctions_product_structure():

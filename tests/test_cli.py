@@ -15,7 +15,7 @@ import grkhs
 from grkhs import ShapeSequence, cli, verify
 from grkhs.cli import main, parse_shape
 from grkhs.complexity import _error_values
-from grkhs.spectrum import top_n_tensor_eigenvalues
+from grkhs.spectrum import MultiIndex, top_n_tensor_eigenvalues
 
 
 class TestParseShape:
@@ -107,6 +107,23 @@ class TestSubcommands:
         assert code == 0
         rows = [l.split(",") for l in out.strip().split("\n")[3:]]
         assert [r[2] for r in rows] == ["1;1", "2;1", "1;2"]
+
+    def test_eigs_index_text_matches_the_dense_loop(self):
+        # the loop that wrote the index column before, one string per coordinate
+        def loop(idx, d):
+            dense = ["1"] * d
+            for pos, j in idx.entries:
+                dense[pos - 1] = str(j)
+            return ";".join(dense)
+
+        rng = np.random.default_rng(60)
+        for _ in range(500):
+            d = int(rng.integers(1, 61))
+            values = np.ones(d, dtype=int)
+            raised = rng.choice(d, size=int(rng.integers(0, min(d, 6) + 1)), replace=False)
+            values[raised] = rng.integers(2, 200, size=raised.size)
+            idx = MultiIndex.from_dense(values.tolist())
+            assert cli._dense_text(idx.entries, d) == loop(idx, d)
 
     def test_decay_csv_schema(self, capsys):
         code, out = run_cli(capsys, "decay", "--shape", "iso:1.0", "--d", "1", "--N", "4")
@@ -343,6 +360,13 @@ class TestExitCodes:
     def test_validation_error(self, capsys):
         assert main(["eigs", "--shape", "bogus:1", "--d", "2", "--n", "3"]) == 1
         assert main(["complexity", "--shape", "iso:1.0", "--d", "1", "--eps", "2.0"]) == 1
+
+    def test_explicit_shape_too_short_for_a_complexity_d(self, capsys):
+        argv = ["complexity", "--shape", "explicit:1.0,0.5,0.25", "--d", "2,5", "--eps", "0.1"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "explicit shape has 3 entries, asked for d=5" in captured.err
 
     def test_missing_required(self, capsys):
         assert main(["eigs", "--shape", "iso:1.0"]) == 1

@@ -19,9 +19,15 @@ from grkhs import (
     quasipoly_exponent,
     tractability_probe,
 )
-from grkhs.complexity import _count_below_budget, _error_values, _half_sums, _pairs_below
+from grkhs.complexity import (
+    _complexity_rows,
+    _count_below_budget,
+    _error_values,
+    _half_sums,
+    _pairs_below,
+)
 from grkhs.errors import ResourceLimitError
-from grkhs.kernel import _log_spectrum
+from grkhs.kernel import _log_spectra, _log_spectrum, eigenvalue_ratio
 
 
 def _reference_count(costs, budget):
@@ -585,6 +591,63 @@ class TestEstimateRate:
             estimate_rate(seq, window)
 
 
+def _reference_log_spectrum(shape, d):
+    """(base, log_ratio) from the first d gammas alone, as _log_spectrum gave them."""
+    g = shape.gammas(d)
+    zero = g == 0.0
+    ratios = np.zeros(d)
+    ratios[~zero] = [eigenvalue_ratio(x) for x in g[~zero]]
+    with np.errstate(divide="ignore"):
+        log_ratio = np.log(ratios)
+    return float(np.sum(np.log1p(-ratios))), log_ratio
+
+
+class TestSharedLogSpectrum:
+    @pytest.mark.parametrize(
+        "shape, ds",
+        [
+            # check 08's probe and the benchmark's complexity cells
+            (ShapeSequence.isotropic(1.0), list(range(1, 17))),
+            (ShapeSequence.power_law(1.0, 0.5), [8, 16, 24]),
+            (ShapeSequence.geometric(0.9), [8, 64, 256]),
+            (ShapeSequence.explicit(np.sort(np.random.default_rng(5).uniform(0.3, 1.0, 8))[::-1]),
+             list(range(1, 9))),
+            # gammas that underflow to 0 past d = 1074
+            (ShapeSequence.geometric(0.5), [2, 1100, 1074, 1075]),
+        ],
+    )
+    def test_prefixes_are_bit_equal_per_d(self, shape, ds):
+        for d, (base, log_ratio) in zip(ds, _log_spectra(shape, ds)):
+            for ref_base, ref_log_ratio in (_reference_log_spectrum(shape, d), _log_spectrum(shape, d)):
+                assert base.hex() == ref_base.hex()
+                assert log_ratio.tobytes() == ref_log_ratio.tobytes()
+
+    def test_probe_and_rows_read_one_spectrum(self, monkeypatch):
+        calls = []
+        gammas = ShapeSequence.gammas
+
+        def counted(self, d):
+            calls.append(d)
+            return gammas(self, d)
+
+        monkeypatch.setattr(ShapeSequence, "gammas", counted)
+        shape = ShapeSequence.isotropic(1.0)
+        eps, ds = [2.0**-j for j in range(1, 8)], list(range(1, 17))
+        report = tractability_probe(shape, eps, ds, "absolute")
+        assert calls == [16]
+        monkeypatch.setattr(ShapeSequence, "gammas", gammas)
+        cells = [(d, e, info_complexity(shape, d, e, "absolute")) for d in ds for e in eps]
+        assert report.table == cells
+
+    def test_explicit_shape_too_short_for_the_largest_d(self):
+        shape = ShapeSequence.explicit([1.0, 0.5, 0.25])
+        message = "explicit shape has 3 entries, asked for d=5"
+        with pytest.raises(ValueError, match=message):
+            tractability_probe(shape, [0.1], [2, 5, 3], "absolute")
+        with pytest.raises(ValueError, match=message):
+            list(_complexity_rows(shape, [2, 5], [0.1], "normalized"))
+
+
 class TestTractabilityProbe:
     def test_empty_grid(self):
         with pytest.raises(ValueError, match="grids must be nonempty"):
@@ -595,7 +658,7 @@ class TestTractabilityProbe:
         def no_count(*args):
             raise AssertionError("counted before the d grid was checked")
 
-        monkeypatch.setattr("grkhs.complexity.info_complexity_row", no_count)
+        monkeypatch.setattr("grkhs.complexity._count_below_budget", no_count)
         message = "dimension must be an integer" if bad != 0 else "need dimension >= 1"
         with pytest.raises(ValueError, match=message):
             tractability_probe(ShapeSequence.isotropic(1.0), [0.1], [1, bad], "absolute")

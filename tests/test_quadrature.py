@@ -58,6 +58,33 @@ class TestGaussHermite:
                 arr[0] = 0.0
 
 
+class TestScaledRule:
+    @pytest.mark.parametrize("m", [400, 512])
+    @pytest.mark.parametrize("scale", [0.1, 0.3])
+    def test_underflowed_weights_are_filled(self, m, scale):
+        # 4 and 36 weights of the plain rule are 0; scaled, the rule misses
+        # no more than the rho_1 mass beyond its outermost node
+        plain = gauss_hermite(m).weights
+        t, w = _scaled_rule(m, scale)
+        assert np.count_nonzero(plain == 0.0) == {400: 4, 512: 36}[m]
+        assert np.all(w > 0.0)
+        assert 0.0 <= 1.0 - math.fsum(w) <= math.erfc(t.max()) + 1e-13
+        # every other weight keeps the bits of the log-space formula
+        kept = plain > 0.0
+        u = gauss_hermite(m).nodes[kept]
+        ref = np.exp(math.log(scale) + np.log(plain[kept]) + (1.0 - scale * scale) * u * u)
+        assert w[kept].tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("m", [2, 37, 200, 400, 512])
+    def test_christoffel_weight_matches_the_rule_where_it_is_normal(self, m):
+        # the formula that fills the underflowed weights, read where
+        # gauss_hermite's weights are normal doubles
+        rule = gauss_hermite(m)
+        normal = rule.weights >= np.finfo(float).tiny
+        log_w = quadrature._log_christoffel(m, rule.nodes[normal])
+        assert np.allclose(log_w, np.log(rule.weights[normal]), rtol=1e-14, atol=0.0)
+
+
 def _mp_nystrom_eigs(gamma, m):
     """Eigenvalues of the Nystrom matrix of the m-point rule, in mpmath, descending.
 
