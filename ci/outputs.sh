@@ -122,6 +122,19 @@ g verify > verify.txt
 # no command runs eigen_projection, yet the benchmark's eigproj
 # reference reads its coefficient bits: two cosine products
 python -c 'import numpy as np, grkhs; s = grkhs.ShapeSequence.isotropic(1.0); f = lambda p: np.prod(np.cos(0.6 * p + 0.4), axis=1); [print(d, n, m, *(c.hex() for c in grkhs.eigen_projection(s, d, n, f, m).coefficients.tolist())) for d, n, m in [(2, 500, 64), (3, 129, 16)]]' > eigproj.txt
+# the projection's blocks of basis rows: copies only at d = 1, the 4-row
+# minimum block at N = 64,000 (a 2-row tail) and at N = 20,736 (a joined
+# 1-row tail), 8-row blocks at d = 5; then the projector at 643 points,
+# blocks of 128 points and a 3-point tail joined to the last
+python -c '
+import numpy as np, grkhs
+s = grkhs.ShapeSequence.power_law(1.3, 0.8)
+f = lambda p: np.prod(np.cos(0.6 * p + 0.4), axis=1)
+for d, n, m in [(1, 65, 100), (3, 130, 40), (4, 257, 12), (5, 200, 6)]:
+    print(d, n, m, *(c.hex() for c in grkhs.eigen_projection(s, d, n, f, m).coefficients.tolist()))
+x = np.random.default_rng(0).normal(size=(643, 2))
+print(*(v.hex() for v in grkhs.eigen_projection(s, 2, 500, f, 64)(x).tolist()))
+' > eigproj_blocks.txt
 # the shape-parameter rule, the eigenvalue ratio and its gate:
 # log spectra and gammas in hex, then the gate's messages
 python -W error -c '

@@ -52,13 +52,21 @@ __all__ = [
 CLIP_FACTOR = 1e-12  # relative spectral clipping threshold for Gram solves
 
 
-# Rows per block of the basis-by-grid product in eigen_projection.  With
-# OpenBLAS the row blocks of a matrix-vector product give the full product's
-# bits only when every block starts at a multiple of 4 rows (its kernel takes
-# 4 rows at a time, the remainder apart) and no block is a single row (numpy
-# sends a one-row product down another path), so the size is a multiple of 4
-# and a one-row tail joins the block before it.
-_PROJECTION_BLOCK = 64
+# Bytes per block of basis values that eigen_projection and EigenProjector
+# hold at a time.  With OpenBLAS the row blocks of a matrix-vector product
+# give the full product's bits only when every block starts at a multiple of
+# 4 rows (its kernel takes 4 rows at a time, the remainder apart) and no
+# block is a single row (numpy sends a one-row product down another path),
+# so a block of grid rows is a multiple of 4 rows, at least 4, and a one-row
+# tail joins the block before it.  The vector-matrix product over points
+# keeps its bits when every block is a multiple of 16 points and a tail of
+# fewer than 4 points joins the block before it.
+_PROJECTION_BLOCK_BYTES = 512 * 1024
+
+
+def _block_size(width, multiple):
+    """Rows of width doubles within the budget, a multiple of multiple and at least one."""
+    return max(multiple, _PROJECTION_BLOCK_BYTES // (8 * width) // multiple * multiple)
 
 
 def tensor_eigenfunctions(shape: ShapeSequence, d: int, indices, points) -> np.ndarray:
@@ -74,13 +82,18 @@ def tensor_eigenfunctions(shape: ShapeSequence, d: int, indices, points) -> np.n
     ndarray, shape (len(indices), N)
     """
     pts = _as_points(points, d)
-    dense = [idx.dense() for idx in indices]
-    out = np.empty((len(dense), pts.shape[0]))
-    _product_rows(out, dense, _coordinate_factors(shape, d, dense, pts))
+    codes = _index_codes(indices, d)
+    out = np.empty((codes.shape[0], pts.shape[0]))
+    _product_rows(out, codes, _coordinate_factors(shape, d, codes, pts))
     return out
 
 
-def _coordinate_factors(shape, d, dense, pts):
+def _index_codes(indices, d):
+    """(n, d) array of the multi-indices' dense entries minus 1: each coordinate's factor row."""
+    return np.array([idx.dense() for idx in indices], dtype=np.intp).reshape(len(indices), d) - 1
+
+
+def _coordinate_factors(shape, d, codes, pts):
     """Per coordinate l, the rows phi_1 .. phi_J of gamma_l at pts[:, l], J the largest index.
 
     A gamma_l that underflowed to exactly 0 (ratio 0, as in the log
@@ -88,42 +101,82 @@ def _coordinate_factors(shape, d, dense, pts):
     and phi_j the orthonormal Hermite polynomial H_{j-1} / sqrt(2^(j-1) (j-1)!).
     """
     specs = [univariate_spectrum(g) if g else None for g in shape.gammas(d).tolist()]
-    max_j = [max(row[l] for row in dense) for l in range(d)] if dense else [1] * d
+    max_j = (codes.max(axis=0) + 1).tolist() if codes.size else [1] * d
     return [
         _hermite_rows(J, pts[:, l], 1.0) if spec is None else spec.eigenfunctions(J, pts[:, l])
         for l, (spec, J) in enumerate(zip(specs, max_j))
     ]
 
 
-def _rule_factors(shape, d, dense, m):
-    """:func:`_coordinate_factors` at the points of the tensor grid of the m-point rule.
-
-    Coordinate l of the grid takes only the m nodes of the rule, so each
-    factor is evaluated on those nodes and copied out along its grid axis,
-    in :func:`tensor_rule`'s point order.  The recurrence acts entry by
-    entry, so the copies are bit for bit the factors at every grid point.
-    """
-    nodes = gauss_hermite(m).nodes
-    per_node = _coordinate_factors(shape, d, dense, np.tile(nodes[:, None], (1, d)))
-    factors = []
-    for l, phi in enumerate(per_node):
-        axis = phi.reshape((-1,) + (1,) * l + (m,) + (1,) * (d - 1 - l))
-        factors.append(np.broadcast_to(axis, (phi.shape[0],) + (m,) * d).reshape(phi.shape[0], -1))
-    return factors
-
-
-def _product_rows(out, dense, per_coord):
-    """Write into out[r] the product over l of the factor rows per_coord[l][dense[r][l] - 1].
+def _product_rows(out, codes, per_coord):
+    """Write into out[r] the product over l of the factor rows per_coord[l][codes[r, l]].
 
     The first factor is copied, which is bit-equal to multiplying it into a
     row of ones; a loop over rows beats a gather of whole factor blocks.
     """
     first, rest = per_coord[0], per_coord[1:]
-    for r, row in enumerate(dense):
+    for r, row in enumerate(codes.tolist()):
         out_r = out[r]
-        out_r[...] = first[row[0] - 1]
+        out_r[...] = first[row[0]]
         for l, factor in enumerate(rest, start=1):
-            out_r *= factor[row[l] - 1]
+            out_r *= factor[row[l]]
+
+
+def _grid_basis_blocks(shape, d, codes, m):
+    """Yield (a, b, block), block the basis rows codes[a:b] at :func:`tensor_rule`'s points.
+
+    Coordinate l of the grid takes only the m nodes of the rule, so each
+    coordinate's factors are evaluated on those nodes (the recurrence acts
+    entry by entry, so they are bit for bit the factors at the grid
+    points).  A block is written into one reused buffer as outer products
+    of the gathered node rows, coordinates in order, (phi_1 phi_2) phi_3 ...:
+    the products :func:`_product_rows` makes at the grid points, laid out
+    with the last coordinate fastest.  The block is overwritten by the next.
+    """
+    nodes = gauss_hermite(m).nodes
+    per_node = _coordinate_factors(shape, d, codes, np.tile(nodes[:, None], (1, d)))
+    rows = codes.shape[0]
+    size = _block_size(m**d, 4)
+    buf = np.empty((min(rows, size + 1), m**d))
+    a = 0
+    while a < rows:
+        # a one-row tail joins this block
+        b = a + size if rows - a > size + 1 else rows
+        block = buf[: b - a]
+        if d == 1:
+            np.take(per_node[0], codes[a:b, 0], axis=0, out=block)
+        else:
+            # the products over the leading coordinates, m^(d-1) values a row
+            # at most, then the last coordinate's straight into the block
+            lead = per_node[0][codes[a:b, 0]]
+            for l in range(1, d - 1):
+                lead = (lead[:, :, None] * per_node[l][codes[a:b, l], None, :]).reshape(b - a, -1)
+            last = per_node[-1][codes[a:b, -1], None, :]
+            np.multiply(lead[:, :, None], last, out=block.reshape(b - a, -1, m))
+        yield a, b, block
+        a = b
+
+
+def _point_basis_blocks(shape, d, codes, pts):
+    """Yield (a, b, block), block the basis rows codes at the points pts[a:b].
+
+    A block is a multiple of 16 points within the budget, and a tail of
+    fewer than 4 points joins the block before it.  Each block evaluates
+    the factors at its own points and multiplies the gathered rows,
+    coordinates in order: the products :func:`_product_rows` makes.
+    """
+    total = pts.shape[0]
+    size = _block_size(codes.shape[0], 16)
+    a = 0
+    while a < total:
+        # a tail of fewer than 4 points joins this block
+        b = a + size if total - a >= size + 4 else total
+        per_coord = _coordinate_factors(shape, d, codes, pts[a:b])
+        block = per_coord[0][codes[:, 0]]
+        for l in range(1, d):
+            block *= per_coord[l][codes[:, l]]
+        yield a, b, block
+        a = b
 
 
 @dataclass
@@ -140,8 +193,13 @@ class EigenProjector:
     coefficients: np.ndarray
 
     def __call__(self, points) -> np.ndarray:
-        funcs = tensor_eigenfunctions(self.shape, self.d, self.basis.indices, points)
-        return self.coefficients @ funcs
+        """The expansion at (N, d) points, the basis formed a block of points at a time."""
+        pts = _as_points(points, self.d)
+        codes = _index_codes(self.basis.indices, self.d)
+        out = np.empty(pts.shape[0])
+        for a, b, block in _point_basis_blocks(self.shape, self.d, codes, pts):
+            out[a:b] = self.coefficients @ block
+        return out
 
 
 def eigen_projection(shape: ShapeSequence, d: int, n: int, f, m: int = 64) -> EigenProjector:
@@ -153,11 +211,12 @@ def eigen_projection(shape: ShapeSequence, d: int, n: int, f, m: int = 64) -> Ei
     raises its ``ValueError`` before the basis is formed.  Past 10^7 points
     :func:`tensor_rule` raises ``ResourceLimitError`` (d = 4 needs m <= 56,
     while d = 5 runs at m = 8).
-    The basis functions at the grid nodes are formed 64 rows at a time in
-    one buffer, so the working set is 64 rows of m^d values plus the
-    per-coordinate eigenfunction factors, never the n x m^d matrix.  Each
-    factor is evaluated on the m nodes of the rule and copied out over
-    the grid.
+    Each coordinate's eigenfunction factors are evaluated on the m nodes
+    of the rule only, and the basis functions at the grid points are
+    formed a block of rows at a time in one buffer, as products of those
+    factors.  A block holds at most ``_PROJECTION_BLOCK_BYTES`` (512 KB),
+    but never fewer than 4 rows, so the working set is one block plus the
+    node factors, never the n x m^d matrix.
     Or ``f`` is a mapping from dense multi-index tuples to
     eigen-coefficients, in which case they are read off exactly and any d
     is allowed; a key that is not d integer entries, each >= 1, raises
@@ -166,19 +225,11 @@ def eigen_projection(shape: ShapeSequence, d: int, n: int, f, m: int = 64) -> Ei
     basis = top_n_tensor_eigenvalues(shape, d, n)
     if callable(f):
         _, w, vals = _grid_values(d, m, f)
-        dense = [idx.dense() for idx in basis.indices]
-        per_coord = _rule_factors(shape, d, dense, m)
         wv = w * vals
-        rows = len(dense)
-        coef = np.empty(rows)
-        block = np.empty((min(rows, _PROJECTION_BLOCK + 1), w.size))
-        a = 0
-        while a < rows:
-            # a one-row tail joins this block
-            b = a + _PROJECTION_BLOCK if rows - a > _PROJECTION_BLOCK + 1 else rows
-            _product_rows(block, dense[a:b], per_coord)
-            coef[a:b] = block[: b - a] @ wv
-            a = b
+        codes = _index_codes(basis.indices, d)
+        coef = np.empty(codes.shape[0])
+        for a, b, block in _grid_basis_blocks(shape, d, codes, m):
+            coef[a:b] = block @ wv
     else:
         table = {_dense_index(d, key): float(val) for key, val in f.items()}
         coef = np.array([table.get(idx, 0.0) for idx in basis.indices])

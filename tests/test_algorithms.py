@@ -32,10 +32,10 @@ from grkhs import (
     verify,
 )
 from grkhs.algorithms import (
-    _coordinate_factors,
     _gram_pinv_factors,
+    _grid_basis_blocks,
+    _index_codes,
     _kron_matvec,
-    _rule_factors,
     _site_kernel,
     _spline_rule_size,
     _tensor_grid,
@@ -45,6 +45,31 @@ from grkhs.algorithms import (
 from grkhs.complexity import _error_values
 from grkhs.quadrature import _nystrom_matrix
 from grkhs.spectrum import MultiIndex
+
+
+def _one_blas_thread(code):
+    """The JSON that code prints last, after imports of json, np, grkhs, tensor_eigenfunctions.
+
+    Run in a fresh process with one BLAS thread: a threaded product splits
+    its rows between threads, so its bits follow the thread count.
+    """
+    head = (
+        "import json\nimport numpy as np\nimport grkhs\n"
+        "from grkhs.algorithms import tensor_eigenfunctions\n"
+    )
+    src = str(Path(grkhs.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    threads = {k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env = dict(os.environ, PYTHONPATH=path, **threads)
+    done = subprocess.run(
+        [sys.executable, "-c", head + textwrap.dedent(code)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 class TestEigenProjection:
@@ -100,13 +125,7 @@ class TestEigenProjection:
         # tails (n = 65, 129) included.  One BLAS thread, as in the benchmark:
         # a threaded product splits its rows between threads, so the full
         # product's own bits follow the thread count.
-        code = textwrap.dedent(
-            """
-            import json
-            import numpy as np
-            import grkhs
-            from grkhs.algorithms import tensor_eigenfunctions
-
+        code = """
             shape = grkhs.ShapeSequence.isotropic(1.0)
             rng = np.random.default_rng(19)
             compared, differ = 0, []
@@ -124,36 +143,51 @@ class TestEigenProjection:
                         differ.append([d, m, n])
             print(json.dumps([compared, differ]))
             """
-        )
-        src = str(Path(grkhs.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        threads = {k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
-        env = dict(os.environ, PYTHONPATH=path, **threads)
-        done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-        )
-        assert done.returncode == 0, done.stderr
-        assert json.loads(done.stdout.splitlines()[-1]) == [24, []]
+        assert _one_blas_thread(code) == [24, []]
 
-    @pytest.mark.parametrize("d, m", [(1, 100), (1, 7), (2, 64), (2, 9), (3, 16), (3, 5)])
-    def test_rule_factors_are_the_factors_at_grid_points(self, d, m):
-        # evaluated on the m nodes and copied out: the bits of the factors
-        # at all m^d grid points, in tensor_rule's point order
+    @pytest.mark.parametrize(
+        "d, m", [(1, 100), (1, 7), (2, 64), (2, 9), (3, 16), (3, 5), (4, 6), (5, 4)]
+    )
+    def test_grid_blocks_are_the_basis_at_grid_points(self, d, m, monkeypatch):
+        # products of the factors on the m nodes: the bits of the basis at
+        # all m^d grid points, in tensor_rule's point order.  Budgets of 4
+        # and 12 rows as well as the default one give blocks with tails of
+        # 1 (joined), 2, 6 and 13 rows
         shape = ShapeSequence.power_law(1.3, 0.8)
-        dense = [idx.dense() for idx in grkhs.top_n_tensor_eigenvalues(shape, d, 300).indices]
         pts, _ = tensor_rule(d, m)
-        want = _coordinate_factors(shape, d, dense, pts)
-        got = _rule_factors(shape, d, dense, m)
-        assert len(got) == d
-        for a, b in zip(got, want):
-            assert a.shape == b.shape == (b.shape[0], m**d)
-            assert a.tobytes() == b.tobytes()
+        for n in (61, 150):
+            indices = grkhs.top_n_tensor_eigenvalues(shape, d, n).indices
+            want = tensor_eigenfunctions(shape, d, indices, pts)
+            for rows in (4, 12, None):
+                if rows is not None:
+                    monkeypatch.setattr(algorithms, "_PROJECTION_BLOCK_BYTES", rows * 8 * m**d)
+                size = algorithms._block_size(m**d, 4)
+                got, ends = [], [0]
+                for a, b, block in _grid_basis_blocks(shape, d, _index_codes(indices, d), m):
+                    assert a == ends[-1] and a % 4 == 0
+                    assert b - a == size or (b == n and 2 <= b - a <= size + 1)
+                    got.append(block.copy())
+                    ends.append(b)
+                assert ends[-1] == n
+                assert np.concatenate(got).tobytes() == want.tobytes()
+                monkeypatch.undo()
+
+    def test_block_rows_follow_the_budget(self):
+        # a multiple of 4 rows within 512 KB, never fewer than 4
+        assert algorithms._PROJECTION_BLOCK_BYTES == 512 * 1024
+        widths = (1, 7, 100, 4096, 6**4, 64_000, 2_560_000)
+        sizes = {N: algorithms._block_size(N, 4) for N in widths}
+        assert sizes == {1: 65536, 7: 9360, 100: 652, 4096: 16, 1296: 48, 64_000: 4, 2_560_000: 4}
 
     def test_memory_follows_the_block(self):
         # the (500, 4096) basis-by-grid matrix alone is 15.6 MiB; the
-        # projection holds 64 of its rows and the per-coordinate factors
+        # projection holds one block of 16 of its rows (512 KB) and the
+        # factors on the 64 nodes.  The rule and the grid are warmed first:
+        # the first rule imports scipy.special inside the window otherwise
         shape = ShapeSequence.isotropic(1.0)
         f = lambda p: np.prod(np.cos(p * [0.5, 0.7] + [0.3, 1.1]), axis=1)
+        gauss_hermite(64)
+        tensor_rule(2, 64)
         tracemalloc.start()
         try:
             proj = eigen_projection(shape, 2, 500, f, 64)
@@ -161,8 +195,51 @@ class TestEigenProjection:
         finally:
             tracemalloc.stop()
         assert proj.coefficients.shape == (500,)
-        assert peak < 8 * 2**20
+        assert peak < 2 * 2**20
         assert retained < 2**20
+
+    def test_evaluation_bit_equal_to_full_product(self):
+        # blocks of points give the bits of coefficients @ (the whole basis
+        # at the points): blocks of a multiple of 16 points, tails of 1-7 and
+        # N < 16 included.  One BLAS thread, as above.
+        code = """
+            from grkhs.algorithms import EigenProjector, _block_size
+
+            rng = np.random.default_rng(23)
+            compared, differ = 0, []
+            for d, n in [(1, 40), (2, 500), (3, 129), (4, 64), (2, 1000)]:
+                shape = grkhs.ShapeSequence.power_law(1.3, 0.8)
+                basis = grkhs.top_n_tensor_eigenvalues(shape, d, n)
+                proj = EigenProjector(shape, d, basis, rng.normal(size=n))
+                size = _block_size(n, 16)
+                tails = [size + t for t in range(1, 8)]
+                for N in [0, 1, 3, 15, size, 2 * size + 3, 3 * size + 9] + tails:
+                    x = rng.normal(size=(N, d))
+                    full = proj.coefficients @ tensor_eigenfunctions(shape, d, basis.indices, x)
+                    compared += 1
+                    if proj(x).tobytes() != full.tobytes():
+                        differ.append([d, n, N])
+            print(json.dumps([compared, differ]))
+            """
+        assert _one_blas_thread(code) == [70, []]
+
+    def test_evaluation_memory_follows_the_block(self):
+        # the (500, 4096) basis at the points alone is 15.6 MiB; evaluation
+        # holds one block of 128 points, a gathered factor block beside it
+        # and the factors at those points
+        shape = ShapeSequence.isotropic(1.0)
+        proj = eigen_projection(shape, 2, 500, {(1, 1): 1.0})
+        x = np.random.default_rng(3).normal(size=(4096, 2))
+        proj(x[:16])
+        tracemalloc.start()
+        try:
+            vals = proj(x)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert vals.shape == (4096,)
+        assert peak < 2 * 2**20
+        assert retained < 2**16
 
     @pytest.mark.parametrize(
         "f",
