@@ -65,8 +65,11 @@ _PROJECTION_BLOCK_BYTES = 512 * 1024
 
 
 def _block_size(width, multiple):
-    """Rows of width doubles within the budget, a multiple of multiple and at least one."""
-    return max(multiple, _PROJECTION_BLOCK_BYTES // (8 * width) // multiple * multiple)
+    """Rows of width doubles within the budget, a multiple of multiple and at least one.
+
+    Rows of width 0 (an empty basis) are sized as rows of width 1.
+    """
+    return max(multiple, _PROJECTION_BLOCK_BYTES // (8 * max(1, width)) // multiple * multiple)
 
 
 def tensor_eigenfunctions(shape: ShapeSequence, d: int, indices, points) -> np.ndarray:

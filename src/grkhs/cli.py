@@ -32,7 +32,7 @@ from .complexity import (
     estimate_rate,
 )
 from .errors import ResourceLimitError
-from .kernel import ShapeSequence
+from .kernel import ShapeSequence, _at_least
 from .quadrature import nystrom_eigs
 from .spectrum import top_n_tensor_eigenvalues, univariate_spectrum
 
@@ -188,8 +188,9 @@ def cmd_rates(cfg):
 def cmd_spline_bench(cfg):
     shape = parse_shape(cfg["shape"])
     ds = _int_list(cfg["d"])
-    sizes = _int_list(cfg.get("sizes", "1,2,5,10,20"))
-    seed = int(cfg.get("seed", 0))
+    # every size and the seed are checked before any work
+    sizes = [_at_least("sizes", n, 0) for n in _int_list(cfg.get("sizes", "1,2,5,10,20"))]
+    seed = _at_least("seed", int(cfg.get("seed", 0)), 0)
     m = cfg.get("m")
     rng = np.random.default_rng(seed)
     wce, e_all = [], []

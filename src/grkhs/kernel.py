@@ -183,19 +183,33 @@ def cross_kernel(shape: ShapeSequence, d: int, a, b) -> np.ndarray:
     product, |g a_i|^2 + |g b_j|^2 - 2 (g a_i).(g b_j), clamped at 0.  The
     cancellation leaves an absolute error of about 1e-16 |g a_i|^2 in each,
     so for near-coincident sites away from the origin 1 - K is rounding
-    noise (:func:`kernel_eval` takes exact differences).
+    noise (:func:`kernel_eval` takes exact differences).  One (n, d) float
+    array passed as both ``a`` and ``b`` is one symmetric product, so K is
+    then exactly symmetric.
     """
     return _points_kernel(shape, d, _as_points(a, d), _as_points(b, d))
 
 
 def _points_kernel(shape: ShapeSequence, d: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """:func:`cross_kernel` of (n_a, d) and (n_b, d) arrays already validated."""
+    """:func:`cross_kernel` of (n_a, d) and (n_b, d) arrays already validated.
+
+    When ``b`` is ``a``, the product is ``sa @ sa.T``, which numpy computes
+    as one triangle mirrored (BLAS syrk), doubled in place: K is symmetric
+    bit for bit.  A distinct ``b`` takes ``(2 sa) @ sb.T``.
+    """
     g = shape.gammas(d)
-    sa, sb = a * g, b * g
-    na, nb = np.sum(sa * sa, axis=1), np.sum(sb * sb, axis=1)
+    sa = a * g
+    na = np.sum(sa * sa, axis=1)
     # one product over all rows (row blocks of it move bits); the rest runs
     # in place, a row block at a time, so only the output is (n_a, n_b)
-    K = 2.0 * sa @ sb.T
+    if b is a:
+        nb = na
+        K = sa @ sa.T
+        K *= 2.0
+    else:
+        sb = b * g
+        nb = np.sum(sb * sb, axis=1)
+        K = 2.0 * sa @ sb.T
     rows = max(1, _KERNEL_BLOCK_BYTES // (K.itemsize * max(1, nb.size)))
     for i in range(0, K.shape[0], rows):
         d2 = K[i : i + rows]
@@ -218,33 +232,16 @@ def gram_matrix(shape: ShapeSequence, d: int, points) -> np.ndarray:
     Returns
     -------
     ndarray, shape (n, n)
-        :func:`cross_kernel` of the sites with themselves, symmetrized and
-        with its diagonal set to exactly 1; positive semidefinite.
+        :func:`cross_kernel` of the validated sites against the same array:
+        one symmetric product, so K equals its transpose bit for bit; its
+        diagonal is set to exactly 1.  Positive semidefinite.
     """
-    K = cross_kernel(shape, d, points, points)
-    if K.size == 0:
+    pts = _as_points(points, d)
+    if pts.shape[0] == 0:
         raise ValueError("point list must be nonempty")
-    _symmetrize(K)
+    K = _points_kernel(shape, d, pts, pts)
     np.fill_diagonal(K, 1.0)
     return K
-
-
-def _symmetrize(K: np.ndarray) -> None:
-    """K <- (K + K^T) * 0.5 in place, one pair of square blocks at a time.
-
-    Each entry gets (K_ij + K_ji) * 0.5, the value 0.5 * (K + K.T) gives
-    it, so the bits are the same; the one temporary is a block of at most
-    _KERNEL_BLOCK_BYTES, not a second n x n array.
-    """
-    n = K.shape[0]
-    b = int((_KERNEL_BLOCK_BYTES // K.itemsize) ** 0.5)
-    for i in range(0, n, b):
-        for j in range(i, n, b):
-            upper, lower = K[i : i + b, j : j + b], K[j : j + b, i : i + b]
-            s = upper + lower.T
-            s *= 0.5
-            upper[...] = s
-            lower[...] = s.T
 
 
 def eigenvalue_ratio(gamma: float) -> float:

@@ -32,6 +32,7 @@ from grkhs import (
     verify,
 )
 from grkhs.algorithms import (
+    EigenProjector,
     _gram_pinv_factors,
     _grid_basis_blocks,
     _index_codes,
@@ -44,7 +45,7 @@ from grkhs.algorithms import (
 )
 from grkhs.complexity import _error_values
 from grkhs.quadrature import _nystrom_matrix
-from grkhs.spectrum import MultiIndex
+from grkhs.spectrum import MultiIndex, TensorEigenList
 
 
 def _one_blas_thread(code):
@@ -240,6 +241,14 @@ class TestEigenProjection:
         assert vals.shape == (4096,)
         assert peak < 2 * 2**20
         assert retained < 2**16
+
+    @pytest.mark.parametrize("N", [0, 3, 200])
+    def test_empty_basis_evaluates_to_zeros(self, N):
+        # a block of zero-width basis rows is sized as one of width 1
+        shape = ShapeSequence.isotropic(1.0)
+        proj = EigenProjector(shape, 2, TensorEigenList(2, np.array([]), []), np.array([]))
+        x = np.random.default_rng(N).normal(size=(N, 2))
+        assert proj(x).tobytes() == np.zeros(N).tobytes()
 
     @pytest.mark.parametrize(
         "f",

@@ -380,6 +380,20 @@ class TestExitCodes:
         assert main(argv) == 1
         assert capsys.readouterr() == ("", "error: need rule size >= 1, got 0\n")
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--sizes", "3,-1"], "need sizes >= 0, got -1"),
+            (["--sizes", "-1"], "need sizes >= 0, got -1"),
+            (["--seed", "-1"], "need seed >= 0, got -1"),
+        ],
+        ids=["one-size-of-two", "only-size", "seed"],
+    )
+    def test_spline_bench_negative_size_or_seed(self, capsys, flags, message):
+        argv = ["spline-bench", "--shape", "iso:1.0", "--d", "1"] + flags
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_resource_limit(self, capsys, monkeypatch):
         monkeypatch.setenv("GRKHS_MAX_EIGS", "5")
         assert main(["eigs", "--shape", "iso:1.0", "--d", "2", "--n", "50"]) == 2

@@ -244,10 +244,11 @@ def _gram_reference(shape, d, pts):
     g = shape.gammas(d)
     scaled = pts * g
     sq = np.sum(scaled * scaled, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * scaled @ scaled.T
+    prod = scaled @ scaled.T
+    prod *= 2.0
+    d2 = sq[:, None] + sq[None, :] - prod
     np.maximum(d2, 0.0, out=d2)
     K = np.exp(-d2)
-    K = 0.5 * (K + K.T)
     np.fill_diagonal(K, 1.0)
     return K
 
@@ -293,20 +294,26 @@ def test_kernels_bit_equal_to_reference_formulas(data):
     assert np.array_equal(cross_kernel(shape, d, a, b), _cross_reference(shape, d, a, b))
 
 
-@pytest.mark.parametrize("n", [1, 2, 180, 181, 182, 363, 700])
-def test_gram_symmetrization_matches_its_previous_formula_bit_for_bit(n):
-    # one block pair, several, and a ragged last block of 181 rows; a
-    # quarter of the sites are moved within 1e-9 of another site
+@pytest.mark.parametrize(
+    "n, d, layout",
+    [(n, 3, "C") for n in (1, 2, 180, 181, 182, 363, 700)]
+    + [(300, 40, "C"), (300, 40, "F"), (300, 40, "list")],
+)
+def test_gram_is_exactly_symmetric_and_the_kernel_of_its_sites(n, d, layout):
+    # a quarter of the sites are moved within 1e-9 of another site; at
+    # d = 40, n = 300 the two-operand product (2 sa) @ sb.T is not symmetric
     rng = np.random.default_rng(n)
-    d = 3
     pts = rng.standard_normal((n, d))
     near = rng.integers(0, n, n // 4)
     pts[rng.integers(0, n, n // 4)] = pts[near] + rng.uniform(-1e-9, 1e-9, (near.size, d))
     shape = ShapeSequence.explicit(rng.uniform(0.2, 2.0, d))
+    if layout == "F":
+        pts = np.asfortranarray(pts)
+    K = gram_matrix(shape, d, pts.tolist() if layout == "list" else pts)
+    assert K.tobytes() == K.T.tobytes()
     ref = cross_kernel(shape, d, pts, pts)
-    ref = 0.5 * (ref + ref.T)
     np.fill_diagonal(ref, 1.0)
-    assert gram_matrix(shape, d, pts).tobytes() == ref.tobytes()
+    assert K.tobytes() == ref.tobytes()
 
 
 def test_gram_matrix_holds_one_n_by_n_array():
