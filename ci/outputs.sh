@@ -135,6 +135,25 @@ for d, n, m in [(1, 65, 100), (3, 130, 40), (4, 257, 12), (5, 200, 6)]:
 x = np.random.default_rng(0).normal(size=(643, 2))
 print(*(v.hex() for v in grkhs.eigen_projection(s, 2, 500, f, 64)(x).tolist()))
 ' > eigproj_blocks.txt
+# the spline on sites with exact and 1e-9 near duplicates, so the Gram clip
+# fires: per design n and rank, then in hex the coefficients, the model and
+# the power function at 40 seeded points and the trace bound
+python -c '
+import numpy as np, grkhs
+s = grkhs.ShapeSequence.isotropic(1.0)
+for d, n, m in [(2, 60, 20), (8, 60, 2)]:
+    rng = np.random.default_rng(d)
+    base = rng.standard_normal((n, d))
+    near = base[5:10] + 1e-9 * rng.standard_normal((5, d))
+    sites = np.vstack([base, base[:5], near])
+    x = rng.standard_normal((40, d))
+    model = grkhs.spline_fit(s, d, sites, np.sin(sites).sum(axis=1))
+    print(d, len(sites), model.rank)
+    print(*(v.hex() for v in model.coefficients.tolist()))
+    print(*(v.hex() for v in model(x).tolist()))
+    print(*(v.hex() for v in grkhs.power_function(s, d, sites, x).tolist()))
+    print(grkhs.spline_worst_case_error(s, d, sites, m, method="trace").hex())
+' > interp.txt
 # the shape-parameter rule, the eigenvalue ratio and its gate:
 # log spectra and gammas in hex, then the gate's messages
 python -W error -c '

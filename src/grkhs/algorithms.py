@@ -255,7 +255,8 @@ class SplineModel:
     """Fitted minimal-norm kernel interpolant.
 
     ``design`` is a read-only copy of the (n, d) sites and ``rank`` the
-    number of Gram eigendirections kept, so ``n - rank`` were clipped.
+    number of columns of the clipped Gram factor V, the Gram eigendirections
+    kept, so ``n - rank`` were clipped.
     """
 
     shape: ShapeSequence
@@ -330,16 +331,16 @@ def _arrays(value):
             yield from _arrays(v)
 
 
-# the clipped Gram factors (U, inv) of the most recent design
+# the clipped Gram factor V of the most recent design
 _gram_memo = _Memo()
 # the kernel K of the most recent points and sites
 _site_memo = _Memo()
 # the tensor grids and their univariate Nystrom factors of recent
 # (shape, d, m), each a _Grid; the budget is argued in _tensor_grid
 _grid_memo = _Memo(budget=2**19)
-# the rank-0 factors (U, inv) of a design with no sites, read-only
-_U0, _INV0 = np.zeros((0, 0)), np.zeros(0)
-_U0.flags.writeable = _INV0.flags.writeable = False
+# the rank-0 factor V of a design with no sites, read-only
+_V0 = np.zeros((0, 0))
+_V0.flags.writeable = False
 
 
 def _site_kernel(shape, d, points, sites):
@@ -355,29 +356,28 @@ def _site_kernel(shape, d, points, sites):
     )
 
 
-def _gram_pinv_factors(shape, d, design):
-    """Eigendecomposition of the Gram matrix with small eigenvalues clipped.
+def _gram_factor(shape, d, design):
+    """The clipped Gram factor V, n x rank, with pseudo-inverse K^+ = V V^T.
 
-    Returns (U, inv) with pseudo-inverse U diag(inv) U^T; eigenvalues at
-    or below CLIP_FACTOR times the largest are treated as exact zeros,
-    which is the minimal-Euclidean-norm convention for rank-deficient
-    systems.
+    The columns of V are the eigenvectors of the Gram matrix whose
+    eigenvalue ev is above CLIP_FACTOR times the largest, each divided by
+    sqrt(ev); the other eigenvalues are treated as exact zeros, which is the
+    minimal-Euclidean-norm convention for rank-deficient systems.
 
-    The factors of the most recent design are kept, keyed by the exact bytes
+    The factor of the most recent design is kept, keyed by the exact bytes
     of d, the shape parameters and the design, so a second solve on the same
     design (a fit followed by its power function) costs no eigendecomposition.
-    The arrays are shared between callers and therefore read-only.  A design
-    with no sites gets the rank-0 factors, (0, 0) U and empty inv, before
-    the memo is consulted, so it neither builds nor evicts an entry.
+    The array is shared between callers and therefore read-only.  A design
+    with no sites gets the (0, 0) rank-0 factor before the memo is consulted,
+    so it neither builds nor evicts an entry.
     """
     if design.shape[0] == 0:
-        return _U0, _INV0
+        return _V0
 
     def build():
         ev, U = np.linalg.eigh(gram_matrix(shape, d, design))
-        tau = CLIP_FACTOR * ev[-1]
-        inv = np.where(ev > tau, 1.0 / np.where(ev > tau, ev, 1.0), 0.0)
-        return U, inv
+        kept = ev > CLIP_FACTOR * ev[-1]
+        return U[:, kept] / np.sqrt(ev[kept])
 
     return _gram_memo.get(_memo_key(shape, d, design), build)
 
@@ -439,15 +439,17 @@ def _tensor_grid(shape, d, m) -> _Grid:
 def spline_fit(shape: ShapeSequence, d: int, design, y) -> SplineModel:
     """Fit the minimal-norm interpolant to data y at the design sites.
 
-    The Gram system K c = y is solved through its symmetric
-    eigendecomposition with relative spectral clipping, so coincident or
-    nearly coincident sites yield the minimal-Euclidean-norm coefficient
-    vector instead of failing; the model's ``rank`` counts the directions
-    kept.  Two one-entry memos serve a fit followed by evaluation: the
-    clipped factorization of the most recent design is reused, so
-    ``power_function`` on the same design does not factor the Gram matrix
-    again, and the model and ``power_function`` at the same points share one
-    points-by-sites kernel.
+    The coefficients are c = V (V^T y), V the clipped Gram factor: the
+    eigenvectors of the Gram matrix whose eigenvalue is above CLIP_FACTOR
+    times the largest, each divided by the square root of its eigenvalue, so
+    K^+ = V V^T.  Coincident or nearly coincident sites thus yield the
+    minimal-Euclidean-norm coefficient vector instead of failing; the
+    model's ``rank`` is the number of columns of V.  Data that is NaN or
+    infinite raises ``ValueError``, as such sites do.  Two one-entry memos
+    serve a fit followed by evaluation: the factor of the most recent design
+    is reused, so ``power_function`` on the same design does not factor the
+    Gram matrix again, and the model and ``power_function`` at the same
+    points share one points-by-sites kernel.
 
     The model keeps a read-only copy of the sites, so a later change to the
     caller's array cannot move them away from its coefficients.
@@ -458,12 +460,13 @@ def spline_fit(shape: ShapeSequence, d: int, design, y) -> SplineModel:
         raise ValueError("design must be nonempty")
     if y.shape != (pts.shape[0],):
         raise ValueError(f"data must have shape ({pts.shape[0]},), got {y.shape}")
-    U, inv = _gram_pinv_factors(shape, d, pts)
-    c = U @ (inv * (U.T @ y))
+    if not np.all(np.isfinite(y)):
+        raise ValueError("data must be finite")
+    V = _gram_factor(shape, d, pts)
     sites = pts.copy()
     sites.flags.writeable = False
     return SplineModel(
-        shape=shape, d=d, design=sites, coefficients=c, rank=int(np.count_nonzero(inv))
+        shape=shape, d=d, design=sites, coefficients=V @ (V.T @ y), rank=V.shape[1]
     )
 
 
@@ -474,13 +477,13 @@ def power_function(shape: ShapeSequence, d: int, design, x) -> np.ndarray:
     sites and 1 for the empty design (the kernel has unit diagonal).
     Accepts a single point or an (N, d) batch; always returns an array.
     Sites and points must have finite coordinates.
-    K^+ = U diag(inv) U^T is the clipped pseudo-inverse of ``spline_fit``,
-    and k(x) is projected onto the kept directions only, the columns of U
-    whose inv is nonzero.  Both one-entry memos of ``spline_fit`` apply: after
-    a fit on the same design the Gram matrix is not factored again, and after
-    the model's call at the same points their kernel is not computed again.
-    The empty design takes the same route with the rank-0 factors, so its
-    (N, 0) kernel replaces the site memo's entry.
+    K^+ = V V^T is the clipped pseudo-inverse of ``spline_fit``, so the
+    quadratic form is the squared norm of k(x)^T V, one row per point.  Both
+    one-entry memos of ``spline_fit`` apply: after a fit on the same design
+    the Gram matrix is not factored again, and after the model's call at the
+    same points their kernel is not computed again.  The empty design takes
+    the same route with the rank-0 factor, so its (N, 0) kernel replaces the
+    site memo's entry.
     """
     pts = _as_points(design, d)
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -494,15 +497,9 @@ def _power_from_kernel(shape, d, design, K):
     The design is validated; K may come from the site memo or, for a kernel
     used once, straight from :func:`cross_kernel`.
     """
-    U, inv = _gram_pinv_factors(shape, d, design)
-    # eigh sorts the eigenvalues ascending, so the clip zeroes a leading
-    # block of inv and the kept directions are the trailing rank columns
-    kept = slice(inv.size - np.count_nonzero(inv), None)
-    proj = K @ U[:, kept]
-    # in place, the same operations in the same order as proj * proj * inv,
-    # with no further N x rank array
+    proj = K @ _gram_factor(shape, d, design)
+    # squared in place, with no further N x rank array
     np.multiply(proj, proj, out=proj)
-    np.multiply(proj, inv[None, kept], out=proj)
     quad = np.sum(proj, axis=1)
     return np.sqrt(np.maximum(0.0, 1.0 - quad))
 
@@ -518,24 +515,25 @@ def spline_worst_case_error(
     matrix diag(sqrt(W)) G diag(sqrt(W)) (Nystrom estimate).  Because the
     kernel and the weight are products over coordinates, that matrix is
 
-        A_1 (x) ... (x) A_d - C diag(inv) C^T,
+        A_1 (x) ... (x) A_d - C C^T,
 
     where A_l = diag(sqrt(w)) K_l diag(sqrt(w)) is the univariate Nystrom
     matrix of gamma_l on the m-point rule, C = diag(sqrt(W)) K(grid,
-    design) U and U diag(inv) U^T is the clipped Gram pseudo-inverse.
-    At every grid size the largest eigenvalue comes from Lanczos on this
-    operator without forming any N x N matrix: a product applies A_l along
-    each grid axis and the rank-n correction, costing O(m^d (sum_l m + n))
-    time and O(m^d n) memory (:func:`_top_eigenvalue`, which takes the
-    1 x 1 operator itself at N = 1).  The grid,
+    design) V and V V^T is the clipped Gram pseudo-inverse (V is n x r,
+    r <= n the rank kept by ``spline_fit``).  At every grid size the
+    largest eigenvalue comes from Lanczos on this operator without forming
+    any N x N matrix: a product applies A_l along each grid axis and the
+    rank-r correction, costing O(m^d (sum_l m + r)) time and O(m^d n)
+    memory (:func:`_top_eigenvalue`, which takes the 1 x 1 operator itself
+    at N = 1).  The grid,
     sqrt(W) and the A_l of recent grids are kept in a memo bounded in
     bytes, one A_l per distinct gamma_l (:func:`_tensor_grid`); the error
     itself is computed anew on every call.  For the empty
-    design C is N x 0 (rank-0 factors) and the correction is exactly zero,
+    design C is N x 0 (rank-0 factor) and the correction is exactly zero,
     though each Lanczos step still pays its two zero-column products.
 
     The grid-by-design arrays (the kernel K(grid, design), C and the trace
-    route's kernel) hold N n doubles: past N n = 5 * 10^7
+    route's kernel) hold at most N n doubles: past N n = 5 * 10^7
     (``MAX_GRID_DESIGN_SIZE``) ``ResourceLimitError`` is raised before
     the grid is built, as it is past N = 10^7 (:func:`tensor_rule`).
 
@@ -559,17 +557,15 @@ def spline_worst_case_error(
         P = _power_from_kernel(shape, d, pts, cross_kernel(shape, d, points, pts))
         return float(np.sqrt(max(0.0, np.dot(w, P**2))))
     grid = _tensor_grid(shape, d, m)
-    U, inv = _gram_pinv_factors(shape, d, pts)
-    # all n columns of U are kept, clipped ones included, so that the WCE
-    # bytes stay as they were: inv reaches 1/(CLIP_FACTOR lambda_max) and
-    # amplifies any change in the rounding of K(grid, design) U to ~1e-11;
     # with no sites the correction is exactly +0.0, and x - 0.0 = x
-    C = grid.root_weights[:, None] * (_points_kernel(shape, d, grid.points, pts) @ U)
+    C = grid.root_weights[:, None] * (
+        _points_kernel(shape, d, grid.points, pts) @ _gram_factor(shape, d, pts)
+    )
     kron = _kron_matvec(grid.factors)
     Ct = C.T
 
     def matvec(v):
-        return kron(v) - C @ (inv * (Ct @ v))
+        return kron(v) - C @ (Ct @ v)
 
     return float(np.sqrt(max(0.0, _top_eigenvalue(matvec, grid.root_weights.size))))
 

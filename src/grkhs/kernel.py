@@ -150,11 +150,13 @@ def _exact_kernel(g, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _as_points(points, d: int) -> np.ndarray:
-    """Validated (n, d) float array of points; a 1-d array is a column for d = 1.
+    """Validated (n, d) C-ordered float array of points; a 1-d array is a column for d = 1.
 
     An empty list gives a (0, d) array for any d; any other input must have
     d columns.  NaN or infinite coordinates raise ``ValueError``; the
-    squared distances of such a point would be NaN.
+    squared distances of such a point would be NaN.  Input in any other
+    memory layout is copied into C order, so the kernel's bits and the
+    memo keys (which read C order) are those of the same sites in C order.
     """
     pts = np.asarray(points, dtype=float)
     if pts.shape == (0,):
@@ -167,7 +169,7 @@ def _as_points(points, d: int) -> np.ndarray:
         raise ValueError(f"points must have shape (n, {d}), got {pts.shape}")
     if not np.all(np.isfinite(pts)):
         raise ValueError("point coordinates must be finite")
-    return pts
+    return np.ascontiguousarray(pts)
 
 
 # Bytes per row block of cross_kernel's elementwise pass: its one temporary
@@ -187,7 +189,10 @@ def cross_kernel(shape: ShapeSequence, d: int, a, b) -> np.ndarray:
     array passed as both ``a`` and ``b`` is one symmetric product, so K is
     then exactly symmetric.
     """
-    return _points_kernel(shape, d, _as_points(a, d), _as_points(b, d))
+    pa = _as_points(a, d)
+    # validated once, so that a Fortran-ordered array passed twice, copied
+    # into C order, still takes the symmetric product
+    return _points_kernel(shape, d, pa, pa if b is a else _as_points(b, d))
 
 
 def _points_kernel(shape: ShapeSequence, d: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
