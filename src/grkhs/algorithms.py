@@ -18,12 +18,12 @@ from .kernel import (
     ShapeSequence,
     _as_points,
     _points_kernel,
-    cross_kernel,
     gram_matrix,
 )
 from .errors import ResourceLimitError
 from .quadrature import (
     MAX_GRID_DESIGN_SIZE,
+    _SMALLEST_NORMAL,
     _grid_shape,
     _grid_values,
     _nystrom_matrix,
@@ -92,7 +92,13 @@ def tensor_eigenfunctions(shape: ShapeSequence, d: int, indices, points) -> np.n
 
 
 def _index_codes(indices, d):
-    """(n, d) array of the multi-indices' dense entries minus 1: each coordinate's factor row."""
+    """(n, d) array of the multi-indices' dense entries minus 1: each coordinate's factor row.
+
+    An index of another dimension than d raises :func:`_dense_index`'s ``ValueError``.
+    """
+    for idx in indices:
+        if idx.d != d:
+            _dense_index(d, idx.dense())
     return np.array([idx.dense() for idx in indices], dtype=np.intp).reshape(len(indices), d) - 1
 
 
@@ -344,7 +350,7 @@ _V0.flags.writeable = False
 
 
 def _site_kernel(shape, d, points, sites):
-    """:func:`cross_kernel` of validated points and sites, with a one-entry memo.
+    """The points-by-sites kernel of validated points and sites, with a one-entry memo.
 
     The kernel of the most recent pair is kept, keyed by the exact bytes of
     d, the shape parameters and both arrays, so the spline and its power
@@ -352,7 +358,7 @@ def _site_kernel(shape, d, points, sites):
     between callers and therefore read-only.
     """
     return _site_memo.get(
-        _memo_key(shape, d, points, sites), lambda: cross_kernel(shape, d, points, sites)
+        _memo_key(shape, d, points, sites), lambda: _points_kernel(shape, d, points, sites)
     )
 
 
@@ -380,10 +386,6 @@ def _gram_factor(shape, d, design):
         return U[:, kept] / np.sqrt(ev[kept])
 
     return _gram_memo.get(_memo_key(shape, d, design), build)
-
-
-# Nystrom factor entries below this, the subnormals, are written as 0
-_SMALLEST_NORMAL = np.finfo(float).tiny
 
 
 class _Grid(NamedTuple):
@@ -495,7 +497,7 @@ def _power_from_kernel(shape, d, design, K):
     """:func:`power_function` at the rows of K, the points-by-sites kernel.
 
     The design is validated; K may come from the site memo or, for a kernel
-    used once, straight from :func:`cross_kernel`.
+    used once, straight from :func:`_points_kernel`.
     """
     proj = K @ _gram_factor(shape, d, design)
     # squared in place, with no further N x rank array
@@ -554,7 +556,7 @@ def spline_worst_case_error(
     if method == "trace":
         points, w = tensor_rule(d, m)
         # the grid-by-design kernel is used once, so it bypasses the site memo
-        P = _power_from_kernel(shape, d, pts, cross_kernel(shape, d, points, pts))
+        P = _power_from_kernel(shape, d, pts, _points_kernel(shape, d, points, pts))
         return float(np.sqrt(max(0.0, np.dot(w, P**2))))
     grid = _tensor_grid(shape, d, m)
     # with no sites the correction is exactly +0.0, and x - 0.0 = x

@@ -69,11 +69,10 @@ def _floats(a) -> list:
     (not ``==``: a 0.0 next to a -0.0 keeps its sign)."""
     a = np.asarray(a, dtype=np.float64)
     bits = a.view(np.uint64)
-    new = np.concatenate(([True], bits[1:] != bits[:-1]))
-    if not new.all():
-        cells = np.array(list(map(repr, a[new].tolist())), dtype=object)
-        return cells[np.cumsum(new) - 1].tolist()
-    return list(map(repr, a.tolist()))
+    new = np.ones(a.size, dtype=bool)
+    new[1:] = bits[1:] != bits[:-1]
+    cells = np.array(list(map(repr, a[new].tolist())), dtype=object)
+    return cells[np.cumsum(new) - 1].tolist()
 
 
 def _table(config: dict, names: str, *columns) -> list:
@@ -213,11 +212,11 @@ def cmd_verify(cfg):
     from .verify import render_report, run_full
 
     results = run_full()
-    report = render_report(results)
-    sys.stdout.write(report)
+    # render_report ends every line with a newline, as _emit does
+    lines = render_report(results).split("\n")[:-1]
+    _emit(None, lines)
     if cfg.get("out"):
-        with open(cfg["out"], "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(report)
+        _emit(cfg["out"], lines)
     return 0 if all(r.passed for r in results) else 3
 
 

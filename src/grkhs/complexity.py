@@ -99,7 +99,7 @@ def _error_values(shape: ShapeSequence, d: int, N: int, name: str = "N") -> np.n
     N + 1 eigenvalues fit the enumeration guard, then the dimension.
     """
     k = _merge_size(name, N, 0, extra=1)
-    d = _at_least("dimension", d, 1)
+    # _log_spectrum checks the dimension
     return np.exp(0.5 * _top_log_values(*_log_spectrum(shape, d), k))
 
 

@@ -24,6 +24,8 @@ MAX_GRID_SIZE = 10_000_000
 # Largest N * n of the spline WCE's grid-by-design arrays (N grid nodes, n
 # sites): each such array is 8 N n bytes, 400 MB at this bound.
 MAX_GRID_DESIGN_SIZE = 50_000_000
+# the smallest normal double: values below it, the subnormals, carry fewer bits
+_SMALLEST_NORMAL = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -75,11 +77,14 @@ def _scaled_rule(m: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
     Substituting t = s*u in the rho_1 integral gives this rule.  For s = 1
     the plain ``gauss_hermite(m)`` arrays are returned unchanged; otherwise
     the weights are formed in log space, since w_i underflows where
-    exp((1 - s^2) u_i^2) overflows.  From m = 386 on the outermost w_i
-    underflow to 0 (4 at m = 400, 36 at m = 512), while s < 1 brings their
-    scaled weights back into range: at m = 512, s = 0.1 leaving them out
-    loses 1.3e-4 of the mass.  For those entries alone log w_i is
-    :func:`_log_christoffel`; every other weight keeps its bits.
+    exp((1 - s^2) u_i^2) overflows.  From m = 370 on the outermost w_i fall
+    below the smallest normal double, and from m = 386 on some underflow
+    to 0 (42 below it at m = 512, 36 of them 0), while s < 1 brings
+    their scaled weights back into range: at m = 512, s = 0.1 leaving the
+    zeros out loses 1.3e-4 of the mass, and a subnormal carries too few
+    bits (up to 1.8e-5 relative error once scaled).  For those entries
+    alone log w_i is :func:`_log_christoffel`; every other weight keeps its
+    bits.
     """
     rule = gauss_hermite(m)
     if scale == 1.0:
@@ -87,9 +92,9 @@ def _scaled_rule(m: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
     u = rule.nodes
     with np.errstate(divide="ignore"):
         log_w = np.log(rule.weights)
-    zero = rule.weights == 0.0
-    if zero.any():
-        log_w[zero] = _log_christoffel(m, u[zero])
+    low = rule.weights < _SMALLEST_NORMAL
+    if low.any():
+        log_w[low] = _log_christoffel(m, u[low])
     log_w = log(scale) + log_w + (1.0 - scale * scale) * u * u
     return scale * u, np.exp(log_w)
 

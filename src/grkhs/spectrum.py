@@ -166,18 +166,19 @@ def mercer_check(spec: UnivariateSpectrum, x: float, t: float, J: int) -> float:
     return float(np.sum(lam * px * pt))
 
 
+@dataclass(frozen=True, slots=True)
 class MultiIndex:
     """Multi-index of eigenfunction numbers, stored sparsely.
 
     Only coordinates above 1 are kept, as (position, value) pairs with
     1-based positions, so indices stay small even for d in the hundreds.
+    ``entries`` is the tuple ((position, value), ...) of the coordinates
+    above 1, by position, stored as given.  An index is immutable, so it
+    hashes the same for as long as it lives.
     """
 
-    __slots__ = ("d", "_entries")
-
-    def __init__(self, d: int, entries=()):
-        self.d = d
-        self._entries = tuple(entries)  # ((pos, j), ...) sorted, j >= 2
+    d: int
+    entries: tuple = ()
 
     @classmethod
     def from_dense(cls, values) -> "MultiIndex":
@@ -190,26 +191,11 @@ class MultiIndex:
         ent = tuple((i + 1, v) for i, v in enumerate(values) if v > 1)
         return cls(len(values), ent)
 
-    @property
-    def entries(self) -> tuple:
-        """The ((position, value), ...) pairs of the coordinates above 1, by position."""
-        return self._entries
-
     def dense(self) -> tuple:
         out = [1] * self.d
-        for pos, j in self._entries:
+        for pos, j in self.entries:
             out[pos - 1] = j
         return tuple(out)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MultiIndex)
-            and self.d == other.d
-            and self._entries == other._entries
-        )
-
-    def __hash__(self):
-        return hash((self.d, self._entries))
 
     def __repr__(self):
         return f"MultiIndex{self.dense()!r}"
@@ -255,7 +241,7 @@ def tensor_log_eigenvalue(shape: ShapeSequence, d: int, dense_index) -> float:
     not d integer entries, each >= 1, raises ``ValueError``.
     """
     base, log_ratio = _log_spectrum(shape, d)
-    return _log_product(base, log_ratio, _dense_index(d, dense_index).entries)
+    return float(_log_product(base, log_ratio, _dense_index(d, dense_index).entries))
 
 
 # a raised entry (pos, j) is stored as pos * 2**31 - j; the merge counts

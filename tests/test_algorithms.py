@@ -46,6 +46,7 @@ from grkhs.algorithms import (
 )
 from grkhs.complexity import _error_values
 from grkhs.quadrature import _nystrom_matrix
+from grkhs.kernel import _points_kernel
 from grkhs.spectrum import MultiIndex, TensorEigenList
 
 
@@ -305,6 +306,18 @@ class TestEigenProjection:
         assert np.all(rows[0] == 1.0)
         h = [np.sqrt(2.0) * x, (2 * x**2 - 1) / np.sqrt(2.0), (2 * x**3 - 3 * x) / np.sqrt(3.0)]
         assert np.allclose(rows[1:], h, rtol=1e-14, atol=1e-14)
+
+    def test_index_of_another_dimension_rejected(self):
+        # both used to fail in numpy's reshape of the dense entries
+        shape = ShapeSequence.isotropic(1.0)
+        message = r"multi-index \(1, 2, 1\) has 3 entries, need d = 2"
+        indices = [MultiIndex.from_dense((1, 2, 1))] * 3
+        pts = np.zeros((4, 2))
+        with pytest.raises(ValueError, match=message):
+            tensor_eigenfunctions(shape, 2, indices, pts)
+        basis = TensorEigenList(3, np.zeros(3), indices)
+        with pytest.raises(ValueError, match=message):
+            EigenProjector(shape, 2, basis, np.ones(3))(pts)
 
 
 class TestMinimalErrorAll:
@@ -645,11 +658,11 @@ class TestSiteKernelMemo:
 
         def counted(*args):
             calls.append(not algorithms._site_memo.entries)
-            return cross_kernel(*args)
+            return _points_kernel(*args)
 
         monkeypatch.setattr(algorithms._gram_memo, "entries", {})
         monkeypatch.setattr(algorithms._site_memo, "entries", {})
-        monkeypatch.setattr(algorithms, "cross_kernel", counted)
+        monkeypatch.setattr(algorithms, "_points_kernel", counted)
         return calls
 
     def test_fit_evaluate_power_function_computes_kernel_once(self, kernel_calls):
@@ -712,6 +725,27 @@ class TestSiteKernelMemo:
         assert hit.tobytes() == cross_kernel(shape, 3, q, X).tobytes()
         with pytest.raises(ValueError):
             hit[0, 0] = 0.0
+
+    @pytest.mark.parametrize("layout", ["F", "list"])
+    def test_other_layouts_give_c_ordered_bits(self, layout, kernel_calls):
+        # the public call puts the points into C order, once; the kernel
+        # takes them as they are.  At d = 8 Fortran-ordered points handed
+        # to the kernel move its bits.
+        shape = ShapeSequence.power_law(1.0, 1.0)
+        rng = np.random.default_rng(9)
+        X = rng.standard_normal((60, 8))
+        q = rng.standard_normal((50, 8))
+        model = spline_fit(shape, 8, X, rng.standard_normal(60))
+        ref_values = model(q)
+        ref_power = power_function(shape, 8, X, q)
+        other = np.asfortranarray(q) if layout == "F" else q.tolist()
+        algorithms._site_memo.entries.clear()
+        del kernel_calls[:]
+        values = model(other)
+        power = power_function(shape, 8, X, other)
+        assert kernel_calls == [True]
+        assert values.tobytes() == ref_values.tobytes()
+        assert power.tobytes() == ref_power.tobytes()
 
     def test_holds_one_entry(self, kernel_calls):
         shape = ShapeSequence.isotropic(1.0)

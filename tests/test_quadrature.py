@@ -62,18 +62,25 @@ class TestScaledRule:
     @pytest.mark.parametrize("m", [400, 512])
     @pytest.mark.parametrize("scale", [0.1, 0.3])
     def test_underflowed_weights_are_filled(self, m, scale):
-        # 4 and 36 weights of the plain rule are 0; scaled, the rule misses
-        # no more than the rho_1 mass beyond its outermost node
-        plain = gauss_hermite(m).weights
+        # 4 and 36 weights of the plain rule are 0 and 2 and 6 more are
+        # subnormal; scaled, the rule misses no more than the rho_1 mass
+        # beyond its outermost node
+        plain, nodes = gauss_hermite(m).weights, gauss_hermite(m).nodes
         t, w = _scaled_rule(m, scale)
         assert np.count_nonzero(plain == 0.0) == {400: 4, 512: 36}[m]
         assert np.all(w > 0.0)
         assert 0.0 <= 1.0 - math.fsum(w) <= math.erfc(t.max()) + 1e-13
-        # every other weight keeps the bits of the log-space formula
-        kept = plain > 0.0
-        u = gauss_hermite(m).nodes[kept]
+        # the normal weights keep the bits of the log-space formula
+        kept = plain >= np.finfo(float).tiny
+        assert np.count_nonzero(~kept) == {400: 6, 512: 42}[m]
+        u = nodes[kept]
         ref = np.exp(math.log(scale) + np.log(plain[kept]) + (1.0 - scale * scale) * u * u)
         assert w[kept].tobytes() == ref.tobytes()
+        # the zeros and the subnormals take the Christoffel weight
+        u = nodes[~kept]
+        log_w = quadrature._log_christoffel(m, u)
+        ref = np.exp(math.log(scale) + log_w + (1.0 - scale * scale) * u * u)
+        assert w[~kept].tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("m", [2, 37, 200, 400, 512])
     def test_christoffel_weight_matches_the_rule_where_it_is_normal(self, m):

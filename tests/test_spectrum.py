@@ -238,6 +238,15 @@ class TestMultiIndex:
         b = MultiIndex.from_dense((2, 1))
         assert a == b and hash(a) == hash(b)
         assert a != MultiIndex.from_dense((1, 2))
+        assert a == MultiIndex(2, ((1, 2),))
+
+    def test_immutable(self):
+        # an index used as a dict key keeps its hash
+        idx = MultiIndex.from_dense((1, 3))
+        table = {idx: 1.0}
+        with pytest.raises(AttributeError):
+            idx.d = 3
+        assert idx.d == 2 and table[MultiIndex.from_dense((1, 3))] == 1.0
 
 
 class TestDenseIndexValidation:
@@ -260,6 +269,15 @@ class TestDenseIndexValidation:
     def test_tensor_log_eigenvalue_rejects(self, index, message):
         with pytest.raises(ValueError, match=message):
             tensor_log_eigenvalue(ShapeSequence.isotropic(1.0), 2, index)
+
+    @pytest.mark.parametrize("index", [(1, 1), (1, 3)])
+    def test_tensor_log_eigenvalue_is_a_python_float(self, index):
+        # the leading index reads the base alone, the others add log ratios
+        shape = ShapeSequence.isotropic(1.0)
+        value = tensor_log_eigenvalue(shape, 2, index)
+        assert type(value) is float
+        base, log_ratio = _log_spectrum(shape, 2)
+        assert value == base + (index[1] - 1) * log_ratio[1]
 
 
 class TestTensorEnumeration:
